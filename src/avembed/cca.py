@@ -4,6 +4,15 @@ The linear fit whitens both views (symmetric eigendecomposition with an
 eigenvalue floor), takes the SVD of the whitened cross-covariance, and maps
 the singular vectors back through the inverse square roots. Canonical
 correlations are the singular values clipped to [0, 1].
+
+A fit may pair rows through index pairs (audio row, visual row). The pairs
+enter only through per-row counts n_a and n_v and the sparse pair-count matrix
+C: the count-weighted means, Sxx = Xc' diag(n_a) Xc, Syy = Yc' diag(n_v) Yc
+and Sxy = Xc' C Yc, each over m - 1, are the statistics of the materialised
+pairs without copying a row per pair. A view with more dimensions d than rows
+n is solved in an orthonormal basis Q (d x n) of its centred rows: its
+covariance there is n x n, and outside span(Q) it is reg * I, so no d x d
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -95,9 +104,9 @@ def _inv_sqrt_psd(m: np.ndarray, *, allow_floor: bool) -> np.ndarray:
     return (evecs / np.sqrt(evals)) @ evecs.T
 
 
-def _resolve_reg(cov: np.ndarray, reg: float | None) -> float:
+def _resolve_reg(trace: float, dim: int, reg: float | None) -> float:
     if reg is None:
-        return DEFAULT_REG_SCALE * float(np.trace(cov)) / cov.shape[0]
+        return DEFAULT_REG_SCALE * trace / dim
     if reg < 0:
         raise ValueError(f"reg must be >= 0, got {reg}")
     return float(reg)
@@ -112,8 +121,8 @@ def _whitening(x: np.ndarray, y: np.ndarray, reg: float | None):
     yc = y - mean_y
     sxx = xc.T @ xc / (n - 1)
     syy = yc.T @ yc / (n - 1)
-    reg_x = _resolve_reg(sxx, reg)
-    reg_y = _resolve_reg(syy, reg)
+    reg_x = _resolve_reg(float(np.trace(sxx)), sxx.shape[0], reg)
+    reg_y = _resolve_reg(float(np.trace(syy)), syy.shape[0], reg)
     sxx += reg_x * np.eye(sxx.shape[0])
     syy += reg_y * np.eye(syy.shape[0])
     sxy = xc.T @ yc / (n - 1)
@@ -123,12 +132,121 @@ def _whitening(x: np.ndarray, y: np.ndarray, reg: float | None):
     return mean_x, mean_y, xc, yc, isx, isy, sxy, reg_x, reg_y
 
 
-def fit_cca(x: np.ndarray, y: np.ndarray, r: int, reg: float | None = None) -> LinearProjection:
+def _pair_indices(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    a_idx, v_idx = (np.asarray(p) for p in pairs)
+    if a_idx.ndim != 1 or a_idx.shape != v_idx.shape:
+        raise ValueError("pairs must be two index vectors of equal length")
+    if not (np.issubdtype(a_idx.dtype, np.integer) and np.issubdtype(v_idx.dtype, np.integer)):
+        raise ValueError("pair indices must be integers")
+    if a_idx.size < 2:
+        raise ValueError(f"need at least 2 pairs, got {a_idx.size}")
+    if min(a_idx.min(), v_idx.min()) < 0 or max(a_idx.max(), v_idx.max()) >= n:
+        raise ValueError(f"pair indices must lie in [0, {n})")
+    return a_idx.astype(np.int64), v_idx.astype(np.int64)
+
+
+# rows of z gathered per step of _pair_sum, in elements
+_PAIR_CHUNK = 1 << 20
+
+
+def _pair_sum(a_idx: np.ndarray, v_idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """C @ z for the pair-count matrix C[i, j] = #{pairs (i, j)}, without forming C or z[v_idx]."""
+    order = np.argsort(a_idx, kind="stable")
+    rows, cols = a_idx[order], v_idx[order]
+    out = np.zeros_like(z)
+    step = max(1, _PAIR_CHUNK // max(1, z.shape[1]))
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        out[r[starts]] += np.add.reduceat(z[c], starts, axis=0)
+    return out
+
+
+def _coordinates(xc: np.ndarray, allow_floor: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The centred rows in the coordinates the solver whitens, and the basis back to the view.
+
+    With d <= n the view's own axes are kept (basis None). With d > n the rows
+    are written in an orthonormal basis Q (d x n) of their span, xc = Z Q',
+    and the covariance outside span(Q) is reg * I.
+    """
+    n, d = xc.shape
+    if d <= n:
+        return xc, None
+    if not allow_floor:
+        raise SingularityError(
+            f"covariance of {d} dimensions from {n} rows is rank deficient; pass reg > 0"
+        )
+    q, rt = np.linalg.qr(xc.T)
+    return rt.T, q
+
+
+def _to_view(w: np.ndarray, basis: np.ndarray | None, reg: float, r: int) -> np.ndarray:
+    """Map coordinate weights back to the view; columns beyond span(basis) come from its complement."""
+    if basis is None:
+        return w
+    k = basis.shape[1]
+    w = basis @ w
+    if w.shape[1] < r:
+        # the complement of span(basis) has eigenvalue reg and no correlation with the other view
+        complement = np.linalg.qr(basis, mode="complete")[0][:, k : k + r - w.shape[1]]
+        w = np.hstack([w, complement / np.sqrt(max(reg, EIG_FLOOR))])
+    return w
+
+
+def _fit_pairs(
+    x: np.ndarray, y: np.ndarray, a_idx: np.ndarray, v_idx: np.ndarray, r: int, reg: float | None
+) -> LinearProjection:
+    """CCA on pair-count statistics, each view in its own or its thin coordinates."""
+    m = a_idx.size
+    counts_x = np.bincount(a_idx, minlength=x.shape[0]).astype(np.float64)
+    counts_y = np.bincount(v_idx, minlength=y.shape[0]).astype(np.float64)
+    mean_x = counts_x @ x / m
+    mean_y = counts_y @ y / m
+    xc = x - mean_x
+    yc = y - mean_y
+    reg_x = _resolve_reg(float(counts_x @ np.einsum("ij,ij->i", xc, xc)) / (m - 1), x.shape[1], reg)
+    reg_y = _resolve_reg(float(counts_y @ np.einsum("ij,ij->i", yc, yc)) / (m - 1), y.shape[1], reg)
+    allow_floor = reg_x > 0 and reg_y > 0
+    zx, qx = _coordinates(xc, allow_floor)
+    zy, qy = _coordinates(yc, allow_floor)
+    sxx = (zx * counts_x[:, None]).T @ zx / (m - 1) + reg_x * np.eye(zx.shape[1])
+    syy = (zy * counts_y[:, None]).T @ zy / (m - 1) + reg_y * np.eye(zy.shape[1])
+    sxy = zx.T @ _pair_sum(a_idx, v_idx, zy) / (m - 1)
+    isx = _inv_sqrt_psd(sxx, allow_floor=allow_floor)
+    isy = _inv_sqrt_psd(syy, allow_floor=allow_floor)
+    t = isx @ sxy @ isy
+    # trailing singular vectors (zero correlation) are needed when r exceeds a coordinate rank
+    u, s, vt = np.linalg.svd(t, full_matrices=r > min(t.shape))
+    correlations = np.zeros(r)
+    correlations[: min(r, s.size)] = s[:r]
+    return LinearProjection(
+        wx=_to_view(isx @ u[:, :r], qx, reg_x, r),
+        wy=_to_view(isy @ vt.T[:, :r], qy, reg_y, r),
+        mean_x=mean_x,
+        mean_y=mean_y,
+        correlations=np.clip(correlations, 0.0, 1.0),
+        reg_x=reg_x,
+        reg_y=reg_y,
+    )
+
+
+def fit_cca(
+    x: np.ndarray,
+    y: np.ndarray,
+    r: int,
+    reg: float | None = None,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> LinearProjection:
     """Maximize the correlation between linear projections of the two views.
 
     reg is the ridge added to each empirical covariance; None picks
     1e-4 * trace / dim per view. Correlations come back non-increasing,
     clipped to [0, 1].
+
+    pairs = (a_idx, v_idx) trains on the rows (x[a_idx[i]], y[v_idx[i]]) as
+    fit_cca(x[a_idx], y[v_idx]) would, without copying them; None pairs row i
+    with row i. An r above the data rank still gives r columns, the trailing
+    ones with correlation 0.
     """
     x = _as_matrix(x, "x")
     y = _as_matrix(y, "y")
@@ -139,6 +257,14 @@ def fit_cca(x: np.ndarray, y: np.ndarray, r: int, reg: float | None = None) -> L
         raise ValueError(f"need at least 2 samples, got {n}")
     if not 1 <= r <= min(x.shape[1], y.shape[1]):
         raise ValueError(f"r must be in [1, {min(x.shape[1], y.shape[1])}], got {r}")
+    rows = np.arange(n)
+    if pairs is None:
+        a_idx = v_idx = rows
+    else:
+        a_idx, v_idx = _pair_indices(pairs, n)
+    identity = np.array_equal(a_idx, rows) and np.array_equal(v_idx, rows)
+    if not (identity and x.shape[1] <= n and y.shape[1] <= n):
+        return _fit_pairs(x, y, a_idx, v_idx, r, reg)
     mean_x, mean_y, _, _, isx, isy, sxy, reg_x, reg_y = _whitening(x, y, reg)
     t = isx @ sxy @ isy
     u, s, vt = np.linalg.svd(t, full_matrices=False)
@@ -291,7 +417,7 @@ def fit_cluster_cca(
     if labels.shape[0] != x.shape[0] or y.shape[0] != x.shape[0]:
         raise ValueError("labels must align with the paired rows")
     pairs = expand_pairs(labels, None, f=f, seed=seed, target_count=target_count)
-    return fit_cca(x[pairs.audio_indices], y[pairs.visual_indices], r, reg)
+    return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
 
 
 def save_projection(model: LinearProjection, path: str | Path, extra: dict | None = None) -> None:

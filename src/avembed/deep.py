@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import blockio
-from .cca import LinearProjection, _whitening, fit_cca, project
+from .attention import _sigmoid
+from .cca import _SIDES, LinearProjection, _whitening, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
@@ -23,7 +24,6 @@ DEFAULT_AUDIO_LAYERS = (128, 128, 64, 64)
 DEFAULT_VISUAL_LAYERS = (512, 512, 256, 256)
 
 _MODEL_MAGIC = b"AVDM"
-_SIDES = {"audio": "x", "x": "x", "visual": "y", "y": "y"}
 
 
 @dataclass
@@ -100,15 +100,6 @@ def init_branch(layer_dims: list[int], dropout_rate: float, rng: np.random.Gener
         weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
     return BranchNetwork(weights=weights, biases=biases, dropout_rate=dropout_rate)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def branch_forward(
@@ -284,7 +275,7 @@ def _train_on_pairs(
     # head fitted once, on eval-mode outputs over the full training pairing
     out_a, _ = branch_forward(audio, x, "eval")
     out_v, _ = branch_forward(visual, y, "eval")
-    head = fit_cca(out_a[a_idx], out_v[v_idx], cfg.r, cfg.reg)
+    head = fit_cca(out_a, out_v, cfg.r, cfg.reg, pairs=(a_idx, v_idx))
     return DeepModel(
         audio_branch=audio,
         visual_branch=visual,

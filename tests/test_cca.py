@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from avembed.cca import (
     save_kernel_model,
     save_projection,
 )
+from avembed.clustering import expand_pairs
 from avembed.errors import ResourceLimitError, SingularityError
 
 
@@ -79,6 +82,9 @@ class TestFitCca:
         x = np.hstack([base, base[:, :1]])  # exactly rank deficient
         with pytest.raises(SingularityError):
             fit_cca(x, rng.normal(size=(50, 3)), 2, reg=0.0)
+        wide = rng.normal(size=(20, 30))  # more dimensions than rows
+        with pytest.raises(SingularityError):
+            fit_cca(wide, rng.normal(size=(20, 3)), 2, reg=0.0)
 
     def test_argument_errors(self):
         rng = np.random.default_rng(4)
@@ -92,6 +98,8 @@ class TestFitCca:
             fit_cca(x, rng.normal(size=(9, 3)), 2)  # unpaired rows
         with pytest.raises(ValueError):
             fit_cca(x, x, 2, reg=-1.0)
+        with pytest.raises(ValueError):
+            fit_cca(x, x, 2, pairs=(np.arange(10), np.arange(1, 11)))  # pair index out of range
 
     def test_orthogonal_transform_invariance(self):
         rng = np.random.default_rng(5)
@@ -101,6 +109,21 @@ class TestFitCca:
         m1 = fit_cca(x, y, 3, reg=1e-3)
         m2 = fit_cca(x @ q, y, 3, reg=1e-3)
         np.testing.assert_allclose(m1.correlations, m2.correlations, atol=1e-8)
+
+    def test_rank_above_rows(self):
+        # r above the data rank n - 1 still gives r columns: the trailing
+        # correlations are 0 and both whitening constraints hold
+        rng = np.random.default_rng(18)
+        n, r = 10, 15
+        x = rng.normal(size=(n, 30))
+        y = rng.normal(size=(n, 20))
+        model = fit_cca(x, y, r, reg=0.1)
+        assert model.wx.shape == (30, r) and model.wy.shape == (20, r)
+        np.testing.assert_allclose(model.correlations[n - 1 :], 0.0, atol=1e-10)
+        sxx = empirical_regularized_cov(x, model.reg_x)
+        syy = empirical_regularized_cov(y, model.reg_y)
+        np.testing.assert_allclose(model.wx.T @ sxx @ model.wx, np.eye(r), atol=1e-8)
+        np.testing.assert_allclose(model.wy.T @ syy @ model.wy, np.eye(r), atol=1e-8)
 
     def test_view_swap_symmetry(self):
         rng = np.random.default_rng(6)
@@ -265,9 +288,44 @@ class TestClusterCca:
             full_scores.append(heldout_cross_corr(m_full, x, y, labels, test))
         assert np.mean(full_scores) > np.mean(plain_scores)
 
-    def test_pair_count_consistency(self):
-        from avembed.clustering import expand_pairs
+    def test_pairs_match_materialised_rows(self):
+        # oracle: the same fit on the materialised rows x[a], y[v]. Weights are
+        # not compared entry by entry: where neighbouring correlations nearly
+        # coincide, the singular vectors are ill-conditioned on either path.
+        def views(n, dx, dy, seed):
+            rng = np.random.default_rng(seed)
+            labels = rng.integers(0, 4, size=n)
+            z = rng.normal(size=(n, 3)) + labels[:, None]
+            x = z @ rng.normal(size=(3, dx)) + rng.normal(size=(n, dx))
+            y = z @ rng.normal(size=(3, dy)) + rng.normal(size=(n, dy))
+            return x, y, labels
 
+        n = 40
+        shapes = [(6, 8), (60, 90), (6, 90), (90, 6)]  # d <= n, d > n, and mixed sides
+        expansions = [(0.5, None), (1.0, None), (0.5, 200)]  # (f, target_count)
+        for case, ((dx, dy), (f, target), reg) in enumerate(
+            itertools.product(shapes, expansions, [None, 0.1])
+        ):
+            x, y, labels = views(n, dx, dy, case)
+            pairs = expand_pairs(labels, f=f, seed=case, target_count=target)
+            a, v = pairs.audio_indices, pairs.visual_indices
+            r = min(dx, dy, 5)
+            got = fit_cca(x, y, r, reg, pairs=(a, v))
+            ref = fit_cca(x[a], y[v], r, reg)
+            msg = f"dx={dx} dy={dy} f={f} target={target} reg={reg}"
+            np.testing.assert_allclose(got.correlations, ref.correlations, rtol=0, atol=1e-10, err_msg=msg)
+            np.testing.assert_allclose([got.reg_x, got.reg_y], [ref.reg_x, ref.reg_y], rtol=1e-12, err_msg=msg)
+            np.testing.assert_allclose(got.mean_x, ref.mean_x, rtol=0, atol=1e-12, err_msg=msg)
+            xc = x[a] - x[a].mean(axis=0)
+            yc = y[v] - y[v].mean(axis=0)
+            sxx = empirical_regularized_cov(x[a], got.reg_x)
+            syy = empirical_regularized_cov(y[v], got.reg_y)
+            sxy = xc.T @ yc / (a.size - 1)
+            np.testing.assert_allclose(got.wx.T @ sxx @ got.wx, np.eye(r), atol=1e-8, err_msg=msg)
+            np.testing.assert_allclose(got.wy.T @ syy @ got.wy, np.eye(r), atol=1e-8, err_msg=msg)
+            np.testing.assert_allclose(got.wx.T @ sxy @ got.wy, np.diag(got.correlations), atol=1e-8, err_msg=msg)
+
+    def test_pair_count_consistency(self):
         labels = np.repeat(np.arange(10), 800)
         ps = expand_pairs(labels, f=1.0, seed=0)
         assert len(ps) == 6_400_000

@@ -7,9 +7,9 @@ from .attention import (
     attention_distribution,
     attention_scores,
     bilstm_forward,
-    chunk_feature,
+    bilstm_states,
     lstm_step,
-    query_representation,
+    score_states,
     select_top_k,
 )
 from .cca import (
@@ -23,14 +23,13 @@ from .cca import (
 )
 from .clustering import ClusterModel, PairSet, expand_pairs, seeded_kmeans
 from .data import (
-    Chunk,
     FeatureSequence,
     Manifest,
     ManifestEntry,
     SynthConfig,
     filter_manifest,
     load_sequence,
-    partition_chunks,
+    pool_chunks,
     synth_dataset,
     video_level_audio,
     video_level_visual,

@@ -1,24 +1,30 @@
 """BiLSTM attention scorer over 3-second audio chunks and top-k selection.
 
 The recurrence uses peephole connections: the input and forget gates see the
-previous cell state, the output gate sees the current one. One forward and one
-backward pass run over the whole chunk-feature sequence; per-chunk scores are
-squashed to a distribution and pooled to macro-chunk scores.
+previous cell state, the output gate sees the current one. Both directions run
+as one recurrence over a joint state [h_forward | h_backward]: step t advances
+the forward LSTM on chunk t and the backward LSTM on chunk T-1-t. Per-chunk
+scores are squashed to a distribution and pooled to macro-chunk scores.
+``lstm_step`` is the per-direction, per-gate transcription that the joint
+recurrence is tested against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .data import Chunk, FeatureSequence
 from .errors import FormatError, ValidationError
 
 _GATES = ("input", "forget", "cell", "output")
 _PEEPHOLE_GATES = ("input", "forget", "output")
+# The joint recurrence computes sigmoid(z) as 0.5 * tanh(z / 2) + 0.5, so the
+# rows of the sigmoid gates carry the factor 1/2, which is exact in floating point.
+_GATE_SCALE = {"input": 0.5, "forget": 0.5, "cell": 1.0, "output": 0.5}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -90,6 +96,61 @@ class AttentionParams:
             raise ValueError("w_backward shape does not match attention/hidden dims")
         if self.bias.shape != (m,):
             raise ValueError("bias shape does not match attention dim")
+        if self.forward_lstm.input_dim != self.backward_lstm.input_dim:
+            raise ValueError("forward and backward LSTMs read different input dims")
+
+    @cached_property
+    def _joint(self) -> "_JointBiLstm":
+        """Stacked weights of the joint recurrence, built on first use: do not
+        mutate the parameters of an object that has scored."""
+        return _JointBiLstm.from_params(self)
+
+
+@dataclass(frozen=True)
+class _JointBiLstm:
+    """Both LSTM directions stacked into one recurrence over S = [h | c].
+
+    With n = h_forward + h_backward joint units, pre-activations are laid out
+    as one block of n rows per gate in _GATES order, each block holding the
+    forward direction's units, then the backward direction's:
+      w_x: direction -> (4 h_dir, input_dim) input weights, gates in _GATES order;
+      b: direction -> (4 h_dir,) biases;
+      w_s: (4n, 2n) block-diagonal recurrent weights on [h_{t-1} | c_{t-1}]
+           (the c columns hold the input/forget peepholes, zero elsewhere);
+      w_co: (n, n) block-diagonal output peephole on c_t;
+      w_head: (m, n) = [w_forward | w_backward].
+    Gate rows of the sigmoid gates are pre-scaled by 1/2.
+    """
+
+    w_x: tuple[np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, np.ndarray]
+    w_s: np.ndarray
+    w_co: np.ndarray
+    w_head: np.ndarray
+
+    @classmethod
+    def from_params(cls, p: AttentionParams) -> "_JointBiLstm":
+        dirs = (p.forward_lstm, p.backward_lstm)
+        widths = [d.hidden_dim for d in dirs]
+        n = sum(widths)
+        offsets = (0, widths[0])
+        w_s = np.zeros((4 * n, 2 * n))
+        w_co = np.zeros((n, n))
+        for lstm, off, h in zip(dirs, offsets, widths):
+            units = slice(off, off + h)
+            for g_i, g in enumerate(_GATES):
+                rows = slice(g_i * n + off, g_i * n + off + h)
+                w_s[rows, units] = _GATE_SCALE[g] * lstm.w_h[g]
+                if g in ("input", "forget"):
+                    w_s[rows, n + off : n + off + h] = _GATE_SCALE[g] * lstm.w_c[g]
+            w_co[units, units] = _GATE_SCALE["output"] * lstm.w_c["output"]
+        return cls(
+            w_x=tuple(np.vstack([_GATE_SCALE[g] * d.w_x[g] for g in _GATES]) for d in dirs),
+            b=tuple(np.concatenate([_GATE_SCALE[g] * d.b[g] for g in _GATES]) for d in dirs),
+            w_s=w_s,
+            w_co=w_co,
+            w_head=np.hstack([p.w_forward, p.w_backward]),
+        )
 
 
 @dataclass
@@ -130,44 +191,66 @@ def lstm_step(
     return h_t, c_t
 
 
+def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """Run both directions from zero state over a (T, input_dim) sequence.
+
+    Returns the (T, h_forward + h_backward) joint states in original time
+    order: columns [:h_forward] forward, the rest backward.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != p.forward_lstm.input_dim:
+        raise ValueError(f"features of shape {x.shape} do not match LSTM input dim {p.forward_lstm.input_dim}")
+    if x.shape[0] == 0:
+        raise ValidationError("empty chunk sequence")
+    joint = p._joint
+    steps = x.shape[0]
+    # one GEMM per direction; the backward direction reads the reversed sequence
+    z_in = np.concatenate(
+        [
+            (seq @ w.T + b).reshape(steps, 4, -1)
+            for seq, w, b in zip((x, x[::-1]), joint.w_x, joint.b)
+        ],
+        axis=2,
+    ).reshape(steps, -1)
+    n = joint.w_co.shape[0]
+    state = np.zeros(2 * n)
+    h, c = state[:n], state[n:]
+    out = np.empty((steps, n))
+    for t in range(steps):
+        z = z_in[t] + joint.w_s @ state
+        gates = np.tanh(z[: 3 * n])
+        c[:] = (0.5 * gates[n : 2 * n] + 0.5) * c + (0.5 * gates[:n] + 0.5) * gates[2 * n :]
+        h[:] = (0.5 * np.tanh(z[3 * n :] + joint.w_co @ c) + 0.5) * np.tanh(c)
+        out[t] = h
+    h_fwd = p.forward_lstm.hidden_dim
+    out[:, h_fwd:] = out[::-1, h_fwd:].copy()
+    return out
+
+
+def score_states(states: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """Attention scores u_t = w_out . tanh(W_f h_tf + W_b h_tb + beta) for all t at once."""
+    return np.tanh(states @ p._joint.w_head.T + p.bias) @ p.w_out
+
+
 def bilstm_forward(
     chunk_features: list[np.ndarray] | np.ndarray, p: AttentionParams
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run both directions from zero state; states returned in original time order."""
-    feats = [np.asarray(x, dtype=np.float64) for x in chunk_features]
-    if len(feats) == 0:
+    """Per-step (h_forward, h_backward) pairs of ``bilstm_states``, in original time order."""
+    if len(chunk_features) == 0:
         raise ValidationError("empty chunk sequence")
-
-    def _run(seq: list[np.ndarray], params: LstmParams) -> list[np.ndarray]:
-        h = np.zeros(params.hidden_dim)
-        c = np.zeros(params.hidden_dim)
-        states = []
-        for x in seq:
-            h, c = lstm_step(x, h, c, params)
-            states.append(h)
-        return states
-
-    fwd = _run(feats, p.forward_lstm)
-    bwd = _run(feats[::-1], p.backward_lstm)[::-1]
-    return list(zip(fwd, bwd))
-
-
-def chunk_feature(chunk: Chunk) -> np.ndarray:
-    """Global max-pooling of a chunk's frames; the BiLSTM input."""
-    if chunk.frames.shape[0] == 0:
-        raise ValidationError("empty chunk")
-    return chunk.frames.max(axis=0).astype(np.float64)
+    states = bilstm_states(np.asarray(chunk_features, dtype=np.float64), p)
+    h_fwd = p.forward_lstm.hidden_dim
+    return [(s[:h_fwd], s[h_fwd:]) for s in states]
 
 
 def attention_scores(states: list[tuple[np.ndarray, np.ndarray]], p: AttentionParams) -> np.ndarray:
+    """``score_states`` over a list of (h_forward, h_backward) pairs."""
     if len(states) == 0:
         raise ValidationError("empty state sequence")
-    scores = np.empty(len(states))
-    for t, (h_f, h_b) in enumerate(states):
+    for h_f, h_b in states:
         if h_f.shape != (p.forward_lstm.hidden_dim,) or h_b.shape != (p.backward_lstm.hidden_dim,):
             raise ValueError("state dimensions do not match attention parameters")
-        scores[t] = p.w_out @ np.tanh(p.w_forward @ h_f + p.w_backward @ h_b + p.bias)
-    return scores
+    return score_states(np.array([np.concatenate(pair) for pair in states]), p)
 
 
 def attention_distribution(u: np.ndarray) -> np.ndarray:
@@ -195,28 +278,6 @@ def select_top_k(theta: np.ndarray, c: int, k: int) -> ChunkSelection:
     order = np.argsort(-macro_scores, kind="stable")
     selected = sorted(int(i) for i in order[:k])
     return ChunkSelection(chunk_count=c, selected_indices=selected, scores=macro_scores, distribution=theta)
-
-
-def query_representation(
-    seq: FeatureSequence, selection: ChunkSelection | None = None, chunk_len_sec: int = 3
-) -> np.ndarray:
-    """Audio query vector: mean over all frames, or over the selected macro-chunks only."""
-    if seq.modality != "audio":
-        raise ValueError(f"query_representation expects an audio sequence, got {seq.modality!r}")
-    if selection is None:
-        return seq.frames.mean(axis=0, dtype=np.float64)
-    if not selection.selected_indices:
-        raise ValueError("empty selection")
-    n_base = selection.distribution.shape[0]
-    frames_per_macro = (n_base // selection.chunk_count) * chunk_len_sec
-    if n_base * chunk_len_sec > seq.n_frames:
-        raise ValueError(
-            f"selection covers {n_base * chunk_len_sec} frames but sequence has {seq.n_frames}"
-        )
-    rows: list[np.ndarray] = []
-    for i in selection.selected_indices:
-        rows.append(seq.frames[i * frames_per_macro : (i + 1) * frames_per_macro])
-    return np.concatenate(rows, axis=0).mean(axis=0, dtype=np.float64)
 
 
 def _lstm_to_json(p: LstmParams) -> dict:

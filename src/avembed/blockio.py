@@ -45,7 +45,10 @@ def read_array_block(fh: BinaryIO) -> tuple[str, np.ndarray]:
     if len(head) < 4:
         raise CorruptFileError("truncated block header")
     (name_len,) = struct.unpack("<I", head)
-    name = fh.read(name_len).decode("utf-8")
+    try:
+        name = fh.read(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"block name is not valid UTF-8: {exc}") from exc
     meta = fh.read(5)
     if len(meta) < 5:
         raise CorruptFileError(f"truncated block metadata for {name!r}")
@@ -86,7 +89,13 @@ def read_header(fh: BinaryIO, magic: bytes) -> dict:
     raw = fh.read(length)
     if len(raw) < length:
         raise CorruptFileError("truncated header JSON")
-    return json.loads(raw.decode("utf-8"))
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"header is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
+    return header
 
 
 def read_blocks(fh: BinaryIO, count: int) -> dict[str, np.ndarray]:

@@ -464,33 +464,37 @@ def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None =
 def load_cca_model(path: str | Path) -> LinearProjection | KernelModel:
     with open(path, "rb") as fh:
         header = blockio.read_header(fh, _MODEL_MAGIC)
-        if header["type"] == "linear-cca":
-            blocks = blockio.read_blocks(fh, 4)
-            return LinearProjection(
-                wx=blocks["wx"],
-                wy=blocks["wy"],
-                mean_x=blocks["mean_x"],
-                mean_y=blocks["mean_y"],
-                correlations=np.asarray(header["correlations"]),
-                reg_x=float(header["reg_x"]),
-                reg_y=float(header["reg_y"]),
-            )
-        if header["type"] == "kcca":
-            blocks = blockio.read_blocks(fh, 8)
-            return KernelModel(
-                train_x=blocks["train_x"],
-                train_y=blocks["train_y"],
-                dual_x=blocks["dual_x"],
-                dual_y=blocks["dual_y"],
-                beta=float(header["beta"]),
-                kappa=float(header["kappa"]),
-                kernel=str(header["kernel"]),
-                correlations=np.asarray(header["correlations"]),
-                col_means_x=blocks["col_means_x"],
-                col_means_y=blocks["col_means_y"],
-                grand_mean_x=float(header["grand_mean_x"]),
-                grand_mean_y=float(header["grand_mean_y"]),
-                offset_x=blocks["offset_x"],
-                offset_y=blocks["offset_y"],
-            )
-    raise FormatError(f"{path}: unknown model type {header['type']!r}")
+        kind = header.get("type")
+        try:
+            if kind == "linear-cca":
+                blocks = blockio.read_blocks(fh, 4)
+                return LinearProjection(
+                    wx=blocks["wx"],
+                    wy=blocks["wy"],
+                    mean_x=blocks["mean_x"],
+                    mean_y=blocks["mean_y"],
+                    correlations=np.asarray(header["correlations"]),
+                    reg_x=float(header["reg_x"]),
+                    reg_y=float(header["reg_y"]),
+                )
+            if kind == "kcca":
+                blocks = blockio.read_blocks(fh, 8)
+                return KernelModel(
+                    train_x=blocks["train_x"],
+                    train_y=blocks["train_y"],
+                    dual_x=blocks["dual_x"],
+                    dual_y=blocks["dual_y"],
+                    beta=float(header["beta"]),
+                    kappa=float(header["kappa"]),
+                    kernel=str(header["kernel"]),
+                    correlations=np.asarray(header["correlations"]),
+                    col_means_x=blocks["col_means_x"],
+                    col_means_y=blocks["col_means_y"],
+                    grand_mean_x=float(header["grand_mean_x"]),
+                    grand_mean_y=float(header["grand_mean_y"]),
+                    offset_x=blocks["offset_x"],
+                    offset_y=blocks["offset_y"],
+                )
+        except KeyError as exc:
+            raise FormatError(f"{path}: {kind} model lacks {exc}") from exc
+    raise FormatError(f"{path}: unknown model type {kind!r}")

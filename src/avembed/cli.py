@@ -334,30 +334,14 @@ def _load_any_model(path: str | Path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"AVDM":
-        model = deep_mod.load_deep_model(path)
-        return (
-            model,
-            lambda m: deep_mod.embed(model, m, "audio"),
-            lambda m: deep_mod.embed(model, m, "visual"),
-        )
-    model = cca_mod.load_cca_model(path)
-    if isinstance(model, cca_mod.KernelModel):
-        return (
-            model,
-            lambda m: cca_mod.kernel_project(model, m, "audio"),
-            lambda m: cca_mod.kernel_project(model, m, "visual"),
-        )
-    return (
-        model,
-        lambda m: cca_mod.project(model, np.atleast_2d(m), "audio"),
-        lambda m: cca_mod.project(model, np.atleast_2d(m), "visual"),
-    )
+        return deep_mod.load_deep_model(path)
+    return cca_mod.load_cca_model(path)
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     prepared = pl.prepare_dataset(cfg["dataset"])
-    _, _, embed_visual = _load_any_model(cfg["model"])
+    _, embed_visual = pl.embedders(_load_any_model(cfg["model"]))
     labels = _labels_for(prepared, cfg)
     index = rt.build_index(embed_visual(prepared.visual), labels, prepared.ids)
     rt.save_index(index, cfg["out"])
@@ -369,7 +353,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     prepared = pl.prepare_dataset(cfg["dataset"])
     index = rt.load_index(cfg["index"])
-    _, embed_audio, _ = _load_any_model(cfg["model"])
+    embed_audio, _ = pl.embedders(_load_any_model(cfg["model"]))
     rows = {v: i for i, v in enumerate(prepared.ids)}
     vid = cfg["video_id"]
     if vid not in rows:

@@ -1,4 +1,4 @@
-"""Feature sequences, on-disk formats, chunk partitioning, and the synthetic
+"""Feature sequences, on-disk formats, chunk pooling, and the synthetic
 clustered audio-visual dataset generator.
 
 File formats
@@ -61,17 +61,6 @@ class FeatureSequence:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass
-class Chunk:
-    """Contiguous [start_sec, end_sec) slice of a parent sequence."""
-
-    parent_id: str
-    index: int
-    start_sec: int
-    end_sec: int
-    frames: np.ndarray
 
 
 @dataclass
@@ -198,19 +187,18 @@ def filter_manifest(manifest: Manifest, span: tuple[int, int]) -> Manifest:
     return Manifest(entries=kept, length_span=(lo, hi))
 
 
-def partition_chunks(seq: FeatureSequence, chunk_len_sec: int) -> list[Chunk]:
-    """Split into floor(n_frames / chunk_len_sec) chunks; remainder frames are dropped."""
+def pool_chunks(frames: np.ndarray, chunk_len_sec: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-chunk frame means and maxes, float64, over consecutive chunk_len_sec-frame chunks.
+
+    Chunk i covers frames [i * chunk_len_sec, (i + 1) * chunk_len_sec); the
+    floor(n_frames / chunk_len_sec) chunks are returned as rows and the
+    remainder frames are dropped.
+    """
     if chunk_len_sec <= 0:
         raise ValueError(f"chunk_len_sec must be >= 1, got {chunk_len_sec}")
-    n_chunks = seq.n_frames // chunk_len_sec
-    chunks = []
-    for i in range(n_chunks):
-        start = i * chunk_len_sec
-        end = start + chunk_len_sec
-        chunks.append(
-            Chunk(parent_id=seq.video_id, index=i, start_sec=start, end_sec=end, frames=seq.frames[start:end])
-        )
-    return chunks
+    n_chunks = frames.shape[0] // chunk_len_sec
+    chunks = frames[: n_chunks * chunk_len_sec].reshape(n_chunks, chunk_len_sec, frames.shape[1])
+    return chunks.mean(axis=1, dtype=np.float64), chunks.max(axis=1).astype(np.float64)
 
 
 def video_level_visual(seq: FeatureSequence) -> np.ndarray:

@@ -25,7 +25,8 @@ from .data import (
     iter_synth_videos,
     load_manifest,
     load_sequence,
-    partition_chunks,
+    pool_chunks,
+    video_level_audio,
     video_level_visual,
 )
 from .errors import ValidationError
@@ -55,15 +56,8 @@ def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence):
             f"{audio_seq.video_id!r}: audio has {audio_seq.n_frames} frames but visual has "
             f"{visual_seq.n_frames}; modalities must truncate equally"
         )
-    chunks = partition_chunks(audio_seq, BASE_CHUNK_SEC)
-    means = np.stack([c.frames.mean(axis=0, dtype=np.float64) for c in chunks])
-    maxes = np.stack([c.frames.max(axis=0).astype(np.float64) for c in chunks])
-    return (
-        audio_seq.frames.mean(axis=0, dtype=np.float64),
-        means,
-        maxes,
-        video_level_visual(visual_seq),
-    )
+    means, maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
+    return video_level_audio(audio_seq), means, maxes, video_level_visual(visual_seq)
 
 
 def prepare_dataset(dataset_dir: str | Path) -> PreparedDataset:
@@ -116,9 +110,8 @@ def chunk_selection_for(
     usable = (n_base // c) * c
     if usable < c:
         raise ValidationError(f"audio has only {n_base} base chunks; cannot form {c} macro-chunks")
-    feats = chunk_maxes[:usable]
-    states = att.bilstm_forward(list(feats), params)
-    theta = att.attention_distribution(att.attention_scores(states, params))
+    states = att.bilstm_states(chunk_maxes[:usable], params)
+    theta = att.attention_distribution(att.score_states(states, params))
     return att.select_top_k(theta, c, k)
 
 
@@ -216,11 +209,6 @@ def train_method(
         model = cca_mod.fit_cca(audio, visual, r, reg)
     elif method == "kcca":
         model = cca_mod.fit_kcca(audio, visual, r, beta=kcca_beta, kappa=kcca_kappa)
-        return (
-            model,
-            lambda m: cca_mod.kernel_project(model, m, "audio"),
-            lambda m: cca_mod.kernel_project(model, m, "visual"),
-        )
     elif method == "ccca":
         seed = train_cfg.seed if train_cfg is not None else 0
         model = cca_mod.fit_cluster_cca(
@@ -237,16 +225,22 @@ def train_method(
                 audio, visual, labels, f=f, cfg=cfg, target_count=target_pairs,
                 audio_layers=audio_layers, visual_layers=visual_layers,
             )
-        return (
-            model,
-            lambda m: deep_mod.embed(model, m, "audio"),
-            lambda m: deep_mod.embed(model, m, "visual"),
-        )
-    return (
-        model,
-        lambda m: cca_mod.project(model, np.atleast_2d(m), "audio"),
-        lambda m: cca_mod.project(model, np.atleast_2d(m), "visual"),
-    )
+    return (model, *embedders(model))
+
+
+def embedders(model) -> tuple[EmbedFn, EmbedFn]:
+    """(audio embedder, visual embedder) of a fitted or loaded model of any method."""
+
+    # the projections are looked up through their modules on every call, so a
+    # function rebound there later is the one that runs
+    def embed(m: np.ndarray, side: str) -> np.ndarray:
+        if isinstance(model, deep_mod.DeepModel):
+            return deep_mod.embed(model, m, side)
+        if isinstance(model, cca_mod.KernelModel):
+            return cca_mod.kernel_project(model, m, side)
+        return cca_mod.project(model, np.atleast_2d(m), side)
+
+    return (lambda m: embed(m, "audio")), (lambda m: embed(m, "visual"))
 
 
 def make_trainer(

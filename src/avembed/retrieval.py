@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blockio
-from .errors import CorruptFileError, UndefinedSimilarityError, ValidationError
+from .errors import CorruptFileError, FormatError, UndefinedSimilarityError, ValidationError
 
 
 @dataclass
@@ -116,12 +116,18 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         if name != "embeddings":
             raise CorruptFileError(f"{path}: unexpected block {name!r}")
         ids, labels = [], []
-        for raw in fh.read().splitlines():
+        for line_no, raw in enumerate(fh.read().splitlines(), 1):
             if not raw.strip():
                 continue
-            obj = json.loads(raw.decode("utf-8"))
-            ids.append(str(obj["video_id"]))
-            labels.append(int(obj["label"]))
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+                ids.append(str(obj["video_id"]))
+                labels.append(int(obj["label"]))
+            # ValueError covers undecodable bytes and invalid JSON
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: id line {line_no} is not a {{video_id, label}} object") from exc
+    if "count" not in header:
+        raise FormatError(f"{path}: index header lacks 'count'")
     if len(ids) != int(header["count"]) or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
     norms = np.linalg.norm(embeddings, axis=1)

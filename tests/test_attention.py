@@ -12,17 +12,18 @@ from avembed.attention import (
     attention_distribution,
     attention_scores,
     bilstm_forward,
-    chunk_feature,
+    bilstm_states,
     load_attention_params,
     lstm_step,
-    query_representation,
     random_attention_params,
     save_attention_params,
+    score_states,
     select_top_k,
 )
-from avembed.data import Chunk, FeatureSequence
+from avembed.data import FeatureSequence, pool_chunks, video_level_audio
 from avembed.errors import FormatError, ValidationError
-from conftest import random_attention, random_lstm
+from avembed.pipeline import _pool_video, representation_from_selection
+from conftest import planted_lstm, random_attention, random_lstm
 
 
 def _zero_lstm(input_dim=3, hidden_dim=4):
@@ -108,6 +109,69 @@ class TestLstmStep:
             lstm_step(np.zeros(5), np.zeros(4), np.zeros(4), p)
 
 
+def _chained_steps(feats, p):
+    """Per-direction lstm_step chains and the per-step score head: the reference
+    for the joint recurrence. Returns ((T, h_f + h_b) states, (T,) scores)."""
+
+    def run(seq, lstm):
+        h = np.zeros(lstm.hidden_dim)
+        c = np.zeros(lstm.hidden_dim)
+        out = []
+        for x in seq:
+            h, c = lstm_step(x, h, c, lstm)
+            out.append(h)
+        return np.array(out)
+
+    h_f = run(feats, p.forward_lstm)
+    h_b = run(feats[::-1], p.backward_lstm)[::-1]
+    scores = np.array(
+        [p.w_out @ np.tanh(p.w_forward @ a + p.w_backward @ b + p.bias) for a, b in zip(h_f, h_b)]
+    )
+    return np.hstack([h_f, h_b]), scores
+
+
+def _planted_attention(input_dim, hidden_f, hidden_b, rng):
+    return AttentionParams(
+        forward_lstm=planted_lstm(input_dim, hidden_f),
+        backward_lstm=planted_lstm(input_dim, hidden_b),
+        w_forward=rng.normal(size=(3, hidden_f)),
+        w_backward=rng.normal(size=(3, hidden_b)),
+        w_out=rng.normal(size=3),
+        bias=rng.normal(size=3),
+    )
+
+
+def _random_attention(input_dim, hidden_f, hidden_b, rng):
+    p = random_attention(input_dim, hidden_f, 3, rng)
+    backward = random_lstm(input_dim, hidden_b, rng)
+    return AttentionParams(p.forward_lstm, backward, p.w_forward, rng.normal(size=(3, hidden_b)), p.w_out, p.bias)
+
+
+class TestJointRecurrence:
+    @pytest.mark.parametrize("length", [1, 2, 7, 73])
+    @pytest.mark.parametrize("hidden", [(1, 1), (4, 4), (16, 16), (3, 5)])
+    @pytest.mark.parametrize("make", [_random_attention, _planted_attention])
+    def test_matches_chained_steps(self, make, hidden, length):
+        rng = np.random.default_rng(100 * length + 10 * hidden[0] + hidden[1])
+        p = make(6, *hidden, rng)
+        feats = rng.uniform(-2, 2, size=(length, 6))
+        ref_states, ref_scores = _chained_steps(feats, p)
+        states = bilstm_states(feats, p)
+        np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(score_states(states, p), ref_scores, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attention_scores(bilstm_forward(list(feats), p), p), ref_scores, rtol=0, atol=1e-12)
+
+    def test_empty_sequence_rejected(self):
+        p = random_attention(3, 4, 2, np.random.default_rng(16))
+        with pytest.raises(ValidationError):
+            bilstm_states(np.empty((0, 3)), p)
+
+    def test_input_dim_mismatch_raises(self):
+        p = random_attention(3, 4, 2, np.random.default_rng(17))
+        with pytest.raises(ValueError):
+            bilstm_states(np.zeros((5, 4)), p)
+
+
 class TestBilstm:
     def test_single_step_symmetry(self):
         rng = np.random.default_rng(1)
@@ -156,22 +220,22 @@ class TestBilstm:
 
 
 class TestChunkFeature:
+    """The BiLSTM input of a chunk is the max over its frames (pool_chunks' maxes)."""
+
     def test_identical_frames(self):
         frame = np.arange(6, dtype=np.float32)
-        chunk = Chunk("v", 0, 0, 3, np.tile(frame, (3, 1)))
-        assert np.allclose(chunk_feature(chunk), frame)
+        _, maxes = pool_chunks(np.tile(frame, (3, 1)), 3)
+        assert np.allclose(maxes[0], frame)
 
     def test_disjoint_support(self):
-        frames = np.eye(3, dtype=np.float32)
-        chunk = Chunk("v", 0, 0, 3, frames)
-        assert np.allclose(chunk_feature(chunk), np.ones(3))
+        _, maxes = pool_chunks(np.eye(3, dtype=np.float32), 3)
+        assert np.allclose(maxes[0], np.ones(3))
 
     def test_per_column_scan(self):
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(3, 128)).astype(np.float32)
-        chunk = Chunk("v", 0, 0, 3, frames)
         expected = np.array([max(frames[i, j] for i in range(3)) for j in range(128)])
-        np.testing.assert_allclose(chunk_feature(chunk), expected)
+        np.testing.assert_allclose(pool_chunks(frames, 3)[1][0], expected)
 
 
 class TestAttentionScores:
@@ -279,17 +343,23 @@ class TestSelectTopK:
 
 
 class TestQueryRepresentation:
+    """Selected-chunk query vectors come from representation_from_selection over
+    the 3-frame chunk means; mean-mode ones from video_level_audio."""
+
     def _audio(self, n=216, d=8, seed=0):
         rng = np.random.default_rng(seed)
         return FeatureSequence("v", "audio", rng.normal(size=(n, d)).astype(np.float32))
+
+    @staticmethod
+    def _rep(seq, sel):
+        means, _ = pool_chunks(seq.frames, 3)
+        return representation_from_selection(means, sel)
 
     def test_full_selection_equals_mean_mode(self):
         seq = self._audio()
         theta = np.full(72, 1 / 72)
         sel = select_top_k(theta, 3, 3)
-        np.testing.assert_allclose(
-            query_representation(seq, sel), query_representation(seq), atol=1e-12
-        )
+        np.testing.assert_allclose(self._rep(seq, sel), video_level_audio(seq), atol=1e-12)
 
     def test_single_macro_of_identical_frames(self):
         v = np.linspace(0, 1, 8, dtype=np.float32)
@@ -297,13 +367,13 @@ class TestQueryRepresentation:
         theta = np.zeros(72)
         theta[0] = 1.0
         sel = select_top_k(theta, 3, 1)
-        np.testing.assert_allclose(query_representation(seq, sel), v, atol=1e-6)
+        np.testing.assert_allclose(self._rep(seq, sel), v, atol=1e-6)
 
     def test_c9_k3_covers_72_frames(self):
         seq = self._audio(seed=3)
         theta = np.random.default_rng(12).dirichlet(np.ones(72))
         sel = select_top_k(theta, 9, 3)
-        got = query_representation(seq, sel)
+        got = self._rep(seq, sel)
         rows = []
         for i in sel.selected_indices:
             rows.extend(range(i * 24, (i + 1) * 24))
@@ -313,7 +383,7 @@ class TestQueryRepresentation:
     def test_visual_rejected(self):
         seq = FeatureSequence("v", "visual", np.ones((4, 4), dtype=np.float32))
         with pytest.raises(ValueError):
-            query_representation(seq)
+            _pool_video(seq, seq)
 
 
 class TestWeightsFile:

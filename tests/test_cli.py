@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,72 @@ class TestTrainIndexQuery:
 
         with pytest.raises(ResourceLimitError, match="cap"):
             fit_kcca(big, big, 1)
+
+
+def _edit_header(src: Path, dst: Path, edit) -> Path:
+    """Copy a model/index file with its JSON header bytes replaced by edit(header bytes)."""
+    raw = src.read_bytes()
+    (length,) = struct.unpack("<I", raw[5:9])
+    new = edit(raw[9 : 9 + length])
+    dst.write_bytes(raw[:5] + struct.pack("<I", len(new)) + new + raw[9 + length :])
+    return dst
+
+
+def _edit_json(change):
+    def edit(header: bytes) -> bytes:
+        obj = json.loads(header)
+        change(obj)
+        return json.dumps(obj).encode()
+
+    return edit
+
+
+class TestCorruptArtifacts:
+    """Every corrupt model or index file read by `query` exits 2 with a message."""
+
+    def _query_fails_cleanly(self, dataset, capsys, index, model):
+        code = run("query", "--dataset", dataset, "--index", index, "--model", model,
+                   "--video-id", "mv00003", "-n", 3)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "avembed: data error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"\xff" + h[1:],                   # flipped byte: not UTF-8
+        lambda h: b"[" + h[1:],                       # flipped byte: not JSON
+        lambda h: b"[1, 2]",                          # JSON, but not an object
+        _edit_json(lambda obj: obj.pop("type")),      # no model type
+        _edit_json(lambda obj: obj.update(type="pca")),  # unknown model type
+        _edit_json(lambda obj: obj.pop("reg_x")),     # a field of the type missing
+    ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field"])
+    def test_model_header(self, artifacts, dataset, tmp_path, capsys, edit):
+        model = _edit_header(artifacts["model"], tmp_path / "bad.model", edit)
+        self._query_fails_cleanly(dataset, capsys, artifacts["index"], model)
+
+    def test_model_block_name_not_utf8(self, artifacts, dataset, tmp_path, capsys):
+        raw = bytearray(artifacts["model"].read_bytes())
+        (length,) = struct.unpack("<I", raw[5:9])
+        raw[9 + length + 4] = 0xFF  # first byte of the first block's name
+        model = tmp_path / "bad.model"
+        model.write_bytes(bytes(raw))
+        self._query_fails_cleanly(dataset, capsys, artifacts["index"], model)
+
+    def test_index_header_without_count(self, artifacts, dataset, tmp_path, capsys):
+        index = _edit_header(artifacts["index"], tmp_path / "bad.index", _edit_json(lambda obj: obj.pop("count")))
+        self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+
+    @pytest.mark.parametrize("line", [
+        b"not json\n",
+        b'{"video_id": "mv00000"}\n',
+        b'{"label": 0}\n',
+        b"[1, 2]\n",
+    ], ids=["not-json", "no-label", "no-video-id", "not-object"])
+    def test_index_id_line(self, artifacts, dataset, tmp_path, capsys, line):
+        raw = artifacts["index"].read_bytes()
+        lines = raw.splitlines(keepends=True)
+        index = tmp_path / "bad.index"
+        index.write_bytes(b"".join(lines[:-1]) + line)
+        self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
 
 
 class TestEval:

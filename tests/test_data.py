@@ -11,7 +11,7 @@ from avembed.data import (
     filter_manifest,
     load_manifest,
     load_sequence,
-    partition_chunks,
+    pool_chunks,
     synth_dataset,
     video_level_audio,
     video_level_visual,
@@ -136,39 +136,54 @@ class TestManifest:
         assert [e.video_id for e in loaded.entries] == ["v0", "v1"]
 
 
+def _chunk_oracle(frames, chunk_len):
+    """Means and maxes of frames [i * chunk_len, (i + 1) * chunk_len), one chunk at a time."""
+    chunks = [frames[i * chunk_len : (i + 1) * chunk_len] for i in range(frames.shape[0] // chunk_len)]
+    means = [c.mean(axis=0, dtype=np.float64) for c in chunks]
+    maxes = [c.max(axis=0).astype(np.float64) for c in chunks]
+    return means, maxes
+
+
 class TestPartitionChunks:
+    """pool_chunks partitions frames into consecutive chunks and pools each one."""
+
     def test_216_frames_chunk3_gives_72(self):
-        chunks = partition_chunks(_seq(216, 128), 3)
-        assert len(chunks) == 72
-        assert chunks[0].start_sec == 0 and chunks[0].end_sec == 3
-        assert chunks[-1].start_sec == 213 and chunks[-1].end_sec == 216
+        seq = _seq(216, 128)
+        means, maxes = pool_chunks(seq.frames, 3)
+        assert means.shape == maxes.shape == (72, 128)
+        assert np.array_equal(means[0], seq.frames[0:3].mean(axis=0, dtype=np.float64))
+        assert np.array_equal(maxes[-1], seq.frames[213:216].max(axis=0).astype(np.float64))
 
     def test_216_frames_chunk72_gives_3(self):
-        assert len(partition_chunks(_seq(216, 128), 72)) == 3
+        assert pool_chunks(_seq(216, 128).frames, 72)[0].shape[0] == 3
 
     def test_remainder_dropped_and_recombination(self):
         seq = _seq(217, 16, seed=5)
-        chunks = partition_chunks(seq, 3)
-        assert len(chunks) == 72
-        recombined = np.concatenate([c.frames for c in chunks])
-        assert np.array_equal(recombined, seq.frames[:216])
+        means, maxes = pool_chunks(seq.frames, 3)
+        assert means.shape[0] == 72
+        ref_means, ref_maxes = _chunk_oracle(seq.frames[:216], 3)
+        assert np.array_equal(means, np.stack(ref_means))
+        assert np.array_equal(maxes, np.stack(ref_maxes))
 
     def test_bad_chunk_len(self):
         with pytest.raises(ValueError):
-            partition_chunks(_seq(10, 4), 0)
+            pool_chunks(_seq(10, 4).frames, 0)
 
     @given(n=st.integers(1, 64), chunk_len=st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
     def test_partition_completeness_property(self, n, chunk_len):
-        seq = _seq(n, 3, seed=n * 17 + chunk_len)
-        chunks = partition_chunks(seq, chunk_len)
-        assert len(chunks) == n // chunk_len
-        if chunks:
-            recombined = np.concatenate([c.frames for c in chunks])
-            assert np.array_equal(recombined, seq.frames[: (n // chunk_len) * chunk_len])
-            spans = [(c.start_sec, c.end_sec) for c in chunks]
-            assert spans[0][0] == 0
-            assert all(b0 == a1 for (_, a1), (b0, _) in zip(spans, spans[1:]))
+        frames = _seq(n, 3, seed=n * 17 + chunk_len).frames
+        means, maxes = pool_chunks(frames, chunk_len)
+        ref_means, ref_maxes = _chunk_oracle(frames, chunk_len)
+        assert means.shape == maxes.shape == (n // chunk_len, 3)
+        if ref_means:
+            assert np.array_equal(means, np.stack(ref_means))
+            assert np.array_equal(maxes, np.stack(ref_maxes))
+        # the dropped remainder frames do not reach the result
+        altered = frames.copy()
+        altered[(n // chunk_len) * chunk_len :] = 1e3
+        assert np.array_equal(pool_chunks(altered, chunk_len)[0], means)
+        assert np.array_equal(pool_chunks(altered, chunk_len)[1], maxes)
 
 
 class TestVideoLevelPooling:

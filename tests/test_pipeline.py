@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avembed.attention import random_attention_params
+from avembed.attention import attention_distribution, lstm_step, random_attention_params, select_top_k
 from avembed.data import SynthConfig, write_dataset
 from avembed.deep import TrainConfig
 from avembed.errors import ValidationError
@@ -83,6 +83,35 @@ class TestQueryMatrix:
         assert sel.distribution.shape == (69,)
         rep = representation_from_selection(prepared.chunk_means[0], sel)
         assert rep.shape == (128,)
+
+    def test_selections_match_per_step_oracle(self):
+        # the eval-sweep corpus and stand-in scorer: every selection of the
+        # joint recurrence equals the one of chained per-direction lstm_steps
+        corpus = prepare_synthetic(SynthConfig(n_videos=150, n_clusters=10, noise_std=0.5, seed=0))
+        params = random_attention_params(128, seed=0)
+
+        def oracle(feats, c, k):
+            def run(seq, lstm):
+                h, cell, out = np.zeros(lstm.hidden_dim), np.zeros(lstm.hidden_dim), []
+                for x in seq:
+                    h, cell = lstm_step(x, h, cell, lstm)
+                    out.append(h)
+                return out
+
+            fwd = run(feats, params.forward_lstm)
+            bwd = run(feats[::-1], params.backward_lstm)[::-1]
+            u = [
+                params.w_out @ np.tanh(params.w_forward @ a + params.w_backward @ b + params.bias)
+                for a, b in zip(fwd, bwd)
+            ]
+            return select_top_k(attention_distribution(np.array(u)), c, k)
+
+        for maxes in corpus.chunk_maxes:
+            for c, k in ((3, 1), (6, 2), (9, 3)):
+                got = chunk_selection_for(maxes, params, c, k)
+                ref = oracle(maxes[: (maxes.shape[0] // c) * c], c, k)
+                assert got.selected_indices == ref.selected_indices
+                np.testing.assert_allclose(got.distribution, ref.distribution, rtol=0, atol=1e-12)
 
     def test_selection_requires_params(self, prepared):
         with pytest.raises(ValueError):

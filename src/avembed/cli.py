@@ -46,65 +46,86 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its values")
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "videos": 100,
-    "clusters": 10,
-    "latent_dim": 16,
-    "noise_std": 0.1,
-    "length_min": 213,
-    "length_max": 219,
-    "k": 10,
-    "max_iter": 100,
-    "tol": 1e-8,
-    "method": "cca",
-    "f": 0.0,
-    "target_pairs": None,
-    "r": 30,
-    "reg": None,
-    "batch_size": 512,
-    "epochs": 50,
-    "learning_rate": 0.001,
-    "dropout": 0.2,
-    "rho": 0.9,
-    "epsilon": 1e-8,
-    "folds": 5,
-    "kcca_beta": 0.4,
-    "kcca_kappa": 1e-3,
-    "chunks": 3,
-    "top_k": 1,
-    "attention_seed": 0,
-    "attention_hidden": 16,
-    "n": 10,
-    "pr_stride": 1,
-    "query_mode": "mean",
-    "methods": "cca,kcca,ccca,dcca,sdcca",
-    "audio_layers": "128,128,64,64",
-    "visual_layers": "512,512,256,256",
-    "span_min": None,
-    "span_max": None,
+# One row per setting: name -> (type, default, help). The flag is --name-with-dashes
+# (-n for n); a tuple type lists argparse choices; type None marks a key that only
+# a --config file can set. Flags default to None so that --config values survive.
+_OPTIONS: dict[str, tuple] = {
+    "seed": (int, 0, "root seed"),
+    "config": (str, None, "JSON config file; flags override its values"),
+    "dataset": (str, None, "dataset directory"),
+    "out": (str, None, "output path"),
+    "out_dir": (str, None, "output directory"),
+    "out_manifest": (str, None, "write the filtered manifest here"),
+    "videos": (int, 100, "number of videos"),
+    "clusters": (int, 10, "number of latent clusters"),
+    "latent_dim": (int, 16, "latent dimension of the generator"),
+    "noise_std": (float, 0.1, "generator noise"),
+    "length_min": (int, 213, "shortest video, seconds"),
+    "length_max": (int, 219, "longest video, seconds"),
+    "span_min": (int, None, "keep videos at least this long"),
+    "span_max": (int, None, "keep videos at most this long"),
+    "video_id": (str, None, "video to select chunks for or to query (chunk-select: all videos)"),
+    "chunks": (int, 3, "macro-chunks per video"),
+    "top_k": (int, 1, "macro-chunks kept"),
+    "attention_weights": (str, None, "attention BiLSTM weights JSON"),
+    "attention_seed": (int, 0, "seed of the stand-in attention weights"),
+    "attention_hidden": (int, 16, "hidden width of the stand-in attention weights"),
+    "seeds_file": (str, None, "seed-set JSON of exemplar videos per category"),
+    "k": (int, 10, "number of clusters"),
+    "max_iter": (int, 100, "k-means iteration cap"),
+    "tol": (float, 1e-8, "k-means tolerance"),
+    "method": (pl.METHODS, "cca", "embedding method"),
+    "methods": (str, "cca,kcca,ccca,dcca,sdcca", "comma list among cca,kcca,ccca,dcca,sdcca"),
+    "labels": (str, None, "assignments JSONL from `cluster`"),
+    "f": (float, 0.0, "cluster expansion fraction"),
+    "target_pairs": (int, None, "cap on expanded pairs"),
+    "r": (int, 30, "CCA components"),
+    "reg": (float, None, "covariance ridge (default: scaled to the data)"),
+    "batch_size": (int, 512, "deep minibatch size"),
+    "epochs": (int, 50, "deep training epochs"),
+    "learning_rate": (float, 0.001, "RMSProp learning rate"),
+    "dropout": (float, 0.2, "dropout rate of the branches"),
+    "rho": (None, 0.9, "RMSProp decay"),
+    "epsilon": (None, 1e-8, "RMSProp epsilon"),
+    "kcca_beta": (float, 0.4, "Gaussian kernel width"),
+    "kcca_kappa": (float, 1e-3, "KCCA regularisation"),
+    "audio_layers": (str, "128,128,64,64", "audio branch widths"),
+    "visual_layers": (str, "512,512,256,256", "visual branch widths"),
+    "query_mode": (str, "mean", "'mean' or 'c,k'"),
+    "model": (str, None, "model file from `train`"),
+    "index": (str, None, "index file from `index`"),
+    "n": (int, 10, "results to return"),
+    "folds": (int, 5, "cross-validation folds"),
+    "pr_stride": (int, 1, "precision-recall sampling stride"),
 }
+_DEFAULTS = {name: default for name, (_, default, _) in _OPTIONS.items()}
+_COMMON = ("seed", "config")
+_ATTENTION = ("attention_weights", "attention_seed", "attention_hidden")
+# the settings that train and eval both read
+_FIT = (
+    "labels", "f", "target_pairs", "r", "reg", "batch_size", "epochs", "learning_rate",
+    "dropout", "rho", "epsilon", "kcca_beta", "kcca_kappa", "audio_layers", "visual_layers",
+) + _ATTENTION
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Built-in defaults, overridden by --config JSON, overridden by explicit flags."""
-    merged = dict(_DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    """The command's own settings: table defaults, overridden by --config, overridden by flags."""
+    cfg = {name: _DEFAULTS[name] for name in _COMMANDS[args.command][2] + _COMMON}
+    if args.config:
         try:
-            merged.update(json.loads(Path(cfg_path).read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{cfg_path}: invalid JSON config: {exc}") from exc
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        merged[key] = value
-    return merged
+            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{args.config}: invalid JSON config: {exc}") from exc
+        if not isinstance(from_file, dict):
+            kind = type(from_file).__name__
+            raise ValidationError(f"{args.config}: config is a JSON {kind}, not an object")
+        # checked against the whole table, so one file can serve every command
+        unknown = sorted(set(from_file) - set(_OPTIONS))
+        if unknown:
+            raise ValidationError(f"{args.config}: unknown config keys {unknown}")
+        cfg.update((k, v) for k, v in from_file.items() if k in cfg)
+    cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
+    return cfg
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -125,18 +146,29 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
     )
 
 
-def _train_config(cfg: dict) -> deep_mod.TrainConfig:
-    return deep_mod.TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]),
-        learning_rate=float(cfg["learning_rate"]),
-        rho=float(cfg["rho"]),
-        epsilon=float(cfg["epsilon"]),
-        dropout=float(cfg["dropout"]),
+def _fit_kwargs(cfg: dict) -> dict:
+    """Keyword arguments of pipeline.train_method and make_trainer."""
+    reg = None if cfg["reg"] is None else float(cfg["reg"])
+    return dict(
         r=int(cfg["r"]),
-        reg=1e-4 if cfg["reg"] is None else float(cfg["reg"]),
-        seed=int(cfg["seed"]),
-        folds=int(cfg["folds"]),
+        reg=reg,
+        f=float(cfg["f"]),
+        target_pairs=None if cfg["target_pairs"] is None else int(cfg["target_pairs"]),
+        kcca_beta=float(cfg["kcca_beta"]),
+        kcca_kappa=float(cfg["kcca_kappa"]),
+        train_cfg=deep_mod.TrainConfig(
+            batch_size=int(cfg["batch_size"]),
+            epochs=int(cfg["epochs"]),
+            learning_rate=float(cfg["learning_rate"]),
+            rho=float(cfg["rho"]),
+            epsilon=float(cfg["epsilon"]),
+            dropout=float(cfg["dropout"]),
+            r=int(cfg["r"]),
+            reg=1e-4 if reg is None else reg,
+            seed=int(cfg["seed"]),
+        ),
+        audio_layers=_int_tuple(cfg["audio_layers"]),
+        visual_layers=_int_tuple(cfg["visual_layers"]),
     )
 
 
@@ -165,8 +197,7 @@ def _config_echo(cfg: dict, **extra) -> dict:
     return echo
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_synth(cfg: dict) -> int:
     out = Path(cfg["out"])
     synth = SynthConfig(
         n_videos=int(cfg["videos"]),
@@ -195,8 +226,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_ingest(cfg: dict) -> int:
     root = Path(cfg["dataset"])
     manifest = load_manifest(root / "manifest.jsonl")
     if cfg["span_min"] is not None or cfg["span_max"] is not None:
@@ -229,8 +259,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chunk_select(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_chunk_select(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     c, k = int(cfg["chunks"]), int(cfg["top_k"])
     if k > c:
@@ -259,8 +288,7 @@ def cmd_chunk_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_cluster(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     seed_vectors = None
     if cfg.get("seeds_file"):
@@ -293,30 +321,14 @@ def _query_matrix_for(prepared: pl.PreparedDataset, cfg: dict) -> np.ndarray:
     return pl.query_matrix(prepared, (c, k), params)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_train(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     method = cfg["method"]
     if method not in pl.METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {pl.METHODS}")
     audio = _query_matrix_for(prepared, cfg)
     labels = _labels_for(prepared, cfg) if method in ("ccca", "sdcca") else None
-    train_cfg = _train_config(cfg)
-    model, _, _ = pl.train_method(
-        method,
-        audio,
-        prepared.visual,
-        labels,
-        r=int(cfg["r"]),
-        reg=None if cfg["reg"] is None else float(cfg["reg"]),
-        f=float(cfg["f"]),
-        target_pairs=None if cfg["target_pairs"] is None else int(cfg["target_pairs"]),
-        kcca_beta=float(cfg["kcca_beta"]),
-        kcca_kappa=float(cfg["kcca_kappa"]),
-        train_cfg=train_cfg,
-        audio_layers=_int_tuple(cfg["audio_layers"]),
-        visual_layers=_int_tuple(cfg["visual_layers"]),
-    )
+    model, _, _ = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     echo = _config_echo(cfg, command="train")
     out = cfg["out"]
     if isinstance(model, cca_mod.LinearProjection):
@@ -338,8 +350,7 @@ def _load_any_model(path: str | Path):
     return cca_mod.load_cca_model(path)
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_index(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     _, embed_visual = pl.embedders(_load_any_model(cfg["model"]))
     labels = _labels_for(prepared, cfg)
@@ -349,8 +360,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_query(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     index = rt.load_index(cfg["index"])
     embed_audio, _ = pl.embedders(_load_any_model(cfg["model"]))
@@ -373,8 +383,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_eval(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = pl.prepare_dataset(cfg["dataset"])
@@ -384,7 +393,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValidationError(f"unknown methods {unknown}; expected among {pl.METHODS}")
     labels = _labels_for(prepared, cfg)
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
-    train_cfg = _train_config(cfg)
+    fit_kwargs = _fit_kwargs(cfg)
+    folds = int(cfg["folds"])
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
 
     queries: dict[str, np.ndarray] = {}
     for mode in pl.SWEEP_CONFIGS:
@@ -398,24 +410,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for method in methods:
         row = [method]
         for head, name in zip(col_heads, col_names):
-            cell_cfg = _config_echo(
-                cfg, method=method, query_config=head, command="eval", folds=int(cfg["folds"])
-            )
+            cell_cfg = _config_echo(cfg, method=method, query_config=head, command="eval", folds=folds)
             try:
                 trainer = pl.make_trainer(
                     method,
                     queries[name],
                     prepared.visual,
                     labels if method in ("ccca", "sdcca") else None,
-                    r=int(cfg["r"]),
-                    reg=None if cfg["reg"] is None else float(cfg["reg"]),
-                    f=float(cfg["f"]),
-                    target_pairs=None if cfg["target_pairs"] is None else int(cfg["target_pairs"]),
-                    kcca_beta=float(cfg["kcca_beta"]),
-                    kcca_kappa=float(cfg["kcca_kappa"]),
-                    train_cfg=train_cfg,
-                    audio_layers=_int_tuple(cfg["audio_layers"]),
-                    visual_layers=_int_tuple(cfg["visual_layers"]),
+                    **fit_kwargs,
                 )
                 report = ev.cross_validate(
                     queries[name],
@@ -423,7 +425,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     labels,
                     prepared.ids,
                     trainer,
-                    folds=int(cfg["folds"]),
+                    folds=folds,
                     seed=int(cfg["seed"]),
                     pr_stride=int(cfg["pr_stride"]),
                     config=cell_cfg,
@@ -449,121 +451,64 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# command -> (handler, help, option names, required names); every command also
+# takes _COMMON
+_COMMANDS = {
+    "synth": (
+        cmd_synth, "generate a synthetic clustered dataset directory",
+        ("out", "videos", "clusters", "latent_dim", "noise_std", "length_min", "length_max"), ("out",),
+    ),
+    "ingest": (
+        cmd_ingest, "validate a dataset directory, optionally filter by length span",
+        ("dataset", "span_min", "span_max", "out_manifest"), ("dataset",),
+    ),
+    "chunk-select": (
+        cmd_chunk_select, "score and select representative audio chunks",
+        ("dataset", "video_id", "chunks", "top_k", *_ATTENTION, "out"), ("dataset",),
+    ),
+    "cluster": (
+        cmd_cluster, "seeded k-means over video-level audio features",
+        ("dataset", "seeds_file", "k", "max_iter", "tol", "out"), ("dataset", "out"),
+    ),
+    "train": (
+        cmd_train, "fit one embedding method and write a model file",
+        ("dataset", "method", "out", "query_mode", *_FIT), ("dataset", "out"),
+    ),
+    "index": (
+        cmd_index, "embed visual features and write a retrieval index",
+        ("dataset", "model", "labels", "out"), ("dataset", "model", "out"),
+    ),
+    "query": (
+        cmd_query, "rank indexed videos against one audio query",
+        ("dataset", "index", "model", "video_id", "n", "query_mode", *_ATTENTION),
+        ("dataset", "index", "model", "video_id"),
+    ),
+    "eval": (
+        cmd_eval, "cross-validated MAP matrix over the chunk-config sweep",
+        ("dataset", "out_dir", "methods", "folds", "pr_stride", *_FIT), ("dataset", "out_dir"),
+    ),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="avembed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic clustered dataset directory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--videos", type=int, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=None)
-    p.add_argument("--length-min", dest="length_min", type=int, default=None)
-    p.add_argument("--length-max", dest="length_max", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate a dataset directory, optionally filter by length span")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--span-min", dest="span_min", type=int, default=None)
-    p.add_argument("--span-max", dest="span_max", type=int, default=None)
-    p.add_argument("--out-manifest", dest="out_manifest", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("chunk-select", help="score and select representative audio chunks")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--video-id", dest="video_id", default=None, help="default: all videos")
-    p.add_argument("--chunks", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.add_argument("--attention-weights", dest="attention_weights", default=None)
-    p.add_argument("--attention-seed", dest="attention_seed", type=int, default=None)
-    p.add_argument("--attention-hidden", dest="attention_hidden", type=int, default=None)
-    p.add_argument("--out", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_chunk_select)
-
-    p = sub.add_parser("cluster", help="seeded k-means over video-level audio features")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--seeds-file", dest="seeds_file", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("train", help="fit one embedding method and write a model file")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--method", choices=pl.METHODS, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--labels", default=None, help="assignments JSONL from `cluster`")
-    p.add_argument("--f", type=float, default=None, help="cluster expansion fraction")
-    p.add_argument("--target-pairs", dest="target_pairs", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--reg", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--kcca-beta", dest="kcca_beta", type=float, default=None)
-    p.add_argument("--kcca-kappa", dest="kcca_kappa", type=float, default=None)
-    p.add_argument("--query-mode", dest="query_mode", default=None, help="'mean' or 'c,k'")
-    p.add_argument("--attention-weights", dest="attention_weights", default=None)
-    p.add_argument("--attention-seed", dest="attention_seed", type=int, default=None)
-    p.add_argument("--attention-hidden", dest="attention_hidden", type=int, default=None)
-    p.add_argument("--audio-layers", dest="audio_layers", default=None)
-    p.add_argument("--visual-layers", dest="visual_layers", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("index", help="embed visual features and write a retrieval index")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("query", help="rank indexed videos against one audio query")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--video-id", dest="video_id", required=True)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--query-mode", dest="query_mode", default=None)
-    p.add_argument("--attention-weights", dest="attention_weights", default=None)
-    p.add_argument("--attention-seed", dest="attention_seed", type=int, default=None)
-    p.add_argument("--attention-hidden", dest="attention_hidden", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("eval", help="cross-validated MAP matrix over the chunk-config sweep")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--methods", default=None, help="comma list among cca,kcca,ccca,dcca,sdcca")
-    p.add_argument("--labels", default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--f", type=float, default=None)
-    p.add_argument("--target-pairs", dest="target_pairs", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--reg", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--kcca-beta", dest="kcca_beta", type=float, default=None)
-    p.add_argument("--kcca-kappa", dest="kcca_kappa", type=float, default=None)
-    p.add_argument("--pr-stride", dest="pr_stride", type=int, default=None)
-    p.add_argument("--attention-weights", dest="attention_weights", default=None)
-    p.add_argument("--attention-seed", dest="attention_seed", type=int, default=None)
-    p.add_argument("--attention-hidden", dest="attention_hidden", type=int, default=None)
-    p.add_argument("--audio-layers", dest="audio_layers", default=None)
-    p.add_argument("--visual-layers", dest="visual_layers", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
+    for command, (func, help_text, names, required) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names + _COMMON:
+            kind, default, text = _OPTIONS[name]
+            if kind is None:
+                continue
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(
+                "-n" if name == "n" else "--" + name.replace("_", "-"),
+                dest=name,
+                type=None if choices else kind,
+                choices=choices,
+                required=name in required,
+                help=text if default is None else f"{text} (default {default})",
+            )
+        p.set_defaults(func=func)
     return parser
 
 
@@ -574,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (DataError, ResourceLimitError, FileNotFoundError, OSError) as exc:
         print(f"avembed: data error: {exc}", file=sys.stderr)
         return DATA_EXIT

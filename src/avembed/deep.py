@@ -61,7 +61,6 @@ class TrainConfig:
     r: int = 30
     reg: float = 1e-4
     seed: int = 0
-    folds: int = 5
 
     def __post_init__(self) -> None:
         if self.batch_size < self.r + 1:
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ValueError("rho must be in (0, 1)")
         if self.reg < 0:
             raise ValueError("reg must be >= 0")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
 
 
 @dataclass
@@ -383,33 +380,36 @@ def load_deep_model(path: str | Path) -> DeepModel:
         header = blockio.read_header(fh, _MODEL_MAGIC)
         if header.get("type") != "dcca":
             raise FormatError(f"{path}: not a deep model file")
-        n_a = int(header["n_audio_layers"])
-        n_v = int(header["n_visual_layers"])
-        blocks = blockio.read_blocks(fh, 2 * (n_a + n_v) + 4)
-    audio = BranchNetwork(
-        weights=[blocks[f"audio.w{i}"] for i in range(n_a)],
-        biases=[blocks[f"audio.b{i}"] for i in range(n_a)],
-        dropout_rate=float(header["dropout"]),
-    )
-    visual = BranchNetwork(
-        weights=[blocks[f"visual.w{i}"] for i in range(n_v)],
-        biases=[blocks[f"visual.b{i}"] for i in range(n_v)],
-        dropout_rate=float(header["dropout"]),
-    )
-    head = LinearProjection(
-        wx=blocks["head.wx"],
-        wy=blocks["head.wy"],
-        mean_x=blocks["head.mean_x"],
-        mean_y=blocks["head.mean_y"],
-        correlations=np.asarray(header["head_correlations"]),
-        reg_x=float(header["head_reg_x"]),
-        reg_y=float(header["head_reg_y"]),
-    )
-    return DeepModel(
-        audio_branch=audio,
-        visual_branch=visual,
-        cca_head=head,
-        r=int(header["r"]),
-        reg=float(header["reg"]),
-        objective_history=[float(v) for v in header.get("objective_history", [])],
-    )
+        try:
+            n_a = int(header["n_audio_layers"])
+            n_v = int(header["n_visual_layers"])
+            blocks = blockio.read_blocks(fh, 2 * (n_a + n_v) + 4)
+            audio = BranchNetwork(
+                weights=[blocks[f"audio.w{i}"] for i in range(n_a)],
+                biases=[blocks[f"audio.b{i}"] for i in range(n_a)],
+                dropout_rate=float(header["dropout"]),
+            )
+            visual = BranchNetwork(
+                weights=[blocks[f"visual.w{i}"] for i in range(n_v)],
+                biases=[blocks[f"visual.b{i}"] for i in range(n_v)],
+                dropout_rate=float(header["dropout"]),
+            )
+            head = LinearProjection(
+                wx=blocks["head.wx"],
+                wy=blocks["head.wy"],
+                mean_x=blocks["head.mean_x"],
+                mean_y=blocks["head.mean_y"],
+                correlations=np.asarray(header["head_correlations"]),
+                reg_x=float(header["head_reg_x"]),
+                reg_y=float(header["head_reg_y"]),
+            )
+            return DeepModel(
+                audio_branch=audio,
+                visual_branch=visual,
+                cca_head=head,
+                r=int(header["r"]),
+                reg=float(header["reg"]),
+                objective_history=[float(v) for v in header.get("objective_history", [])],
+            )
+        except KeyError as exc:
+            raise FormatError(f"{path}: dcca model lacks {exc}") from exc

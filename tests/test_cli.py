@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import struct
@@ -128,6 +129,19 @@ def artifacts(dataset, tmp_path_factory):
     return {"assignments": assignments, "model": model, "index": index}
 
 
+@pytest.fixture(scope="module")
+def deep_artifacts(dataset, tmp_path_factory):
+    work = tmp_path_factory.mktemp("deep_artifacts")
+    model, index = work / "dcca.model", work / "dcca.index"
+    assert run("train", "--dataset", dataset, "--method", "dcca", "--r", 4,
+               "--batch-size", 18, "--epochs", 1, "--audio-layers", "16,8",
+               "--visual-layers", "16,8", "--out", model, "--seed", 1) == 0
+    assert run("index", "--dataset", dataset, "--model", model, "--out", index) == 0
+    assert run("query", "--dataset", dataset, "--index", index, "--model", model,
+               "--video-id", "mv00003", "-n", 3) == 0
+    return {"model": model, "index": index}
+
+
 class TestTrainIndexQuery:
     def test_model_loadable_with_sorted_correlations(self, artifacts):
         from avembed.cca import load_cca_model
@@ -232,6 +246,15 @@ class TestCorruptArtifacts:
         model = _edit_header(artifacts["model"], tmp_path / "bad.model", edit)
         self._query_fails_cleanly(dataset, capsys, artifacts["index"], model)
 
+    @pytest.mark.parametrize("change", [
+        lambda obj: obj.pop("n_audio_layers"),
+        lambda obj: obj.pop("head_correlations"),
+        lambda obj: obj.update(n_audio_layers=obj["n_audio_layers"] + 1),  # one block pair short
+    ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high"])
+    def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change):
+        model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
+        self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)
+
     def test_model_block_name_not_utf8(self, artifacts, dataset, tmp_path, capsys):
         raw = bytearray(artifacts["model"].read_bytes())
         (length,) = struct.unpack("<I", raw[5:9])
@@ -306,6 +329,23 @@ class TestEval:
         assert "error" in dcca_row
         assert "error" not in cca_row
 
+    def test_single_fold_rejected_before_the_sweep(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "e5"
+        assert run("eval", "--dataset", dataset, "--out-dir", out_dir,
+                   "--methods", "cca", "--folds", 1) == 1
+        err = capsys.readouterr().err
+        assert "folds must be >= 2" in err and "eval cell" not in err
+        assert not (out_dir / "map_matrix.csv").exists()
+
+    def test_report_echoes_only_eval_settings(self, dataset, tmp_path):
+        out_dir = tmp_path / "e6"
+        assert run("eval", "--dataset", dataset, "--out-dir", out_dir,
+                   "--methods", "cca", "--folds", 2, "--r", 4, "--pr-stride", 6) == 0
+        config = json.loads((out_dir / "report_cca_2of6.json").read_text())["config"]
+        assert not {"videos", "noise_std", "query_mode"} & set(config)
+        assert config["command"] == "eval" and config["method"] == "cca"
+        assert config["query_config"] == "2/6" and config["folds"] == 2
+
 
 class TestDefaults:
     def test_numeric_defaults_are_the_published_ones(self):
@@ -333,3 +373,88 @@ class TestConfigFile:
     def test_usage_error_exit_code(self, capsys):
         assert run("synth") == 1  # missing --out
         assert run("definitely-not-a-command") == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[1, 2]", "not an object"),
+        (b'{"videos": "\xff"}', "invalid JSON config"),
+        (b'{"epoch": 3}', "unknown config keys ['epoch']"),
+    ], ids=["not-object", "not-utf8", "unknown-key"])
+    def test_bad_config_is_data_error(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        assert run("synth", "--out", tmp_path / "ds", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "avembed: data error" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_keys_of_other_commands_accepted(self, dataset, tmp_path):
+        # one run.json may serve every command
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"videos": 6, "folds": 3, "k": 4, "rho": 0.8}))
+        assert run("ingest", "--dataset", dataset, "--config", cfg) == 0
+
+
+# the flags of every subcommand as the hand-written parser declared them:
+# command -> (option strings, required option strings)
+_FLAG_SURFACE = {
+    "synth": (
+        {"--clusters", "--config", "--latent-dim", "--length-max", "--length-min", "--noise-std",
+         "--out", "--seed", "--videos"},
+        {"--out"},
+    ),
+    "ingest": (
+        {"--config", "--dataset", "--out-manifest", "--seed", "--span-max", "--span-min"},
+        {"--dataset"},
+    ),
+    "chunk-select": (
+        {"--attention-hidden", "--attention-seed", "--attention-weights", "--chunks", "--config",
+         "--dataset", "--out", "--seed", "--top-k", "--video-id"},
+        {"--dataset"},
+    ),
+    "cluster": (
+        {"--config", "--dataset", "--k", "--max-iter", "--out", "--seed", "--seeds-file", "--tol"},
+        {"--dataset", "--out"},
+    ),
+    "train": (
+        {"--attention-hidden", "--attention-seed", "--attention-weights", "--audio-layers",
+         "--batch-size", "--config", "--dataset", "--dropout", "--epochs", "--f", "--kcca-beta",
+         "--kcca-kappa", "--labels", "--learning-rate", "--method", "--out", "--query-mode", "--r",
+         "--reg", "--seed", "--target-pairs", "--visual-layers"},
+        {"--dataset", "--out"},
+    ),
+    "index": (
+        {"--config", "--dataset", "--labels", "--model", "--out", "--seed"},
+        {"--dataset", "--model", "--out"},
+    ),
+    "query": (
+        {"--attention-hidden", "--attention-seed", "--attention-weights", "--config", "--dataset",
+         "--index", "--model", "--query-mode", "--seed", "--video-id", "-n"},
+        {"--dataset", "--index", "--model", "--video-id"},
+    ),
+    "eval": (
+        {"--attention-hidden", "--attention-seed", "--attention-weights", "--audio-layers",
+         "--batch-size", "--config", "--dataset", "--dropout", "--epochs", "--f", "--folds",
+         "--kcca-beta", "--kcca-kappa", "--labels", "--learning-rate", "--methods", "--out-dir",
+         "--pr-stride", "--r", "--reg", "--seed", "--target-pairs", "--visual-layers"},
+        {"--dataset", "--out-dir"},
+    ),
+}
+
+
+def _subparsers():
+    from avembed.cli import build_parser
+
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommands_unchanged():
+    assert set(_subparsers()) == set(_FLAG_SURFACE)
+
+
+@pytest.mark.parametrize("command", list(_FLAG_SURFACE))
+def test_flag_surface_unchanged(command):
+    actions = [a for a in _subparsers()[command]._actions if not isinstance(a, argparse._HelpAction)]
+    flags, required = _FLAG_SURFACE[command]
+    assert {s for a in actions for s in a.option_strings} == flags
+    assert {s for a in actions if a.required for s in a.option_strings} == required

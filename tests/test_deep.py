@@ -246,8 +246,6 @@ class TestTraining:
             TrainConfig(batch_size=16, r=30)  # batch < r + 1
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(folds=1)
 
 
 class TestSdcca:

@@ -178,6 +178,10 @@ class TestCrossValidate:
         for a, b in zip(f1, f2):
             np.testing.assert_array_equal(a, b)
 
+    def test_fewer_than_two_folds_rejected(self):
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            partition_folds(50, 1, seed=0)
+
     def test_aggregate_map_is_fold_mean(self):
         audio, visual, labels, ids = clustered_corpus(seed=5)
         report = cross_validate(

@@ -28,12 +28,9 @@ _GATE_SCALE = {"input": 0.5, "forget": 0.5, "cell": 1.0, "output": 0.5}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| only, so it never overflows; minimum(x, -x) keeps a NaN's sign, -abs would not
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

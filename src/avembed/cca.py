@@ -497,4 +497,6 @@ def load_cca_model(path: str | Path) -> LinearProjection | KernelModel:
                 )
         except KeyError as exc:
             raise FormatError(f"{path}: {kind} model lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
+            raise FormatError(f"{path}: invalid {kind} model: {exc}") from exc
     raise FormatError(f"{path}: unknown model type {kind!r}")

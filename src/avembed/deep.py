@@ -158,7 +158,8 @@ def branch_backward(
             dz = grad * (1.0 - act * act)  # tanh
         d_w[i] = cache["input"].T @ dz
         d_b[i] = dz.sum(axis=0)
-        grad = dz @ net.weights[i].T
+        if i > 0:  # the gradient of the branch input is never used
+            grad = dz @ net.weights[i].T
     return d_w, d_b
 
 
@@ -176,26 +177,21 @@ def _whitened_svd(fx: np.ndarray, fy: np.ndarray, reg: float | None):
     return xc, yc, isx, isy, u, s, vt
 
 
-def total_correlation(fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None = None) -> float:
-    """Sum of the top-r singular values of the whitened cross-covariance, each clipped to 1."""
+def _check_rank(fx: np.ndarray, fy: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     fx = np.asarray(fx, dtype=np.float64)
     fy = np.asarray(fy, dtype=np.float64)
     if not 1 <= r <= min(fx.shape[1], fy.shape[1]):
         raise ValueError(f"r must be in [1, {min(fx.shape[1], fy.shape[1])}], got {r}")
-    _, _, _, _, _, s, _ = _whitened_svd(fx, fy, reg)
+    return fx, fy
+
+
+def _clipped_sum(s: np.ndarray, r: int) -> float:
     return float(np.minimum(s[:r], 1.0).sum())
 
 
-def corr_gradient(
-    fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradient of total_correlation with respect to each view's entries."""
-    fx = np.asarray(fx, dtype=np.float64)
-    fy = np.asarray(fy, dtype=np.float64)
-    if not 1 <= r <= min(fx.shape[1], fy.shape[1]):
-        raise ValueError(f"r must be in [1, {min(fx.shape[1], fy.shape[1])}], got {r}")
-    n = fx.shape[0]
-    xc, yc, isx, isy, u, s, vt = _whitened_svd(fx, fy, reg)
+def _gradient(r: int, xc, yc, isx, isy, u, s, vt) -> tuple[np.ndarray, np.ndarray]:
+    """d(_clipped_sum)/d(views) from the pieces of one _whitened_svd."""
+    n = xc.shape[0]
     # components at the clip boundary contribute no gradient
     active = s[:r] < 1.0
     u_r = u[:, :r][:, active]
@@ -209,18 +205,50 @@ def corr_gradient(
     return d_fx, d_fy
 
 
+def _objective_and_grad(
+    fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """total_correlation and corr_gradient from one whitening and SVD; r is not checked."""
+    parts = _whitened_svd(fx, fy, reg)
+    return (_clipped_sum(parts[5], r), *_gradient(r, *parts))
+
+
+def total_correlation(fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None = None) -> float:
+    """Sum of the top-r singular values of the whitened cross-covariance, each clipped to 1."""
+    fx, fy = _check_rank(fx, fy, r)
+    return _clipped_sum(_whitened_svd(fx, fy, reg)[5], r)
+
+
+def corr_gradient(
+    fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of total_correlation with respect to each view's entries."""
+    fx, fy = _check_rank(fx, fy, r)
+    return _gradient(r, *_whitened_svd(fx, fy, reg))
+
+
 class _RmsProp:
     def __init__(self, params: list[np.ndarray], lr: float, rho: float, eps: float):
         self.lr = lr
         self.rho = rho
         self.eps = eps
         self.cache = [np.zeros_like(p) for p in params]
+        # two scratch buffers the size of the largest parameter, viewed per parameter
+        flat = np.empty((2, max(p.size for p in params)))
+        self.scratch = [tuple(f[: p.size].reshape(p.shape) for f in flat) for p in params]
 
     def ascend(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g, c in zip(params, grads, self.cache):
+        # in place, in the operation order of c = rho*c + (1-rho)*g*g; p += lr*g / (sqrt(c) + eps)
+        for p, g, c, (t, d) in zip(params, grads, self.cache, self.scratch):
             c *= self.rho
-            c += (1.0 - self.rho) * g * g
-            p += self.lr * g / (np.sqrt(c) + self.eps)
+            np.multiply(1.0 - self.rho, g, out=t)
+            t *= g
+            c += t
+            np.sqrt(c, out=d)
+            d += self.eps
+            np.multiply(self.lr, g, out=t)
+            t /= d
+            p += t
 
 
 def _train_on_pairs(
@@ -256,12 +284,11 @@ def _train_on_pairs(
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             fa, cache_a = branch_forward(audio, x[a_idx[sel]], "train", rng)
             fv, cache_v = branch_forward(visual, y[v_idx[sel]], "train", rng)
-            obj = total_correlation(fa, fv, cfg.r, cfg.reg)
+            obj, d_fa, d_fv = _objective_and_grad(fa, fv, cfg.r, cfg.reg)
             if not np.isfinite(obj):
                 raise DivergenceError(
                     f"non-finite objective at epoch {epoch}, batch {b}", epoch=epoch, batch=b
                 )
-            d_fa, d_fv = corr_gradient(fa, fv, cfg.r, cfg.reg)
             dw_a, db_a = branch_backward(audio, cache_a, d_fa)
             dw_v, db_v = branch_backward(visual, cache_v, d_fv)
             opt_a.ascend(audio.weights + audio.biases, dw_a + db_a)
@@ -413,3 +440,5 @@ def load_deep_model(path: str | Path) -> DeepModel:
             )
         except KeyError as exc:
             raise FormatError(f"{path}: dcca model lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
+            raise FormatError(f"{path}: invalid dcca model: {exc}") from exc

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from avembed.attention import (
     AttentionParams,
     LstmParams,
+    _sigmoid,
     attention_distribution,
     attention_scores,
     bilstm_forward,
@@ -74,6 +75,31 @@ def _oracle_lstm_step(x, h_prev, c_prev, p):
         )
         h_t[a] = o_t[a] * math.tanh(c_t[a])
     return h_t, c_t
+
+
+def _masked_sigmoid(x):
+    """Reference sigmoid: two exps over boolean-masked halves."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bits_equal_the_masked_form(self):
+        edges = [0.0, 1e-300, 709.0, 745.0, 1000.0, np.inf, np.nan]
+        x = np.concatenate([np.random.default_rng(0).normal(scale=5.0, size=1000), edges, np.negative(edges)])
+        # neither form may exp a positive argument, so nothing overflows; exp of a
+        # large negative argument underflows to a subnormal or 0 in both, as it should
+        with np.errstate(all="raise", under="ignore"):
+            got = _sigmoid(x)
+            want = _masked_sigmoid(x)
+            with pytest.raises(FloatingPointError):
+                1.0 / (1.0 + np.exp(-x))  # the unguarded form overflows at -1000
+        assert np.signbit(x[-1]) and not np.signbit(x[-8])  # both NaN signs are covered
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLstmStep:

@@ -241,7 +241,8 @@ class TestCorruptArtifacts:
         _edit_json(lambda obj: obj.pop("type")),      # no model type
         _edit_json(lambda obj: obj.update(type="pca")),  # unknown model type
         _edit_json(lambda obj: obj.pop("reg_x")),     # a field of the type missing
-    ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field"])
+        _edit_json(lambda obj: obj.update(reg_x="small")),  # a field of the wrong JSON type
+    ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field", "field-not-number"])
     def test_model_header(self, artifacts, dataset, tmp_path, capsys, edit):
         model = _edit_header(artifacts["model"], tmp_path / "bad.model", edit)
         self._query_fails_cleanly(dataset, capsys, artifacts["index"], model)
@@ -250,7 +251,8 @@ class TestCorruptArtifacts:
         lambda obj: obj.pop("n_audio_layers"),
         lambda obj: obj.pop("head_correlations"),
         lambda obj: obj.update(n_audio_layers=obj["n_audio_layers"] + 1),  # one block pair short
-    ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high"])
+        lambda obj: obj.update(n_audio_layers="two"),
+    ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high", "layer-count-not-int"])
     def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change):
         model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
         self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from avembed.cca import fit_cca
+from avembed.clustering import expand_pairs
 from avembed.deep import (
     BranchNetwork,
     TrainConfig,
+    _objective_and_grad,
+    _whitened_svd,
     branch_backward,
     branch_forward,
     corr_gradient,
@@ -191,6 +194,29 @@ class TestCorrGradient:
         np.testing.assert_allclose(g1[1], g2[1], atol=1e-9)
 
 
+class TestObjectiveAndGrad:
+    """The fused routine returns exactly what the two public functions return."""
+
+    @pytest.mark.parametrize("case", ["generic", "clipped", "full-width"])
+    def test_equals_public_functions(self, case):
+        fx, fy = correlated_views(48, 7, 5, 24)
+        r, reg = 3, 1e-3
+        if case == "clipped":
+            # three identical columns and no ridge: three singular values are 1 up to
+            # rounding, and two of them round to >= 1 and are clipped
+            fy[:, :3] = fx[:, :3]
+            r, reg = 4, 0.0
+            s = _whitened_svd(fx, fy, reg)[5][:r]
+            assert np.any(s >= 1.0) and np.any(s < 1.0)
+        elif case == "full-width":
+            r = 5
+        obj, d_fx, d_fy = _objective_and_grad(fx, fy, r, reg)
+        gx, gy = corr_gradient(fx, fy, r, reg)
+        assert obj == total_correlation(fx, fy, r, reg)
+        np.testing.assert_array_equal(d_fx, gx)
+        np.testing.assert_array_equal(d_fy, gy)
+
+
 def small_cfg(**kw):
     base = dict(batch_size=32, epochs=3, learning_rate=1e-3, dropout=0.1, r=4, reg=1e-3, seed=0)
     base.update(kw)
@@ -281,6 +307,82 @@ class TestSdcca:
             audio_layers=(8, 6), visual_layers=(8, 6),
         )
         assert model.cca_head.wx.shape == (6, 4)
+
+
+def _unpruned_backward(net, caches, d_out):
+    """branch_backward without pruning: it also forms the first layer's input gradient."""
+    d_w = [np.empty(0)] * len(net.weights)
+    d_b = [np.empty(0)] * len(net.biases)
+    grad = d_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        cache = caches[i]
+        act = cache["activated"]
+        if i == len(net.weights) - 1:
+            dz = grad * act * (1.0 - act)
+        else:
+            if cache["mask"] is not None:
+                grad = grad * cache["mask"]
+            dz = grad * (1.0 - act * act)
+        d_w[i] = cache["input"].T @ dz
+        d_b[i] = dz.sum(axis=0)
+        grad = dz @ net.weights[i].T
+    return d_w, d_b
+
+
+def _oracle_train(x, y, a_idx, v_idx, cfg, audio_layers, visual_layers):
+    """The training loop from the public objective and gradient, one whitening each,
+    the unpruned backward and RMSProp written out with temporaries."""
+    rng = np.random.default_rng(cfg.seed)
+    nets = (init_branch([x.shape[1], *audio_layers], cfg.dropout, rng),
+            init_branch([y.shape[1], *visual_layers], cfg.dropout, rng))
+    sq = [[np.zeros_like(p) for p in net.weights + net.biases] for net in nets]
+    n = a_idx.shape[0]
+    history = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        objs = []
+        for b in range(n // cfg.batch_size):
+            sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            fa, cache_a = branch_forward(nets[0], x[a_idx[sel]], "train", rng)
+            fv, cache_v = branch_forward(nets[1], y[v_idx[sel]], "train", rng)
+            objs.append(total_correlation(fa, fv, cfg.r, cfg.reg))
+            grads = corr_gradient(fa, fv, cfg.r, cfg.reg)
+            for net, cache, d_out, cs in zip(nets, (cache_a, cache_v), grads, sq):
+                d_w, d_b = _unpruned_backward(net, cache, d_out)
+                for p, g, c in zip(net.weights + net.biases, d_w + d_b, cs):
+                    c *= cfg.rho
+                    c += (1.0 - cfg.rho) * g * g
+                    p += cfg.learning_rate * g / (np.sqrt(c) + cfg.epsilon)
+        history.append(float(np.mean(objs)))
+    out_a, _ = branch_forward(nets[0], x, "eval")
+    out_v, _ = branch_forward(nets[1], y, "eval")
+    return nets, fit_cca(out_a, out_v, cfg.r, cfg.reg, pairs=(a_idx, v_idx)), history
+
+
+class TestTrainingOracle:
+    """Training equals, bit for bit, a loop with two whitenings per batch, the first
+    layer's input gradient and RMSProp on temporaries."""
+
+    @pytest.mark.parametrize("method", ["dcca", "sdcca"])
+    def test_bit_identical_to_oracle(self, method):
+        x, y, labels = TestSdcca()._clustered(n_per=40, k=3, seed=11)
+        cfg = small_cfg(seed=9, epochs=2, batch_size=32, dropout=0.2, r=3)
+        layers = dict(audio_layers=(9, 7, 5), visual_layers=(11, 6))
+        if method == "dcca":
+            model = train_dcca(x, y, cfg, **layers)
+            a_idx = v_idx = np.arange(x.shape[0])
+        else:
+            model = train_sdcca(x, y, labels, f=0.5, cfg=cfg, **layers)
+            pairs = expand_pairs(labels, None, f=0.5, seed=cfg.seed)
+            a_idx, v_idx = pairs.audio_indices, pairs.visual_indices
+        assert a_idx.shape[0] // cfg.batch_size >= 3
+        nets, head, history = _oracle_train(x, y, a_idx, v_idx, cfg, **layers)
+        assert model.objective_history == history
+        for got, want in zip((model.audio_branch, model.visual_branch), nets):
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+                assert np.array_equal(a, b)
+        for name in ("wx", "wy", "mean_x", "mean_y", "correlations"):
+            assert np.array_equal(getattr(model.cca_head, name), getattr(head, name)), name
 
 
 class TestEmbedAndFiles:

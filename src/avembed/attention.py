@@ -320,6 +320,8 @@ def load_attention_params(path: str | Path) -> AttentionParams:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: attention weights are a JSON {type(obj).__name__}, not an object")
     if obj.get("version") != 1:
         raise FormatError(f"{path}: unsupported attention weights version {obj.get('version')!r}")
     try:
@@ -333,7 +335,7 @@ def load_attention_params(path: str | Path) -> AttentionParams:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
         raise FormatError(f"{path}: {exc}") from exc
     return params
 

@@ -326,7 +326,6 @@ def fit_kcca(
     beta: float = 0.4,
     kappa: float = 1e-3,
     kernel: str = "gaussian",
-    n_cap: int = KCCA_N_CAP,
 ) -> KernelModel:
     """Kernel CCA with ridge kappa per view; k(a, b) = exp(-beta * ||a - b||^2).
 
@@ -339,10 +338,10 @@ def fit_kcca(
     n = x.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"views must pair rows: {n} vs {y.shape[0]}")
-    if n > n_cap:
+    if n > KCCA_N_CAP:
         raise ResourceLimitError(
-            f"KCCA solve is O(n^3); n={n} exceeds the cap of {n_cap}. "
-            "Subsample the training pairs or raise the cap explicitly."
+            f"KCCA solve is O(n^3); n={n} exceeds the cap of {KCCA_N_CAP}. "
+            "Subsample the training pairs."
         )
     if beta <= 0 or kappa <= 0:
         raise ValueError("beta and kappa must be > 0")
@@ -416,7 +415,7 @@ def fit_cluster_cca(
     labels = np.asarray(labels)
     if labels.shape[0] != x.shape[0] or y.shape[0] != x.shape[0]:
         raise ValueError("labels must align with the paired rows")
-    pairs = expand_pairs(labels, None, f=f, seed=seed, target_count=target_count)
+    pairs = expand_pairs(labels, f=f, seed=seed, target_count=target_count)
     return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
 
 

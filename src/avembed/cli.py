@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import attention as att
-from . import cca as cca_mod
-from . import deep as deep_mod
 from . import evaluation as ev
 from . import pipeline as pl
 from . import retrieval as rt
@@ -47,8 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # One row per setting: name -> (type, default, help). The flag is --name-with-dashes
-# (-n for n); a tuple type lists argparse choices; type None marks a key that only
-# a --config file can set. Flags default to None so that --config values survive.
+# (-n for n); a tuple type lists the allowed values; help None marks a key that only
+# a --config file can set; null is a valid value where the default is None. Flags
+# default to None so that --config values survive.
 _OPTIONS: dict[str, tuple] = {
     "seed": (int, 0, "root seed"),
     "config": (str, None, "JSON config file; flags override its values"),
@@ -85,8 +84,8 @@ _OPTIONS: dict[str, tuple] = {
     "epochs": (int, 50, "deep training epochs"),
     "learning_rate": (float, 0.001, "RMSProp learning rate"),
     "dropout": (float, 0.2, "dropout rate of the branches"),
-    "rho": (None, 0.9, "RMSProp decay"),
-    "epsilon": (None, 1e-8, "RMSProp epsilon"),
+    "rho": (float, 0.9, None),  # RMSProp decay
+    "epsilon": (float, 1e-8, None),  # RMSProp epsilon
     "kcca_beta": (float, 0.4, "Gaussian kernel width"),
     "kcca_kappa": (float, 1e-3, "KCCA regularisation"),
     "audio_layers": (str, "128,128,64,64", "audio branch widths"),
@@ -101,11 +100,33 @@ _OPTIONS: dict[str, tuple] = {
 _DEFAULTS = {name: default for name, (_, default, _) in _OPTIONS.items()}
 _COMMON = ("seed", "config")
 _ATTENTION = ("attention_weights", "attention_seed", "attention_hidden")
+# the settings that pipeline.train_method takes as they are
+_FIT_ARGS = (
+    "f", "target_pairs", "r", "reg", "batch_size", "epochs", "learning_rate", "dropout", "rho",
+    "epsilon", "kcca_beta", "kcca_kappa",
+)
 # the settings that train and eval both read
-_FIT = (
-    "labels", "f", "target_pairs", "r", "reg", "batch_size", "epochs", "learning_rate",
-    "dropout", "rho", "epsilon", "kcca_beta", "kcca_kappa", "audio_layers", "visual_layers",
-) + _ATTENTION
+_FIT = ("labels", *_FIT_ARGS, "audio_layers", "visual_layers", *_ATTENTION)
+# the JSON values each table type accepts; bool is never an int here
+_ACCEPTS = {int: int, float: (int, float), str: str}
+
+
+def _typed(path: str, name: str, value):
+    """A --config value as its table type, or ValidationError naming the key."""
+    kind, default, _ = _OPTIONS[name]
+    if value is None and default is None:
+        return None
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        expected = f"one of {list(kind)}"
+    else:
+        if isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool):
+            return kind(value)
+        expected = kind.__name__
+    if default is None:
+        expected += " or null"
+    raise ValidationError(f"{path}: config key {name!r} must be {expected}, got {json.dumps(value)}")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -123,14 +144,15 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = sorted(set(from_file) - set(_OPTIONS))
         if unknown:
             raise ValidationError(f"{args.config}: unknown config keys {unknown}")
-        cfg.update((k, v) for k, v in from_file.items() if k in cfg)
+        typed = {k: _typed(args.config, k, v) for k, v in from_file.items()}
+        cfg.update((k, v) for k, v in typed.items() if k in cfg)
     cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
     return cfg
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in str(text).split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -138,38 +160,14 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
     if cfg.get("attention_weights"):
         return att.load_attention_params(cfg["attention_weights"])
-    return att.random_attention_params(
-        input_dim,
-        hidden_dim=int(cfg["attention_hidden"]),
-        attention_dim=int(cfg["attention_hidden"]),
-        seed=int(cfg["attention_seed"]),
-    )
+    hidden = cfg["attention_hidden"]
+    return att.random_attention_params(input_dim, hidden, hidden, seed=cfg["attention_seed"])
 
 
 def _fit_kwargs(cfg: dict) -> dict:
     """Keyword arguments of pipeline.train_method and make_trainer."""
-    reg = None if cfg["reg"] is None else float(cfg["reg"])
-    return dict(
-        r=int(cfg["r"]),
-        reg=reg,
-        f=float(cfg["f"]),
-        target_pairs=None if cfg["target_pairs"] is None else int(cfg["target_pairs"]),
-        kcca_beta=float(cfg["kcca_beta"]),
-        kcca_kappa=float(cfg["kcca_kappa"]),
-        train_cfg=deep_mod.TrainConfig(
-            batch_size=int(cfg["batch_size"]),
-            epochs=int(cfg["epochs"]),
-            learning_rate=float(cfg["learning_rate"]),
-            rho=float(cfg["rho"]),
-            epsilon=float(cfg["epsilon"]),
-            dropout=float(cfg["dropout"]),
-            r=int(cfg["r"]),
-            reg=1e-4 if reg is None else reg,
-            seed=int(cfg["seed"]),
-        ),
-        audio_layers=_int_tuple(cfg["audio_layers"]),
-        visual_layers=_int_tuple(cfg["visual_layers"]),
-    )
+    layers = {name: _int_tuple(cfg[name]) for name in ("audio_layers", "visual_layers")}
+    return {**{name: cfg[name] for name in ("seed", *_FIT_ARGS)}, **layers}
 
 
 def _labels_for(prepared: pl.PreparedDataset, cfg: dict) -> np.ndarray:
@@ -188,24 +186,18 @@ def _config_echo(cfg: dict, **extra) -> dict:
     # output locations do not affect the computation, so reruns into
     # different directories stay byte-identical
     skip = {"out", "out_dir", "out_manifest", "config"}
-    echo = {
-        k: v
-        for k, v in sorted(cfg.items())
-        if k not in skip and isinstance(v, (int, float, str, bool, type(None)))
-    }
-    echo.update(extra)
-    return echo
+    return {**{k: v for k, v in sorted(cfg.items()) if k not in skip}, **extra}
 
 
 def cmd_synth(cfg: dict) -> int:
     out = Path(cfg["out"])
     synth = SynthConfig(
-        n_videos=int(cfg["videos"]),
-        n_clusters=int(cfg["clusters"]),
-        latent_dim=int(cfg["latent_dim"]),
-        noise_std=float(cfg["noise_std"]),
-        length_range=(int(cfg["length_min"]), int(cfg["length_max"])),
-        seed=int(cfg["seed"]),
+        n_videos=cfg["videos"],
+        n_clusters=cfg["clusters"],
+        latent_dim=cfg["latent_dim"],
+        noise_std=cfg["noise_std"],
+        length_range=(cfg["length_min"], cfg["length_max"]),
+        seed=cfg["seed"],
     )
     manifest = write_dataset(synth, out)
     labels = {e.video_id: e.label for e in manifest.entries}
@@ -230,8 +222,8 @@ def cmd_ingest(cfg: dict) -> int:
     root = Path(cfg["dataset"])
     manifest = load_manifest(root / "manifest.jsonl")
     if cfg["span_min"] is not None or cfg["span_max"] is not None:
-        lo = int(cfg["span_min"]) if cfg["span_min"] is not None else manifest.length_span[0]
-        hi = int(cfg["span_max"]) if cfg["span_max"] is not None else manifest.length_span[1]
+        lo = cfg["span_min"] if cfg["span_min"] is not None else manifest.length_span[0]
+        hi = cfg["span_max"] if cfg["span_max"] is not None else manifest.length_span[1]
         manifest = filter_manifest(manifest, (lo, hi))
         if len(manifest) == 0:
             raise ValidationError(f"no entries with length in [{lo}, {hi}]")
@@ -261,7 +253,7 @@ def cmd_ingest(cfg: dict) -> int:
 
 def cmd_chunk_select(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
-    c, k = int(cfg["chunks"]), int(cfg["top_k"])
+    c, k = cfg["chunks"], cfg["top_k"]
     if k > c:
         raise ValidationError(f"--top-k {k} exceeds --chunks {c}")
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
@@ -301,7 +293,7 @@ def cmd_cluster(cfg: dict) -> int:
                 raise ValidationError(f"seed category {name!r} references unknown videos {missing}")
             seed_vectors.append(prepared.audio_mean[[rows[v] for v in vids]])
     model = pl.cluster_dataset(
-        prepared, seed_vectors, k=int(cfg["k"]), max_iter=int(cfg["max_iter"]), tol=float(cfg["tol"])
+        prepared, seed_vectors, k=cfg["k"], max_iter=cfg["max_iter"], tol=cfg["tol"]
     )
     save_assignments(prepared.ids, model.labels, cfg["out"])
     sizes = np.bincount(model.labels, minlength=model.k)
@@ -324,35 +316,17 @@ def _query_matrix_for(prepared: pl.PreparedDataset, cfg: dict) -> np.ndarray:
 def cmd_train(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     method = cfg["method"]
-    if method not in pl.METHODS:
-        raise ValidationError(f"unknown method {method!r}; expected one of {pl.METHODS}")
     audio = _query_matrix_for(prepared, cfg)
-    labels = _labels_for(prepared, cfg) if method in ("ccca", "sdcca") else None
+    labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model, _, _ = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
-    echo = _config_echo(cfg, command="train")
-    out = cfg["out"]
-    if isinstance(model, cca_mod.LinearProjection):
-        cca_mod.save_projection(model, out, extra=echo)
-    elif isinstance(model, cca_mod.KernelModel):
-        cca_mod.save_kernel_model(model, out, extra=echo)
-    else:
-        deep_mod.save_deep_model(model, out, extra=echo)
-    corr = np.asarray(model.correlations if not isinstance(model, deep_mod.DeepModel) else model.cca_head.correlations)
-    print(f"trained {method} (r={corr.shape[0]}, top correlation {corr[0]:.4f}) -> {out}")
+    pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
+    print(f"trained {method} (r={model.r}, top correlation {model.correlations[0]:.4f}) -> {cfg['out']}")
     return 0
-
-
-def _load_any_model(path: str | Path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"AVDM":
-        return deep_mod.load_deep_model(path)
-    return cca_mod.load_cca_model(path)
 
 
 def cmd_index(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
-    _, embed_visual = pl.embedders(_load_any_model(cfg["model"]))
+    _, embed_visual = pl.embedders(pl.load_model(cfg["model"]))
     labels = _labels_for(prepared, cfg)
     index = rt.build_index(embed_visual(prepared.visual), labels, prepared.ids)
     rt.save_index(index, cfg["out"])
@@ -363,7 +337,7 @@ def cmd_index(cfg: dict) -> int:
 def cmd_query(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     index = rt.load_index(cfg["index"])
-    embed_audio, _ = pl.embedders(_load_any_model(cfg["model"]))
+    embed_audio, _ = pl.embedders(pl.load_model(cfg["model"]))
     rows = {v: i for i, v in enumerate(prepared.ids)}
     vid = cfg["video_id"]
     if vid not in rows:
@@ -377,7 +351,7 @@ def cmd_query(cfg: dict) -> int:
         visual=prepared.visual[[rows[vid]]],
     )
     query_vec = embed_audio(_query_matrix_for(sub, cfg))[0]
-    ranked = rt.rank(index, query_vec, n=int(cfg["n"]), query_id=vid)
+    ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:
         print(json.dumps({"video_id": video_id, "similarity": sim}))
     return 0
@@ -387,14 +361,14 @@ def cmd_eval(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = pl.prepare_dataset(cfg["dataset"])
-    methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
+    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     unknown = [m for m in methods if m not in pl.METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}; expected among {pl.METHODS}")
     labels = _labels_for(prepared, cfg)
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     fit_kwargs = _fit_kwargs(cfg)
-    folds = int(cfg["folds"])
+    folds = cfg["folds"]
     if folds < 2:
         raise ValueError("folds must be >= 2")
 
@@ -412,13 +386,7 @@ def cmd_eval(cfg: dict) -> int:
         for head, name in zip(col_heads, col_names):
             cell_cfg = _config_echo(cfg, method=method, query_config=head, command="eval", folds=folds)
             try:
-                trainer = pl.make_trainer(
-                    method,
-                    queries[name],
-                    prepared.visual,
-                    labels if method in ("ccca", "sdcca") else None,
-                    **fit_kwargs,
-                )
+                trainer = pl.make_trainer(method, queries[name], prepared.visual, labels, **fit_kwargs)
                 report = ev.cross_validate(
                     queries[name],
                     prepared.visual,
@@ -426,8 +394,8 @@ def cmd_eval(cfg: dict) -> int:
                     prepared.ids,
                     trainer,
                     folds=folds,
-                    seed=int(cfg["seed"]),
-                    pr_stride=int(cfg["pr_stride"]),
+                    seed=cfg["seed"],
+                    pr_stride=cfg["pr_stride"],
                     config=cell_cfg,
                 )
             except (DataError, NumericalError, ResourceLimitError, ValueError) as exc:
@@ -497,7 +465,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(command, help=help_text)
         for name in names + _COMMON:
             kind, default, text = _OPTIONS[name]
-            if kind is None:
+            if text is None:
                 continue
             choices = kind if isinstance(kind, tuple) else None
             p.add_argument(

@@ -139,8 +139,7 @@ def seeded_kmeans(
 
 
 def expand_pairs(
-    labels_audio: np.ndarray,
-    labels_visual: np.ndarray | None = None,
+    labels: np.ndarray,
     f: float = 0.0,
     seed: int = 0,
     target_count: int | None = None,
@@ -151,29 +150,18 @@ def expand_pairs(
     visual items of its cluster (its own video always included), sampled
     uniformly without replacement. target_count overrides f: the result holds
     exactly target_count pairs (all identities plus sampled cross pairs).
+    Labels are per video, so both sides of a pair share one label vector.
     """
-    la = np.asarray(labels_audio, dtype=np.int64)
+    la = np.asarray(labels, dtype=np.int64)
     if la.ndim != 1 or la.shape[0] == 0:
-        raise ValueError("labels_audio must be a non-empty vector")
-    if labels_visual is None:
-        lv = la
-    else:
-        lv = np.asarray(labels_visual, dtype=np.int64)
-        if lv.shape != la.shape:
-            raise ValueError("label vectors must have equal length (shared id space)")
-        if set(np.unique(la)) != set(np.unique(lv)):
-            raise ValidationError("cluster present on one side only")
-        if not np.array_equal(la, lv):
-            raise ValidationError(
-                "labels are per video: labels_visual must equal labels_audio elementwise"
-            )
+        raise ValueError("labels must be a non-empty vector")
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"expansion fraction must be in [0, 1], got {f}")
     n = la.shape[0]
     rng = np.random.default_rng(seed)
     identity = np.column_stack([np.arange(n), np.arange(n), la])
 
-    members: dict[int, np.ndarray] = {int(c): np.flatnonzero(lv == c) for c in np.unique(lv)}
+    members: dict[int, np.ndarray] = {int(c): np.flatnonzero(la == c) for c in np.unique(la)}
 
     if target_count is not None:
         if target_count < n:
@@ -250,7 +238,7 @@ def load_assignments(path: str | Path) -> dict[str, int]:
             try:
                 obj = json.loads(line)
                 out[str(obj["video_id"])] = int(obj["label"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{line_no}: invalid assignment line") from exc
     if not out:
         raise ValidationError(f"{path}: empty assignments file")
@@ -267,7 +255,7 @@ def load_seed_sets(path: str | Path) -> dict[str, list[str]]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON") from exc
-    cats = obj.get("categories")
+    cats = obj.get("categories") if isinstance(obj, dict) else None
     if not isinstance(cats, dict) or not cats:
         raise FormatError(f"{path}: missing 'categories' object")
     out = {}

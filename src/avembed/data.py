@@ -172,6 +172,8 @@ def load_manifest(path: str | Path) -> Manifest:
                 )
             except KeyError as exc:
                 raise FormatError(f"{path}:{line_no}: missing manifest key {exc}") from exc
+            except (TypeError, ValueError) as exc:  # not an object, or a field of the wrong type
+                raise FormatError(f"{path}:{line_no}: invalid manifest line: {exc}") from exc
     if not entries:
         raise ValidationError(f"{path}: empty manifest")
     lengths = [e.length_sec for e in entries]

@@ -88,6 +88,10 @@ class DeepModel:
     reg: float
     objective_history: list[float] = field(default_factory=list)
 
+    @property
+    def correlations(self) -> np.ndarray:
+        return self.cca_head.correlations
+
 
 def init_branch(layer_dims: list[int], dropout_rate: float, rng: np.random.Generator) -> BranchNetwork:
     """Glorot-uniform initialization."""
@@ -353,7 +357,7 @@ def train_sdcca(
     labels = np.asarray(labels)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("labels must align with the paired rows")
-    pairs = expand_pairs(labels, None, f=f, seed=cfg.seed, target_count=target_count)
+    pairs = expand_pairs(labels, f=f, seed=cfg.seed, target_count=target_count)
     return _train_on_pairs(
         x, y, pairs.audio_indices, pairs.visual_indices, cfg, audio_layers, visual_layers
     )

@@ -34,6 +34,8 @@ from .errors import ValidationError
 BASE_CHUNK_SEC = 3
 SWEEP_CONFIGS = ((3, 1), (6, 2), (9, 3), "mean")
 METHODS = ("cca", "kcca", "ccca", "dcca", "sdcca")
+# the methods that train on cluster labels
+SUPERVISED = ("ccca", "sdcca")
 
 
 @dataclass
@@ -192,30 +194,37 @@ def train_method(
     labels: np.ndarray | None,
     r: int,
     reg: float | None,
+    seed: int = 0,
     f: float = 0.0,
     target_pairs: int | None = None,
     kcca_beta: float = 0.4,
     kcca_kappa: float = 1e-3,
-    train_cfg: deep_mod.TrainConfig | None = None,
     audio_layers: tuple[int, ...] = deep_mod.DEFAULT_AUDIO_LAYERS,
     visual_layers: tuple[int, ...] = deep_mod.DEFAULT_VISUAL_LAYERS,
+    **train,
 ) -> tuple[object, EmbedFn, EmbedFn]:
-    """Fit one method and return (model, audio embedder, visual embedder)."""
+    """Fit one method and return (model, audio embedder, visual embedder).
+
+    train holds the other TrainConfig fields (batch_size, epochs, learning_rate,
+    rho, epsilon, dropout); only the deep methods read and check them.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in ("ccca", "sdcca") and labels is None:
+    if method in SUPERVISED and labels is None:
         raise ValidationError(f"method {method!r} needs cluster labels")
     if method == "cca":
         model = cca_mod.fit_cca(audio, visual, r, reg)
     elif method == "kcca":
         model = cca_mod.fit_kcca(audio, visual, r, beta=kcca_beta, kappa=kcca_kappa)
     elif method == "ccca":
-        seed = train_cfg.seed if train_cfg is not None else 0
         model = cca_mod.fit_cluster_cca(
             audio, visual, labels, f=f, r=r, reg=reg, seed=seed, target_count=target_pairs
         )
     else:
-        cfg = train_cfg if train_cfg is not None else deep_mod.TrainConfig(r=r)
+        # the deep fits keep TrainConfig's fixed ridge rather than one scaled to the data
+        cfg = deep_mod.TrainConfig(
+            r=r, reg=deep_mod.TrainConfig.reg if reg is None else reg, seed=seed, **train
+        )
         if method == "dcca":
             model = deep_mod.train_dcca(
                 audio, visual, cfg, audio_layers=audio_layers, visual_layers=visual_layers
@@ -243,6 +252,25 @@ def embedders(model) -> tuple[EmbedFn, EmbedFn]:
     return (lambda m: embed(m, "audio")), (lambda m: embed(m, "visual"))
 
 
+def save_model(model, path: str | Path, extra: dict | None = None) -> None:
+    """Write a fitted model of any method; extra is echoed in its header."""
+    if isinstance(model, deep_mod.DeepModel):
+        deep_mod.save_deep_model(model, path, extra=extra)
+    elif isinstance(model, cca_mod.KernelModel):
+        cca_mod.save_kernel_model(model, path, extra=extra)
+    else:
+        cca_mod.save_projection(model, path, extra=extra)
+
+
+def load_model(path: str | Path):
+    """Read a model file of any method; as in embedders, the loaders are looked up at call time."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(deep_mod._MODEL_MAGIC))
+    if magic == deep_mod._MODEL_MAGIC:
+        return deep_mod.load_deep_model(path)
+    return cca_mod.load_cca_model(path)
+
+
 def make_trainer(
     method: str,
     audio: np.ndarray,
@@ -254,9 +282,6 @@ def make_trainer(
 
     def trainer(train_idx: np.ndarray):
         sub_labels = labels[train_idx] if labels is not None else None
-        _, embed_audio, embed_visual = train_method(
-            method, audio[train_idx], visual[train_idx], sub_labels, **kwargs
-        )
-        return embed_audio, embed_visual
+        return train_method(method, audio[train_idx], visual[train_idx], sub_labels, **kwargs)[1:]
 
     return trainer

@@ -194,10 +194,15 @@ class TestTrainIndexQuery:
             np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(m_d.cca_head.wx, m_s.cca_head.wx)
 
-    def test_kcca_cap_guard_advice(self, dataset, tmp_path, capsys):
-        # cap is enforced by fit_kcca; exercised here through a config file override
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"method": "kcca", "r": 2}))
+    def test_deep_settings_unchecked_for_other_methods(self, dataset, tmp_path):
+        # a batch size below r + 1 is rejected only when a deep method trains
+        assert run("train", "--dataset", dataset, "--method", "cca", "--r", 16,
+                   "--batch-size", 8, "--out", tmp_path / "cca.model") == 0
+        assert run("eval", "--dataset", dataset, "--out-dir", tmp_path / "eval",
+                   "--methods", "cca", "--folds", 2, "--r", 4, "--batch-size", 4,
+                   "--pr-stride", 6) == 0
+
+    def test_kcca_cap_guard_advice(self):
         big = np.zeros((3000, 2))
         from avembed.cca import fit_kcca
         from avembed.errors import ResourceLimitError
@@ -281,6 +286,39 @@ class TestCorruptArtifacts:
         index = tmp_path / "bad.index"
         index.write_bytes(b"".join(lines[:-1]) + line)
         self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+
+
+# a JSON artifact with the right syntax but the wrong shape or field type
+_BAD_WEIGHTS = {"version": 1, "forward_lstm": [1, 2], "backward_lstm": {}, "w_forward": [[0.0]],
+                "w_backward": [[0.0]], "w_out": [0.0], "bias": [0.0]}
+_BAD_ENTRY = {"video_id": "mv00000", "length_sec": "abc", "audio_path": "audio/mv00000.fvsq",
+          "visual_path": "visual/mv00000.fvsq"}
+
+
+class TestMalformedJsonArtifacts:
+    """Every malformed JSON input file exits 2 with a message."""
+
+    @pytest.mark.parametrize("name, content, argv", [
+        ("manifest.jsonl", "[1, 2]\n", ("ingest", "--dataset", "{dir}")),
+        ("manifest.jsonl", json.dumps(_BAD_ENTRY) + "\n", ("ingest", "--dataset", "{dir}")),
+        ("seeds.json", "[]", ("cluster", "--dataset", "{dataset}", "--seeds-file", "{file}",
+                              "--out", "{dir}/labels.jsonl")),
+        ("weights.json", "[]", ("chunk-select", "--dataset", "{dataset}", "--video-id", "mv00000",
+                                "--attention-weights", "{file}")),
+        ("weights.json", json.dumps(_BAD_WEIGHTS), ("chunk-select", "--dataset", "{dataset}",
+                                                    "--video-id", "mv00000", "--attention-weights", "{file}")),
+        ("labels.jsonl", '{"video_id": "mv00000", "label": "x"}\n',
+         ("train", "--dataset", "{dataset}", "--method", "ccca", "--r", "4", "--labels", "{file}",
+          "--out", "{dir}/ccca.model")),
+    ], ids=["manifest-not-object", "manifest-length-not-int", "seeds-not-object",
+            "weights-not-object", "weights-lstm-not-object", "assignment-label-not-int"])
+    def test_exits_2_without_traceback(self, dataset, tmp_path, capsys, name, content, argv):
+        path = tmp_path / name
+        path.write_text(content)
+        code = run(*(a.format(dir=tmp_path, file=path, dataset=dataset) for a in argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "avembed: data error" in err and "Traceback" not in err
 
 
 class TestEval:
@@ -380,7 +418,13 @@ class TestConfigFile:
         (b"[1, 2]", "not an object"),
         (b'{"videos": "\xff"}', "invalid JSON config"),
         (b'{"epoch": 3}', "unknown config keys ['epoch']"),
-    ], ids=["not-object", "not-utf8", "unknown-key"])
+        (b'{"r": 4.9}', "config key 'r' must be int, got 4.9"),
+        (b'{"seed": true}', "config key 'seed' must be int, got true"),
+        (b'{"seed": null}', "config key 'seed' must be int, got null"),
+        (b'{"epochs": "many"}', "config key 'epochs' must be int, got \"many\""),
+        (b'{"method": 3}', "config key 'method' must be one of"),
+    ], ids=["not-object", "not-utf8", "unknown-key", "int-given-float", "int-given-bool",
+            "null-without-null-default", "int-given-string", "choice-given-number"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(content)

@@ -373,7 +373,7 @@ class TestTrainingOracle:
             a_idx = v_idx = np.arange(x.shape[0])
         else:
             model = train_sdcca(x, y, labels, f=0.5, cfg=cfg, **layers)
-            pairs = expand_pairs(labels, None, f=0.5, seed=cfg.seed)
+            pairs = expand_pairs(labels, f=0.5, seed=cfg.seed)
             a_idx, v_idx = pairs.audio_indices, pairs.visual_indices
         assert a_idx.shape[0] // cfg.batch_size >= 3
         nets, head, history = _oracle_train(x, y, a_idx, v_idx, cfg, **layers)

@@ -3,17 +3,19 @@ import pytest
 
 from avembed.attention import attention_distribution, lstm_step, random_attention_params, select_top_k
 from avembed.data import SynthConfig, write_dataset
-from avembed.deep import TrainConfig
 from avembed.errors import ValidationError
 from avembed.evaluation import cross_validate
 from avembed.pipeline import (
     chunk_selection_for,
     cluster_dataset,
+    embedders,
+    load_model,
     make_trainer,
     prepare_dataset,
     prepare_synthetic,
     query_matrix,
     representation_from_selection,
+    save_model,
     seed_sets_from_labels,
     train_method,
 )
@@ -131,25 +133,35 @@ class TestClusterDataset:
 
 
 class TestTrainMethodDispatch:
-    def test_all_methods_produce_embedders(self, prepared):
+    def test_all_methods_produce_embedders(self, prepared, tmp_path):
         labels = prepared.manifest_labels
-        cfg = TrainConfig(batch_size=16, epochs=1, r=4, reg=1e-3, seed=0)
         for method in ("cca", "kcca", "ccca", "dcca", "sdcca"):
-            _, ea, evs = train_method(
+            model, ea, evs = train_method(
                 method,
                 prepared.audio_mean,
                 prepared.visual,
                 labels,
                 r=4,
                 reg=1e-3,
+                seed=0,
                 f=0.5,
-                train_cfg=cfg,
+                batch_size=16,
+                epochs=1,
                 audio_layers=(16, 8),
                 visual_layers=(16, 8),
             )
             qa = ea(prepared.audio_mean[:5])
             qv = evs(prepared.visual[:5])
             assert qa.shape == (5, 4) and qv.shape == (5, 4)
+            # the file round trip gives the same model type, embeddings and correlations
+            path = tmp_path / f"{method}.model"
+            save_model(model, path, extra={"method": method})
+            loaded = load_model(path)
+            la, lv = embedders(loaded)
+            assert type(loaded) is type(model)
+            np.testing.assert_array_equal(la(prepared.audio_mean[:5]), qa)
+            np.testing.assert_array_equal(lv(prepared.visual[:5]), qv)
+            np.testing.assert_array_equal(loaded.correlations, model.correlations)
 
     def test_unknown_method(self, prepared):
         with pytest.raises(ValueError):
@@ -161,8 +173,8 @@ class TestTrainMethodDispatch:
 
     def test_sdcca_f0_matches_dcca_map(self, prepared):
         labels = prepared.manifest_labels
-        cfg = TrainConfig(batch_size=8, epochs=2, r=3, reg=1e-3, seed=11)
-        kwargs = dict(r=3, reg=1e-3, train_cfg=cfg, audio_layers=(12, 6), visual_layers=(12, 6))
+        kwargs = dict(r=3, reg=1e-3, seed=11, batch_size=8, epochs=2, audio_layers=(12, 6),
+                      visual_layers=(12, 6))
         rep_d = cross_validate(
             prepared.audio_mean, prepared.visual, labels, prepared.ids,
             make_trainer("dcca", prepared.audio_mean, prepared.visual, None, **kwargs),

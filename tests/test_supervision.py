@@ -142,12 +142,6 @@ class TestExpandPairs:
         assert np.array_equal(p1.pairs, p2.pairs)
         assert not np.array_equal(p1.pairs, p3.pairs)
 
-    def test_mismatched_sides_rejected(self):
-        with pytest.raises(ValidationError):
-            expand_pairs(np.array([0, 0, 1]), np.array([0, 0, 0]), f=0.5)
-        with pytest.raises(ValidationError):
-            expand_pairs(np.array([0, 1]), np.array([1, 0]), f=0.5)
-
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             expand_pairs(np.array([0, 1]), f=1.5)

@@ -32,6 +32,11 @@ KCCA_N_CAP = 2000
 
 _MODEL_MAGIC = b"AVCM"
 _SIDES = {"audio": "x", "x": "x", "visual": "y", "y": "y"}
+# block order of the two model files
+_LINEAR_BLOCKS = ("wx", "wy", "mean_x", "mean_y")
+_KERNEL_BLOCKS = (
+    "train_x", "train_y", "dual_x", "dual_y", "col_means_x", "col_means_y", "offset_x", "offset_y",
+)
 
 
 @dataclass
@@ -64,20 +69,12 @@ class KernelModel:
     kernel: str
     correlations: np.ndarray
     # training-kernel column means and grand means, cached for test centering
-    col_means_x: np.ndarray = field(repr=False, default=None)
-    col_means_y: np.ndarray = field(repr=False, default=None)
-    grand_mean_x: float = 0.0
-    grand_mean_y: float = 0.0
-    offset_x: np.ndarray = field(repr=False, default=None)
-    offset_y: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.col_means_x is None or self.col_means_y is None:
-            raise ValueError("kernel column means are required for out-of-sample projection")
-        if self.offset_x is None:
-            self.offset_x = np.zeros(self.dual_x.shape[1])
-        if self.offset_y is None:
-            self.offset_y = np.zeros(self.dual_y.shape[1])
+    col_means_x: np.ndarray = field(repr=False)
+    col_means_y: np.ndarray = field(repr=False)
+    grand_mean_x: float
+    grand_mean_y: float
+    offset_x: np.ndarray = field(repr=False)
+    offset_y: np.ndarray = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -430,12 +427,7 @@ def save_projection(model: LinearProjection, path: str | Path, extra: dict | Non
         "correlations": [float(c) for c in model.correlations],
         "config": extra or {},
     }
-    with open(path, "wb") as fh:
-        blockio.write_header(fh, _MODEL_MAGIC, header)
-        for name, arr in (
-            ("wx", model.wx), ("wy", model.wy), ("mean_x", model.mean_x), ("mean_y", model.mean_y),
-        ):
-            blockio.write_array_block(fh, name, arr)
+    blockio.save(path, _MODEL_MAGIC, header, {name: getattr(model, name) for name in _LINEAR_BLOCKS})
 
 
 def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None = None) -> None:
@@ -449,53 +441,32 @@ def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None =
         "correlations": [float(c) for c in model.correlations],
         "config": extra or {},
     }
-    with open(path, "wb") as fh:
-        blockio.write_header(fh, _MODEL_MAGIC, header)
-        for name, arr in (
-            ("train_x", model.train_x), ("train_y", model.train_y),
-            ("dual_x", model.dual_x), ("dual_y", model.dual_y),
-            ("col_means_x", model.col_means_x), ("col_means_y", model.col_means_y),
-            ("offset_x", model.offset_x), ("offset_y", model.offset_y),
-        ):
-            blockio.write_array_block(fh, name, arr)
+    blockio.save(path, _MODEL_MAGIC, header, {name: getattr(model, name) for name in _KERNEL_BLOCKS})
 
 
 def load_cca_model(path: str | Path) -> LinearProjection | KernelModel:
-    with open(path, "rb") as fh:
-        header = blockio.read_header(fh, _MODEL_MAGIC)
-        kind = header.get("type")
-        try:
-            if kind == "linear-cca":
-                blocks = blockio.read_blocks(fh, 4)
-                return LinearProjection(
-                    wx=blocks["wx"],
-                    wy=blocks["wy"],
-                    mean_x=blocks["mean_x"],
-                    mean_y=blocks["mean_y"],
-                    correlations=np.asarray(header["correlations"]),
-                    reg_x=float(header["reg_x"]),
-                    reg_y=float(header["reg_y"]),
-                )
-            if kind == "kcca":
-                blocks = blockio.read_blocks(fh, 8)
-                return KernelModel(
-                    train_x=blocks["train_x"],
-                    train_y=blocks["train_y"],
-                    dual_x=blocks["dual_x"],
-                    dual_y=blocks["dual_y"],
-                    beta=float(header["beta"]),
-                    kappa=float(header["kappa"]),
-                    kernel=str(header["kernel"]),
-                    correlations=np.asarray(header["correlations"]),
-                    col_means_x=blocks["col_means_x"],
-                    col_means_y=blocks["col_means_y"],
-                    grand_mean_x=float(header["grand_mean_x"]),
-                    grand_mean_y=float(header["grand_mean_y"]),
-                    offset_x=blocks["offset_x"],
-                    offset_y=blocks["offset_y"],
-                )
-        except KeyError as exc:
-            raise FormatError(f"{path}: {kind} model lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
-            raise FormatError(f"{path}: invalid {kind} model: {exc}") from exc
+    header, blocks = blockio.load(path, _MODEL_MAGIC)
+    kind = header.get("type")
+    try:
+        if kind == "linear-cca":
+            return LinearProjection(
+                **blockio.expect(path, blocks, _LINEAR_BLOCKS),
+                correlations=np.asarray(header["correlations"]),
+                reg_x=float(header["reg_x"]),
+                reg_y=float(header["reg_y"]),
+            )
+        if kind == "kcca":
+            return KernelModel(
+                **blockio.expect(path, blocks, _KERNEL_BLOCKS),
+                beta=float(header["beta"]),
+                kappa=float(header["kappa"]),
+                kernel=str(header["kernel"]),
+                correlations=np.asarray(header["correlations"]),
+                grand_mean_x=float(header["grand_mean_x"]),
+                grand_mean_y=float(header["grand_mean_y"]),
+            )
+    except KeyError as exc:
+        raise FormatError(f"{path}: {kind} model lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
+        raise FormatError(f"{path}: invalid {kind} model: {exc}") from exc
     raise FormatError(f"{path}: unknown model type {kind!r}")

@@ -19,7 +19,6 @@ from . import attention as att
 from . import evaluation as ev
 from . import pipeline as pl
 from . import retrieval as rt
-from .blockio import read_header
 from .clustering import (
     EMOTION_CATEGORIES,
     load_assignments,
@@ -70,7 +69,7 @@ _OPTIONS: dict[str, tuple] = {
     "attention_seed": (int, 0, "seed of the stand-in attention weights"),
     "attention_hidden": (int, 16, "hidden width of the stand-in attention weights"),
     "seeds_file": (str, None, "seed-set JSON of exemplar videos per category"),
-    "k": (int, 10, "number of clusters"),
+    "k": (int, None, "clusters; must equal the number of seed sets (default: one per set)"),
     "max_iter": (int, 100, "k-means iteration cap"),
     "tol": (float, 1e-8, "k-means tolerance"),
     "method": (pl.METHODS, "cca", "embedding method"),
@@ -254,8 +253,6 @@ def cmd_ingest(cfg: dict) -> int:
 def cmd_chunk_select(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     c, k = cfg["chunks"], cfg["top_k"]
-    if k > c:
-        raise ValidationError(f"--top-k {k} exceeds --chunks {c}")
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     wanted = [cfg["video_id"]] if cfg.get("video_id") else prepared.ids
     rows = {v: i for i, v in enumerate(prepared.ids)}
@@ -292,9 +289,9 @@ def cmd_cluster(cfg: dict) -> int:
             if missing:
                 raise ValidationError(f"seed category {name!r} references unknown videos {missing}")
             seed_vectors.append(prepared.audio_mean[[rows[v] for v in vids]])
-    model = pl.cluster_dataset(
-        prepared, seed_vectors, k=cfg["k"], max_iter=cfg["max_iter"], tol=cfg["tol"]
-    )
+    model = pl.cluster_dataset(prepared, seed_vectors, max_iter=cfg["max_iter"], tol=cfg["tol"])
+    if cfg["k"] is not None and cfg["k"] != model.k:
+        raise ValidationError(f"--k {cfg['k']} does not match the {model.k} seed sets")
     save_assignments(prepared.ids, model.labels, cfg["out"])
     sizes = np.bincount(model.labels, minlength=model.k)
     print(
@@ -308,9 +305,11 @@ def _query_matrix_for(prepared: pl.PreparedDataset, cfg: dict) -> np.ndarray:
     mode = cfg["query_mode"]
     if mode == "mean":
         return pl.query_matrix(prepared, "mean")
-    c, k = _int_tuple(mode)
+    ck = _int_tuple(mode)
+    if len(ck) != 2:
+        raise ValidationError(f"--query-mode must be 'mean' or two integers 'c,k', got {mode!r}")
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
-    return pl.query_matrix(prepared, (c, k), params)
+    return pl.query_matrix(prepared, ck, params)
 
 
 def cmd_train(cfg: dict) -> int:
@@ -358,13 +357,13 @@ def cmd_query(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
+    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    unknown = [m for m in methods if m not in pl.METHODS]
+    if unknown or not methods:
+        raise ValidationError(f"--methods {cfg['methods']!r} must list methods among {pl.METHODS}")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = pl.prepare_dataset(cfg["dataset"])
-    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
-    unknown = [m for m in methods if m not in pl.METHODS]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}; expected among {pl.METHODS}")
     labels = _labels_for(prepared, cfg)
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     fit_kwargs = _fit_kwargs(cfg)

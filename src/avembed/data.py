@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import CorruptFileError, FormatError, ValidationError
+from . import blockio
+from .errors import FormatError, ValidationError
 
 AUDIO_DIM = 128
 VISUAL_DIM = 1024
@@ -106,28 +107,18 @@ def write_sequence(seq: FeatureSequence, path: str | Path) -> None:
 def load_sequence(path: str | Path) -> FeatureSequence:
     """Read an FVSQ file; write_sequence . load_sequence is the identity."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
+    with blockio.Reader(path) as reader:
+        magic = reader.take(len(_FVSQ_MAGIC), "magic")
         if magic != _FVSQ_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        head = fh.read(2)
-        if len(head) < 2:
-            raise CorruptFileError(f"{path}: truncated header")
-        version, modality_code = struct.unpack("<BB", head)
+        version, modality_code = reader.unpack("<BB", "header")
         if version != 1:
             raise FormatError(f"{path}: unsupported FVSQ version {version}")
         if modality_code not in _MODALITY_NAMES:
             raise FormatError(f"{path}: unknown modality code {modality_code}")
-        dims = fh.read(8)
-        if len(dims) < 8:
-            raise CorruptFileError(f"{path}: truncated header")
-        n_frames, dim = struct.unpack("<II", dims)
-        raw = fh.read(n_frames * dim * 4)
-        if len(raw) < n_frames * dim * 4:
-            raise CorruptFileError(f"{path}: truncated payload")
-        frames = np.frombuffer(raw, dtype="<f4").reshape(n_frames, dim)
-    if not np.all(np.isfinite(frames)):
-        raise ValidationError(f"{path}: non-finite feature values")
+        shape = reader.unpack("<II", "header")
+        frames = reader.array("<f4", shape, "payload")
+    # FeatureSequence rejects non-finite frames
     return FeatureSequence(video_id=path.stem, modality=_MODALITY_NAMES[modality_code], frames=frames)
 
 

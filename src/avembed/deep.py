@@ -24,6 +24,7 @@ DEFAULT_AUDIO_LAYERS = (128, 128, 64, 64)
 DEFAULT_VISUAL_LAYERS = (512, 512, 256, 256)
 
 _MODEL_MAGIC = b"AVDM"
+_HEAD_BLOCKS = ("wx", "wy", "mean_x", "mean_y")
 
 
 @dataclass
@@ -389,60 +390,57 @@ def save_deep_model(model: DeepModel, path: str | Path, extra: dict | None = Non
         "n_visual_layers": len(model.visual_branch.weights),
         "config": extra or {},
     }
-    with open(path, "wb") as fh:
-        blockio.write_header(fh, _MODEL_MAGIC, header)
-        for i, (w, b) in enumerate(zip(model.audio_branch.weights, model.audio_branch.biases)):
-            blockio.write_array_block(fh, f"audio.w{i}", w)
-            blockio.write_array_block(fh, f"audio.b{i}", b)
-        for i, (w, b) in enumerate(zip(model.visual_branch.weights, model.visual_branch.biases)):
-            blockio.write_array_block(fh, f"visual.w{i}", w)
-            blockio.write_array_block(fh, f"visual.b{i}", b)
-        for name, arr in (
-            ("head.wx", model.cca_head.wx),
-            ("head.wy", model.cca_head.wy),
-            ("head.mean_x", model.cca_head.mean_x),
-            ("head.mean_y", model.cca_head.mean_y),
-        ):
-            blockio.write_array_block(fh, name, arr)
+    arrays = []
+    for net in (model.audio_branch, model.visual_branch):
+        for w, b in zip(net.weights, net.biases):
+            arrays += [w, b]
+    arrays += [getattr(model.cca_head, name) for name in _HEAD_BLOCKS]
+    names = _block_names(len(model.audio_branch.weights), len(model.visual_branch.weights))
+    blockio.save(path, _MODEL_MAGIC, header, dict(zip(names, arrays)))
+
+
+def _block_names(n_audio: int, n_visual: int) -> list[str]:
+    """Block order of a deep model file: each layer's weights then bias, per branch, then the CCA head."""
+    layers = [
+        f"{side}.{kind}{i}"
+        for side, n in (("audio", n_audio), ("visual", n_visual))
+        for i in range(n)
+        for kind in "wb"
+    ]
+    return layers + [f"head.{name}" for name in _HEAD_BLOCKS]
 
 
 def load_deep_model(path: str | Path) -> DeepModel:
-    with open(path, "rb") as fh:
-        header = blockio.read_header(fh, _MODEL_MAGIC)
-        if header.get("type") != "dcca":
-            raise FormatError(f"{path}: not a deep model file")
-        try:
-            n_a = int(header["n_audio_layers"])
-            n_v = int(header["n_visual_layers"])
-            blocks = blockio.read_blocks(fh, 2 * (n_a + n_v) + 4)
-            audio = BranchNetwork(
-                weights=[blocks[f"audio.w{i}"] for i in range(n_a)],
-                biases=[blocks[f"audio.b{i}"] for i in range(n_a)],
+    header, blocks = blockio.load(path, _MODEL_MAGIC)
+    if header.get("type") != "dcca":
+        raise FormatError(f"{path}: not a deep model file")
+    try:
+        n_a = int(header["n_audio_layers"])
+        n_v = int(header["n_visual_layers"])
+        blockio.expect(path, blocks, _block_names(n_a, n_v))
+        audio, visual = (
+            BranchNetwork(
+                weights=[blocks[f"{side}.w{i}"] for i in range(n)],
+                biases=[blocks[f"{side}.b{i}"] for i in range(n)],
                 dropout_rate=float(header["dropout"]),
             )
-            visual = BranchNetwork(
-                weights=[blocks[f"visual.w{i}"] for i in range(n_v)],
-                biases=[blocks[f"visual.b{i}"] for i in range(n_v)],
-                dropout_rate=float(header["dropout"]),
-            )
-            head = LinearProjection(
-                wx=blocks["head.wx"],
-                wy=blocks["head.wy"],
-                mean_x=blocks["head.mean_x"],
-                mean_y=blocks["head.mean_y"],
-                correlations=np.asarray(header["head_correlations"]),
-                reg_x=float(header["head_reg_x"]),
-                reg_y=float(header["head_reg_y"]),
-            )
-            return DeepModel(
-                audio_branch=audio,
-                visual_branch=visual,
-                cca_head=head,
-                r=int(header["r"]),
-                reg=float(header["reg"]),
-                objective_history=[float(v) for v in header.get("objective_history", [])],
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: dcca model lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
-            raise FormatError(f"{path}: invalid dcca model: {exc}") from exc
+            for side, n in (("audio", n_a), ("visual", n_v))
+        )
+        head = LinearProjection(
+            **{name: blocks[f"head.{name}"] for name in _HEAD_BLOCKS},
+            correlations=np.asarray(header["head_correlations"]),
+            reg_x=float(header["head_reg_x"]),
+            reg_y=float(header["head_reg_y"]),
+        )
+        return DeepModel(
+            audio_branch=audio,
+            visual_branch=visual,
+            cca_head=head,
+            r=int(header["r"]),
+            reg=float(header["reg"]),
+            objective_history=[float(v) for v in header.get("objective_history", [])],
+        )
+    except KeyError as exc:
+        raise FormatError(f"{path}: dcca model lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
+        raise FormatError(f"{path}: invalid dcca model: {exc}") from exc

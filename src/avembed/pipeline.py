@@ -108,6 +108,8 @@ def chunk_selection_for(
     Base chunks beyond the largest multiple of c are dropped before scoring so
     the macro partition is exact (extends the remainder-drop rule).
     """
+    if not 1 <= k <= c:
+        raise ValidationError(f"top-k must be in [1, chunks], got top-k {k} of {c} chunks")
     n_base = chunk_maxes.shape[0]
     usable = (n_base // c) * c
     if usable < c:
@@ -166,11 +168,10 @@ def seed_sets_from_labels(
 def cluster_dataset(
     prepared: PreparedDataset,
     seed_vectors: Sequence[np.ndarray] | None = None,
-    k: int = 10,
     max_iter: int = 100,
     tol: float = 1e-8,
 ):
-    """Seeded k-means over video-level audio features.
+    """Seeded k-means over video-level audio features, one cluster per seed set.
 
     Falls back to manifest-label exemplars for seeding when no explicit seed
     sets are given.

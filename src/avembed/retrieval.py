@@ -110,13 +110,13 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    with open(path, "rb") as fh:
-        header = blockio.read_header(fh, _INDEX_MAGIC)
-        name, embeddings = blockio.read_array_block(fh)
+    with blockio.Reader(path) as reader:
+        header = blockio.read_header(reader, _INDEX_MAGIC)
+        name, embeddings = blockio.read_array_block(reader)
         if name != "embeddings":
             raise CorruptFileError(f"{path}: unexpected block {name!r}")
         ids, labels = [], []
-        for line_no, raw in enumerate(fh.read().splitlines(), 1):
+        for line_no, raw in enumerate(reader.take(reader.left, "id table").splitlines(), 1):
             if not raw.strip():
                 continue
             try:
@@ -126,9 +126,9 @@ def load_index(path: str | Path) -> EmbeddingIndex:
             # ValueError covers undecodable bytes and invalid JSON
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: id line {line_no} is not a {{video_id, label}} object") from exc
-    if "count" not in header:
-        raise FormatError(f"{path}: index header lacks 'count'")
-    if len(ids) != int(header["count"]) or embeddings.shape[0] != len(ids):
+    if not isinstance(header.get("count"), int):
+        raise FormatError(f"{path}: index header lacks an integer 'count'")
+    if len(ids) != header["count"] or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
     norms = np.linalg.norm(embeddings, axis=1)
     return EmbeddingIndex(ids=ids, embeddings=embeddings, labels=np.asarray(labels, np.int64), norms=norms)

@@ -99,6 +99,21 @@ class TestChunkSelect:
         assert run("chunk-select", "--dataset", dataset, "--video-id", "nope",
                    "--chunks", 3, "--top-k", 1) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("chunk-select", "--video-id", "mv00000", "--chunks", "0", "--top-k", "0"),
+        ("chunk-select", "--video-id", "mv00000", "--chunks", "3", "--top-k", "0"),
+        ("train", "--method", "cca", "--r", "4", "--query-mode", "0,1", "--out", "{dir}/m.model"),
+        ("train", "--method", "cca", "--r", "4", "--query-mode", "1,2,3", "--out", "{dir}/m.model"),
+        ("train", "--method", "cca", "--r", "4", "--query-mode", "3", "--out", "{dir}/m.model"),
+    ], ids=["zero-chunks", "zero-top-k", "query-mode-zero-chunks", "query-mode-three-ints",
+            "query-mode-one-int"])
+    def test_bad_chunk_config_exits_2(self, dataset, tmp_path, capsys, argv):
+        argv = (argv[0], "--dataset", dataset, *(a.format(dir=tmp_path) for a in argv[1:]))
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "avembed: data error" in err and "Traceback" not in err
+        assert not (tmp_path / "m.model").exists()
+
 
 class TestCluster:
     def test_assignments_written(self, dataset, tmp_path, capsys):
@@ -112,6 +127,18 @@ class TestCluster:
         true = {e.video_id: e.label for e in manifest.entries}
         # seeded from generator exemplars: identical mapping
         assert labels == true
+
+    def test_k_defaults_to_the_seed_sets_and_must_match_them(self, dataset, tmp_path, capsys):
+        out = tmp_path / "assignments.jsonl"
+        argv = ("cluster", "--dataset", dataset, "--seeds-file", dataset / "seeds.json", "--out", out)
+        assert run(*argv) == 0
+        assert "into 4 groups" in capsys.readouterr().out
+        out.unlink()
+        for k in (0, 3, 5):
+            assert run(*argv, "--k", k) == 2
+            err = capsys.readouterr().err
+            assert f"--k {k}" in err and "4 seed sets" in err
+            assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +402,12 @@ class TestEval:
                    "--methods", "cca", "--folds", 1) == 1
         err = capsys.readouterr().err
         assert "folds must be >= 2" in err and "eval cell" not in err
+        assert not (out_dir / "map_matrix.csv").exists()
+
+    def test_empty_method_list_rejected(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "e6"
+        assert run("eval", "--dataset", dataset, "--out-dir", out_dir, "--methods", ",") == 2
+        assert "avembed: data error" in capsys.readouterr().err
         assert not (out_dir / "map_matrix.csv").exists()
 
     def test_report_echoes_only_eval_settings(self, dataset, tmp_path):

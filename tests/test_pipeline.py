@@ -115,6 +115,12 @@ class TestQueryMatrix:
                 assert got.selected_indices == ref.selected_indices
                 np.testing.assert_allclose(got.distribution, ref.distribution, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("c, k", [(0, 0), (3, 0), (3, 4)])
+    def test_top_k_outside_one_to_c_rejected(self, prepared, c, k):
+        params = random_attention_params(128, seed=0)
+        with pytest.raises(ValidationError, match="top-k"):
+            chunk_selection_for(prepared.chunk_maxes[0], params, c, k)
+
     def test_selection_requires_params(self, prepared):
         with pytest.raises(ValueError):
             query_matrix(prepared, (3, 1), None)
@@ -122,13 +128,13 @@ class TestQueryMatrix:
 
 class TestClusterDataset:
     def test_recovers_generator_labels(self, prepared):
-        model = cluster_dataset(prepared, k=4)
+        model = cluster_dataset(prepared)
         assert np.array_equal(model.labels, prepared.manifest_labels)
 
     def test_explicit_seed_sets(self, prepared):
         seeds, rows = seed_sets_from_labels(prepared.audio_mean, prepared.manifest_labels)
         assert all(len(r) == 3 for r in rows)
-        model = cluster_dataset(prepared, seeds, k=4)
+        model = cluster_dataset(prepared, seeds)
         assert np.array_equal(model.labels, prepared.manifest_labels)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blockio
 from .errors import FormatError, ValidationError
 
 _GATES = ("input", "forget", "cell", "output")
@@ -289,17 +290,13 @@ def _lstm_to_json(p: LstmParams) -> dict:
 
 
 def _lstm_from_json(obj: dict) -> LstmParams:
-    try:
-        w_x = {g: np.asarray(obj[f"w_x_{g}"], dtype=np.float64) for g in _GATES}
-        w_h = {g: np.asarray(obj[f"w_h_{g}"], dtype=np.float64) for g in _GATES}
-        b = {g: np.asarray(obj[f"b_{g}"], dtype=np.float64) for g in _GATES}
-        w_c = {g: np.asarray(obj[f"w_c_{g}"], dtype=np.float64) for g in _PEEPHOLE_GATES}
-    except KeyError as exc:
-        raise FormatError(f"attention weights file is missing array {exc}") from exc
-    try:
-        return LstmParams(w_x=w_x, w_h=w_h, w_c=w_c, b=b)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    # load_attention_params maps a missing array or a bad shape to FormatError
+    return LstmParams(
+        w_x={g: np.asarray(obj[f"w_x_{g}"], dtype=np.float64) for g in _GATES},
+        w_h={g: np.asarray(obj[f"w_h_{g}"], dtype=np.float64) for g in _GATES},
+        w_c={g: np.asarray(obj[f"w_c_{g}"], dtype=np.float64) for g in _PEEPHOLE_GATES},
+        b={g: np.asarray(obj[f"b_{g}"], dtype=np.float64) for g in _GATES},
+    )
 
 
 def save_attention_params(p: AttentionParams, path: str | Path) -> None:
@@ -316,12 +313,7 @@ def save_attention_params(p: AttentionParams, path: str | Path) -> None:
 
 
 def load_attention_params(path: str | Path) -> AttentionParams:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON") from exc
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: attention weights are a JSON {type(obj).__name__}, not an object")
+    obj = blockio.read_json_object(path, "attention weights")
     if obj.get("version") != 1:
         raise FormatError(f"{path}: unsupported attention weights version {obj.get('version')!r}")
     try:
@@ -335,7 +327,7 @@ def load_attention_params(path: str | Path) -> AttentionParams:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
+    except (TypeError, ValueError) as exc:  # an array of the wrong JSON type or shape
         raise FormatError(f"{path}: {exc}") from exc
     return params
 

@@ -1,8 +1,10 @@
-"""Byte layout of model and index files, and the one bounded reader of every binary file.
+"""Byte layout of model and index files, the one bounded reader of every binary
+file, and the one reader and field check of every JSON artifact.
 
 Reader checks each length field against the bytes left in the file before it
 reads anything for it, so a corrupt length raises CorruptFileError instead of
-allocating more than the file holds. Integers are little-endian:
+allocating more than the file holds, and bytes left after the last field are
+corrupt too. Integers are little-endian:
 
     file header: 4-byte magic | u8 version=1 | u32 json_len | UTF-8 JSON object
     block:       u32 name_len | name utf-8 | u8 dtype code | u32 ndim | u32 dim_0.. | payload
@@ -10,6 +12,9 @@ allocating more than the file holds. Integers are little-endian:
 A model file is a file header and then named blocks up to the end of the file;
 an index file is a file header, one block and a JSON-lines id/label table.
 dtype codes: 0 = float32, 1 = float64, 2 = int64. Payloads are row-major.
+
+JSON artifacts are UTF-8 and hold one object per file (read_json_object) or
+one per non-blank line (iter_json_lines); field() types a value of one.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -40,8 +45,10 @@ class Reader:
     def __enter__(self) -> "Reader":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
         self._fh.close()
+        if exc_type is None and self.left:
+            raise CorruptFileError(f"{self.path}: {self.left} trailing bytes")
 
     def take(self, n: int, what: str) -> bytes:
         if n > self.left:
@@ -56,7 +63,10 @@ class Reader:
         """A read-only array of the given shape; the element count is a Python int, so it cannot wrap."""
         dtype = np.dtype(dtype)
         raw = self.take(math.prod(shape) * dtype.itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        try:
+            return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as exc:  # more than numpy's 64 dims, or a zero-size shape too large to index
+            raise CorruptFileError(f"{self.path}: {what} has an impossible shape") from exc
 
 
 def write_array_block(fh: BinaryIO, name: str, array: np.ndarray) -> None:
@@ -97,14 +107,7 @@ def read_header(reader: Reader, magic: bytes) -> dict:
     version, length = reader.unpack("<BI", "file header")
     if version != 1:
         raise FormatError(f"{reader.path}: unsupported version {version}")
-    raw = reader.take(length, "header JSON")
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{reader.path}: header is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{reader.path}: header is a JSON {type(header).__name__}, not an object")
-    return header
+    return read_json_object(reader.path, "header", reader.take(length, "header JSON"))
 
 
 def save(path: str | Path, magic: bytes, header: dict, blocks: dict[str, np.ndarray]) -> None:
@@ -133,3 +136,50 @@ def expect(path: str | Path, blocks: dict[str, np.ndarray], names: Sequence[str]
     if set(blocks) != set(names):
         raise FormatError(f"{path}: expected blocks {sorted(names)}, found {sorted(blocks)}")
     return blocks
+
+
+def _json_object(path: str | Path, line_no: int, what: str, raw: bytes) -> dict:
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line_no += raw.count(b"\n", 0, exc.start)
+        raise FormatError(f"{path}:{line_no}: invalid {what}: not UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{line_no + exc.lineno - 1}: invalid {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}:{line_no}: {what} is a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
+def read_json_object(path: str | Path, what: str, raw: bytes | None = None) -> dict:
+    """The JSON object in raw, or in the file at path when raw is None; FormatError naming path:line otherwise."""
+    return _json_object(path, 1, what, Path(path).read_bytes() if raw is None else raw)
+
+
+def iter_json_lines(path: str | Path, what: str, raw: bytes | None = None) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of raw, or of the file at path when raw is None."""
+    lines = (Path(path).read_bytes() if raw is None else raw).splitlines()
+    for line_no, line in enumerate(lines, 1):
+        if line.strip():
+            yield line_no, _json_object(path, line_no, what, line)
+
+
+def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
+    """obj[key] as kind (int, float, str, or a tuple of allowed values), else FormatError.
+
+    Types are exact, so bool is never an int; a float field also takes an int.
+    A nullable field may also be null or absent, and then reads as None.
+    """
+    value = obj.get(key)
+    if type(value) is kind or (value is None and nullable):
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    if isinstance(kind, tuple) and value in kind:
+        return value
+    if key not in obj:
+        raise FormatError(f"{where} lacks key {key!r}")
+    expected = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
+    if nullable:
+        expected += " or null"
+    raise FormatError(f"{where} key {key!r} must be {expected}, got {json.dumps(value)}")

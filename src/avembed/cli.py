@@ -19,6 +19,7 @@ from . import attention as att
 from . import evaluation as ev
 from . import pipeline as pl
 from . import retrieval as rt
+from .blockio import field, read_json_object
 from .clustering import (
     EMOTION_CATEGORIES,
     load_assignments,
@@ -26,7 +27,7 @@ from .clustering import (
     save_assignments,
     save_seed_sets,
 )
-from .data import SynthConfig, filter_manifest, load_manifest, load_sequence, write_dataset, write_manifest
+from .data import SynthConfig, filter_manifest, load_manifest, write_dataset, write_manifest
 from .errors import DataError, NumericalError, ResourceLimitError, ValidationError
 
 USAGE_EXIT = 1
@@ -106,44 +107,19 @@ _FIT_ARGS = (
 )
 # the settings that train and eval both read
 _FIT = ("labels", *_FIT_ARGS, "audio_layers", "visual_layers", *_ATTENTION)
-# the JSON values each table type accepts; bool is never an int here
-_ACCEPTS = {int: int, float: (int, float), str: str}
-
-
-def _typed(path: str, name: str, value):
-    """A --config value as its table type, or ValidationError naming the key."""
-    kind, default, _ = _OPTIONS[name]
-    if value is None and default is None:
-        return None
-    if isinstance(kind, tuple):
-        if value in kind:
-            return value
-        expected = f"one of {list(kind)}"
-    else:
-        if isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool):
-            return kind(value)
-        expected = kind.__name__
-    if default is None:
-        expected += " or null"
-    raise ValidationError(f"{path}: config key {name!r} must be {expected}, got {json.dumps(value)}")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The command's own settings: table defaults, overridden by --config, overridden by flags."""
     cfg = {name: _DEFAULTS[name] for name in _COMMANDS[args.command][2] + _COMMON}
     if args.config:
-        try:
-            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"{args.config}: invalid JSON config: {exc}") from exc
-        if not isinstance(from_file, dict):
-            kind = type(from_file).__name__
-            raise ValidationError(f"{args.config}: config is a JSON {kind}, not an object")
+        from_file = read_json_object(args.config, "JSON config")
         # checked against the whole table, so one file can serve every command
         unknown = sorted(set(from_file) - set(_OPTIONS))
         if unknown:
             raise ValidationError(f"{args.config}: unknown config keys {unknown}")
-        typed = {k: _typed(args.config, k, v) for k, v in from_file.items()}
+        where = f"{args.config}: config"
+        typed = {k: field(from_file, k, _OPTIONS[k][0], where, _OPTIONS[k][1] is None) for k in from_file}
         cfg.update((k, v) for k, v in typed.items() if k in cfg)
     cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
     return cfg
@@ -228,8 +204,7 @@ def cmd_ingest(cfg: dict) -> int:
             raise ValidationError(f"no entries with length in [{lo}, {hi}]")
     dims = set()
     for e in manifest.entries:
-        audio = load_sequence(root / e.audio_path)
-        visual = load_sequence(root / e.visual_path)
+        audio, visual = pl.load_video(root, e)
         if audio.n_frames != visual.n_frames:
             raise ValidationError(
                 f"{e.video_id!r}: audio {audio.n_frames} frames vs visual {visual.n_frames}; "
@@ -361,15 +336,17 @@ def cmd_eval(cfg: dict) -> int:
     unknown = [m for m in methods if m not in pl.METHODS]
     if unknown or not methods:
         raise ValidationError(f"--methods {cfg['methods']!r} must list methods among {pl.METHODS}")
+    folds = cfg["folds"]
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    if cfg["pr_stride"] < 1:
+        raise ValueError("pr_stride must be >= 1")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = pl.prepare_dataset(cfg["dataset"])
     labels = _labels_for(prepared, cfg)
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     fit_kwargs = _fit_kwargs(cfg)
-    folds = cfg["folds"]
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
 
     queries: dict[str, np.ndarray] = {}
     for mode in pl.SWEEP_CONFIGS:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import blockio
 from .errors import FormatError, ValidationError
 
 EMOTION_CATEGORIES = (
@@ -230,16 +231,9 @@ def save_assignments(video_ids: Sequence[str], labels: np.ndarray, path: str | P
 
 def load_assignments(path: str | Path) -> dict[str, int]:
     out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out[str(obj["video_id"])] = int(obj["label"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: invalid assignment line") from exc
+    for line_no, obj in blockio.iter_json_lines(path, "assignment line"):
+        where = f"{path}:{line_no}: assignment"
+        out[blockio.field(obj, "video_id", str, where)] = blockio.field(obj, "label", int, where)
     if not out:
         raise ValidationError(f"{path}: empty assignments file")
     return out
@@ -251,16 +245,12 @@ def save_seed_sets(categories: dict[str, list[str]], path: str | Path) -> None:
 
 
 def load_seed_sets(path: str | Path) -> dict[str, list[str]]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON") from exc
-    cats = obj.get("categories") if isinstance(obj, dict) else None
+    cats = blockio.read_json_object(path, "seeds file").get("categories")
     if not isinstance(cats, dict) or not cats:
         raise FormatError(f"{path}: missing 'categories' object")
     out = {}
     for name, ids in cats.items():
         if not isinstance(ids, list) or not ids:
             raise ValidationError(f"{path}: category {name!r} holds no exemplar ids")
-        out[str(name)] = [str(v) for v in ids]
+        out[name] = [str(v) for v in ids]
     return out

@@ -124,47 +124,22 @@ def load_sequence(path: str | Path) -> FeatureSequence:
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for e in manifest.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "video_id": e.video_id,
-                        "length_sec": e.length_sec,
-                        "audio_path": e.audio_path,
-                        "visual_path": e.visual_path,
-                        "label": e.label,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(vars(e), sort_keys=True) + "\n" for e in manifest.entries)
 
 
 def load_manifest(path: str | Path) -> Manifest:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{line_no}: invalid JSON line") from exc
-            try:
-                entries.append(
-                    ManifestEntry(
-                        video_id=str(obj["video_id"]),
-                        length_sec=int(obj["length_sec"]),
-                        audio_path=str(obj["audio_path"]),
-                        visual_path=str(obj["visual_path"]),
-                        label=None if obj.get("label") is None else int(obj["label"]),
-                    )
-                )
-            except KeyError as exc:
-                raise FormatError(f"{path}:{line_no}: missing manifest key {exc}") from exc
-            except (TypeError, ValueError) as exc:  # not an object, or a field of the wrong type
-                raise FormatError(f"{path}:{line_no}: invalid manifest line: {exc}") from exc
+    for line_no, obj in blockio.iter_json_lines(path, "manifest line"):
+        where = f"{path}:{line_no}: manifest"
+        entries.append(
+            ManifestEntry(
+                video_id=blockio.field(obj, "video_id", str, where),
+                length_sec=blockio.field(obj, "length_sec", int, where),
+                audio_path=blockio.field(obj, "audio_path", str, where),
+                visual_path=blockio.field(obj, "visual_path", str, where),
+                label=blockio.field(obj, "label", int, where, nullable=True),
+            )
+        )
     if not entries:
         raise ValidationError(f"{path}: empty manifest")
     lengths = [e.length_sec for e in entries]

@@ -20,7 +20,7 @@ from . import deep as deep_mod
 from .clustering import seeded_kmeans
 from .data import (
     FeatureSequence,
-    Manifest,
+    ManifestEntry,
     SynthConfig,
     iter_synth_videos,
     load_manifest,
@@ -62,14 +62,20 @@ def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence):
     return video_level_audio(audio_seq), means, maxes, video_level_visual(visual_seq)
 
 
+def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, FeatureSequence]:
+    """The entry's (audio, visual) sequences; ValidationError if a file holds the other modality."""
+    audio, visual = load_sequence(root / entry.audio_path), load_sequence(root / entry.visual_path)
+    for seq, side in ((audio, "audio"), (visual, "visual")):
+        if seq.modality != side:
+            raise ValidationError(f"{entry.video_id!r}: its {side}_path holds a {seq.modality} sequence")
+    return audio, visual
+
+
 def prepare_dataset(dataset_dir: str | Path) -> PreparedDataset:
     root = Path(dataset_dir)
     manifest = load_manifest(root / "manifest.jsonl")
     return _prepare_from_pairs(
-        (
-            (e, load_sequence(root / e.audio_path), load_sequence(root / e.visual_path), e.label)
-            for e in manifest.entries
-        ),
+        ((e, *load_video(root, e), e.label) for e in manifest.entries),
         has_labels=all(e.label is not None for e in manifest.entries),
     )
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blockio
-from .errors import CorruptFileError, FormatError, UndefinedSimilarityError, ValidationError
+from .errors import CorruptFileError, UndefinedSimilarityError, ValidationError
 
 
 @dataclass
@@ -115,20 +115,15 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         name, embeddings = blockio.read_array_block(reader)
         if name != "embeddings":
             raise CorruptFileError(f"{path}: unexpected block {name!r}")
-        ids, labels = [], []
-        for line_no, raw in enumerate(reader.take(reader.left, "id table").splitlines(), 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw.decode("utf-8"))
-                ids.append(str(obj["video_id"]))
-                labels.append(int(obj["label"]))
-            # ValueError covers undecodable bytes and invalid JSON
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}: id line {line_no} is not a {{video_id, label}} object") from exc
-    if not isinstance(header.get("count"), int):
-        raise FormatError(f"{path}: index header lacks an integer 'count'")
-    if len(ids) != header["count"] or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
+        table = reader.take(reader.left, "id table")
+    count = blockio.field(header, "count", int, f"{path}: index header")
+    table_name = f"{path} id table"
+    ids, labels = [], []
+    for line_no, obj in blockio.iter_json_lines(table_name, "id line", table):
+        where = f"{table_name}:{line_no}: id line"
+        ids.append(blockio.field(obj, "video_id", str, where))
+        labels.append(blockio.field(obj, "label", int, where))
+    if len(ids) != count or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
     norms = np.linalg.norm(embeddings, axis=1)
     return EmbeddingIndex(ids=ids, embeddings=embeddings, labels=np.asarray(labels, np.int64), norms=norms)

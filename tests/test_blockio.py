@@ -1,6 +1,7 @@
-"""Every binary artifact loader either returns or raises DataError, and no
-length field makes it allocate more than the file holds."""
+"""Every artifact loader, binary or JSON, either returns or raises DataError,
+and no length field makes it allocate more than the file holds."""
 
+import argparse
 import struct
 import tracemalloc
 
@@ -9,11 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avembed import cli
+from avembed.attention import load_attention_params, random_attention_params, save_attention_params
 from avembed.cca import fit_cca, fit_kcca, load_cca_model, save_kernel_model, save_projection
-from avembed.data import FeatureSequence, load_sequence, write_sequence
+from avembed.clustering import load_assignments, load_seed_sets, save_assignments, save_seed_sets
+from avembed.data import (
+    FeatureSequence, Manifest, ManifestEntry, load_manifest, load_sequence, write_manifest, write_sequence,
+)
 from avembed.deep import DeepModel, init_branch, load_deep_model, save_deep_model
 from avembed.errors import CorruptFileError, DataError
 from avembed.retrieval import build_index, load_index, save_index
+
+
+_SYNTH_ARGS = vars(cli.build_parser().parse_args(["synth", "--out", "x"]))
+
+
+def _resolve_config(path):
+    """The settings `synth --config path` would run with."""
+    return cli._resolve(argparse.Namespace(**{**_SYNTH_ARGS, "config": str(path)}))
+
 
 _LOADERS = {
     "fvsq": load_sequence,
@@ -21,6 +36,11 @@ _LOADERS = {
     "kcca": load_cca_model,
     "dcca": load_deep_model,
     "index": load_index,
+    "manifest": load_manifest,
+    "assignments": load_assignments,
+    "seeds": load_seed_sets,
+    "weights": load_attention_params,
+    "config": _resolve_config,
 }
 
 
@@ -43,6 +63,13 @@ def valid(tmp_path_factory) -> dict:
     )
     save_deep_model(deep, root / "dcca", extra={"method": "dcca"})
     save_index(build_index(rng.normal(size=(4, 2)), np.arange(4), ["a", "b", "c", "d"]), root / "index")
+    entries = [ManifestEntry(v, 5 + i, f"audio/{v}.fvsq", f"visual/{v}.fvsq", label)
+               for i, (v, label) in enumerate([("a", 0), ("b", None)])]
+    write_manifest(Manifest(entries, (5, 6)), root / "manifest")
+    save_assignments(["a", "b"], np.array([0, 1]), root / "assignments")
+    save_seed_sets({"calm": ["a"], "warm": ["b", "c"]}, root / "seeds")
+    save_attention_params(random_attention_params(2, 1, 1), root / "weights")
+    (root / "config").write_text('{"videos": 6, "noise_std": 0.5, "method": "kcca", "reg": null}')
     for kind, loader in _LOADERS.items():
         loader(root / kind)  # mutations start from files that load
     return {kind: root / kind for kind in _LOADERS}
@@ -100,9 +127,26 @@ _HEADER = b'{"type": "linear-cca"}'
     (load_cca_model, b"AVCM" + struct.pack("<BI", 1, len(_HEADER)) + _HEADER
      + _block(b"wx", 1, (2**31, 2**31, 4), bytes(16))),
     (load_cca_model, b"AVCM" + struct.pack("<BI", 1, 0xFFFFFFFF) + _HEADER),
-], ids=["fvsq-frames-times-dim", "block-shape-wraps-int64", "header-length"])
+    # no bytes to read, but numpy cannot index a 0 x 2^32-1 x 2^32-1 x 2^32-1 array
+    (load_cca_model, b"AVCM" + struct.pack("<BI", 1, len(_HEADER)) + _HEADER
+     + _block(b"wx", 1, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1))),
+    (load_cca_model, b"AVCM" + struct.pack("<BI", 1, len(_HEADER)) + _HEADER
+     + _block(b"wx", 1, (1,) * 65, bytes(8))),
+], ids=["fvsq-frames-times-dim", "block-shape-wraps-int64", "header-length", "zero-size-shape-too-large",
+        "ndim-above-numpy-limit"])
 def test_oversized_length_field_is_corrupt_and_allocates_nothing_large(tmp_path, loader, raw):
     path = tmp_path / "crafted"
     path.write_bytes(raw)
     with pytest.raises(CorruptFileError):
         _load_small(loader, path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:6] + struct.pack("<I", 2) + raw[10:],  # n_frames lowered from 3 to 2
+    lambda raw: raw + b"junk",
+], ids=["n-frames-lowered", "bytes-appended"])
+def test_bytes_after_the_payload_are_corrupt(valid, tmp_path, edit):
+    path = tmp_path / "crafted"
+    path.write_bytes(edit(valid["fvsq"].read_bytes()))
+    with pytest.raises(CorruptFileError, match="trailing bytes"):
+        load_sequence(path)

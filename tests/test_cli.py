@@ -348,6 +348,75 @@ class TestMalformedJsonArtifacts:
         assert "avembed: data error" in err and "Traceback" not in err
 
 
+def _manifest_dir(dataset: Path, out: Path, change) -> Path:
+    """out with dataset's manifest, its file paths made absolute and change applied to the first entry."""
+    entries = [json.loads(line) for line in (dataset / "manifest.jsonl").read_text().splitlines()]
+    for e in entries:
+        e["audio_path"], e["visual_path"] = str(dataset / e["audio_path"]), str(dataset / e["visual_path"])
+    change(entries[0])
+    (out / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+    return out
+
+
+class TestJsonTypesAndFileSlots:
+    """Non-UTF-8 JSON, a float or bool where an int belongs, trailing bytes in a sequence file
+    and a sequence file of the wrong modality all exit 2 with a message."""
+
+    def _fails_cleanly(self, capsys, *argv) -> str:
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "avembed: data error" in err and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("manifest.jsonl", ("ingest", "--dataset", "{dir}")),
+        ("seeds.json", ("cluster", "--dataset", "{dataset}", "--seeds-file", "{file}",
+                        "--out", "{dir}/labels.jsonl")),
+        ("weights.json", ("chunk-select", "--dataset", "{dataset}", "--video-id", "mv00000",
+                          "--attention-weights", "{file}")),
+        ("labels.jsonl", ("train", "--dataset", "{dataset}", "--method", "ccca", "--r", "4",
+                          "--labels", "{file}", "--out", "{dir}/ccca.model")),
+    ], ids=["manifest", "seeds", "weights", "assignments"])
+    def test_not_utf8(self, dataset, tmp_path, capsys, name, argv):
+        path = tmp_path / name
+        path.write_bytes(b'{"video_id": "mv\xff"}\n')
+        err = self._fails_cleanly(capsys, *(a.format(dir=tmp_path, file=path, dataset=dataset) for a in argv))
+        assert f"{path}:1: " in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda e: e.update(length_sec=e["length_sec"] + 0.9), "manifest key 'length_sec' must be int, got 2"),
+        (lambda e: e.update(label=True), "manifest key 'label' must be int or null, got true"),
+    ], ids=["length-float", "label-bool"])
+    def test_manifest_field_type(self, dataset, tmp_path, capsys, change, message):
+        _manifest_dir(dataset, tmp_path, change)
+        assert message in self._fails_cleanly(capsys, "ingest", "--dataset", tmp_path)
+
+    def test_assignment_label_float(self, dataset, tmp_path, capsys):
+        ids = [json.loads(line)["video_id"] for line in (dataset / "manifest.jsonl").read_text().splitlines()]
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps({"video_id": v, "label": 0.7 if i == 0 else i % 4}) + "\n"
+                                  for i, v in enumerate(ids)))
+        err = self._fails_cleanly(capsys, "train", "--dataset", dataset, "--method", "ccca", "--r", 4,
+                                  "--labels", labels, "--out", tmp_path / "ccca.model")
+        assert "assignment key 'label' must be int, got 0.7" in err
+
+    def test_sequence_file_with_trailing_bytes(self, dataset, tmp_path, capsys):
+        audio = tmp_path / "audio.fvsq"
+        audio.write_bytes((dataset / "audio" / "mv00000.fvsq").read_bytes() + b"junk")
+        _manifest_dir(dataset, tmp_path, lambda e: e.update(audio_path=str(audio)))
+        assert "4 trailing bytes" in self._fails_cleanly(capsys, "ingest", "--dataset", tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ("ingest", "--dataset", "{dir}"),
+        ("train", "--dataset", "{dir}", "--method", "cca", "--r", "4", "--out", "{dir}/cca.model"),
+    ], ids=["ingest", "train"])
+    def test_audio_path_holds_a_visual_sequence(self, dataset, tmp_path, capsys, argv):
+        _manifest_dir(dataset, tmp_path, lambda e: e.update(audio_path=e["visual_path"]))
+        err = self._fails_cleanly(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert "'mv00000': its audio_path holds a visual sequence" in err
+
+
 class TestEval:
     def test_matrix_shape_and_determinism(self, dataset, tmp_path):
         outs = []
@@ -402,7 +471,16 @@ class TestEval:
                    "--methods", "cca", "--folds", 1) == 1
         err = capsys.readouterr().err
         assert "folds must be >= 2" in err and "eval cell" not in err
-        assert not (out_dir / "map_matrix.csv").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_pr_stride_below_one_rejected_before_the_sweep(self, dataset, tmp_path, capsys, stride):
+        out_dir = tmp_path / "e7"
+        assert run("eval", "--dataset", dataset, "--out-dir", out_dir, "--methods", "cca",
+                   "--folds", 2, "--r", 4, "--pr-stride", stride) == 1
+        err = capsys.readouterr().err
+        assert "pr_stride must be >= 1" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_empty_method_list_rejected(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "e6"

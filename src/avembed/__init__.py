@@ -5,8 +5,6 @@ from .attention import (
     ChunkSelection,
     LstmParams,
     attention_distribution,
-    attention_scores,
-    bilstm_forward,
     bilstm_states,
     lstm_step,
     score_states,

@@ -230,27 +230,6 @@ def score_states(states: np.ndarray, p: AttentionParams) -> np.ndarray:
     return np.tanh(states @ p._joint.w_head.T + p.bias) @ p.w_out
 
 
-def bilstm_forward(
-    chunk_features: list[np.ndarray] | np.ndarray, p: AttentionParams
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-step (h_forward, h_backward) pairs of ``bilstm_states``, in original time order."""
-    if len(chunk_features) == 0:
-        raise ValidationError("empty chunk sequence")
-    states = bilstm_states(np.asarray(chunk_features, dtype=np.float64), p)
-    h_fwd = p.forward_lstm.hidden_dim
-    return [(s[:h_fwd], s[h_fwd:]) for s in states]
-
-
-def attention_scores(states: list[tuple[np.ndarray, np.ndarray]], p: AttentionParams) -> np.ndarray:
-    """``score_states`` over a list of (h_forward, h_backward) pairs."""
-    if len(states) == 0:
-        raise ValidationError("empty state sequence")
-    for h_f, h_b in states:
-        if h_f.shape != (p.forward_lstm.hidden_dim,) or h_b.shape != (p.backward_lstm.hidden_dim,):
-            raise ValueError("state dimensions do not match attention parameters")
-    return score_states(np.array([np.concatenate(pair) for pair in states]), p)
-
-
 def attention_distribution(u: np.ndarray) -> np.ndarray:
     """Softmax with max-subtraction for stability."""
     u = np.asarray(u, dtype=np.float64)

@@ -51,6 +51,9 @@ class LinearProjection:
     reg_x: float
     reg_y: float
 
+    def __post_init__(self) -> None:
+        _check_dims(self, {"wx": "dr", "wy": "er", "mean_x": "d", "mean_y": "e", "correlations": "r"})
+
     @property
     def r(self) -> int:
         return self.wx.shape[1]
@@ -76,9 +79,24 @@ class KernelModel:
     offset_x: np.ndarray = field(repr=False)
     offset_y: np.ndarray = field(repr=False)
 
+    def __post_init__(self) -> None:
+        _check_dims(self, {
+            "train_x": "nd", "train_y": "ne", "dual_x": "nr", "dual_y": "nr", "col_means_x": "n",
+            "col_means_y": "n", "offset_x": "r", "offset_y": "r", "correlations": "r",
+        })
+
     @property
     def r(self) -> int:
         return self.dual_x.shape[1]
+
+
+def _check_dims(model, dims: dict[str, str]) -> None:
+    """ValueError unless each named array has one axis per letter and a letter is one size throughout."""
+    size: dict[str, int] = {}
+    for name, axes in dims.items():
+        shape = np.shape(getattr(model, name))
+        if len(shape) != len(axes) or any(size.setdefault(a, n) != n for a, n in zip(axes, shape)):
+            raise ValueError(f"{name} of shape {shape} does not fit the other arrays")
 
 
 def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:

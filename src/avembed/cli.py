@@ -205,11 +205,6 @@ def cmd_ingest(cfg: dict) -> int:
     dims = set()
     for e in manifest.entries:
         audio, visual = pl.load_video(root, e)
-        if audio.n_frames != visual.n_frames:
-            raise ValidationError(
-                f"{e.video_id!r}: audio {audio.n_frames} frames vs visual {visual.n_frames}; "
-                "modalities must truncate equally"
-            )
         if audio.n_frames != e.length_sec:
             raise ValidationError(
                 f"{e.video_id!r}: manifest says {e.length_sec}s but file holds {audio.n_frames} frames"
@@ -276,15 +271,15 @@ def cmd_cluster(cfg: dict) -> int:
     return 0
 
 
-def _query_matrix_for(prepared: pl.PreparedDataset, cfg: dict) -> np.ndarray:
+def _query_matrix_for(prepared: pl.PreparedDataset, cfg: dict, rows: list[int] | None = None) -> np.ndarray:
     mode = cfg["query_mode"]
     if mode == "mean":
-        return pl.query_matrix(prepared, "mean")
+        return pl.query_matrix(prepared, "mean", rows=rows)
     ck = _int_tuple(mode)
     if len(ck) != 2:
         raise ValidationError(f"--query-mode must be 'mean' or two integers 'c,k', got {mode!r}")
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
-    return pl.query_matrix(prepared, ck, params)
+    return pl.query_matrix(prepared, ck, params, rows)
 
 
 def cmd_train(cfg: dict) -> int:
@@ -312,19 +307,10 @@ def cmd_query(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
     index = rt.load_index(cfg["index"])
     embed_audio, _ = pl.embedders(pl.load_model(cfg["model"]))
-    rows = {v: i for i, v in enumerate(prepared.ids)}
     vid = cfg["video_id"]
-    if vid not in rows:
+    if vid not in prepared.ids:
         raise ValidationError(f"video {vid!r} not in the dataset")
-    sub = pl.PreparedDataset(
-        ids=[vid],
-        lengths=prepared.lengths[[rows[vid]]],
-        audio_mean=prepared.audio_mean[[rows[vid]]],
-        chunk_means=[prepared.chunk_means[rows[vid]]],
-        chunk_maxes=[prepared.chunk_maxes[rows[vid]]],
-        visual=prepared.visual[[rows[vid]]],
-    )
-    query_vec = embed_audio(_query_matrix_for(sub, cfg))[0]
+    query_vec = embed_audio(_query_matrix_for(prepared, cfg, [prepared.ids.index(vid)]))[0]
     ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:
         print(json.dumps({"video_id": video_id, "similarity": sim}))
@@ -348,18 +334,13 @@ def cmd_eval(cfg: dict) -> int:
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     fit_kwargs = _fit_kwargs(cfg)
 
-    queries: dict[str, np.ndarray] = {}
-    for mode in pl.SWEEP_CONFIGS:
-        name = "mean" if mode == "mean" else f"{mode[1]}of{mode[0]}"
-        queries[name] = pl.query_matrix(prepared, mode, params)
-    col_heads = ["1/3", "2/6", "3/9", "mean"]
-    col_names = ["1of3", "2of6", "3of9", "mean"]
+    queries = {name: pl.query_matrix(prepared, mode, params) for _, name, mode in pl.SWEEP_CONFIGS}
 
     matrix_rows = []
     failures = []
     for method in methods:
         row = [method]
-        for head, name in zip(col_heads, col_names):
+        for head, name, _ in pl.SWEEP_CONFIGS:
             cell_cfg = _config_echo(cfg, method=method, query_config=head, command="eval", folds=folds)
             try:
                 trainer = pl.make_trainer(method, queries[name], prepared.visual, labels, **fit_kwargs)
@@ -385,7 +366,7 @@ def cmd_eval(cfg: dict) -> int:
             print(f"{method:6s} {head:4s} MAP={report.map_score:.4f}")
         matrix_rows.append(row)
 
-    lines = ["method," + ",".join(col_heads)]
+    lines = ["method," + ",".join(head for head, _, _ in pl.SWEEP_CONFIGS)]
     lines.extend(",".join(row) for row in matrix_rows)
     (out_dir / "map_matrix.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'map_matrix.csv'}")

@@ -210,18 +210,12 @@ class SynthConfig:
             raise ValueError(f"invalid length_range [{lo}, {hi}]")
 
 
-@dataclass
-class _SynthWorld:
-    """Seed-derived global state of one synthetic dataset."""
+def iter_synth_videos(cfg: SynthConfig) -> Iterator[tuple[ManifestEntry, FeatureSequence, FeatureSequence, int]]:
+    """Yield (entry, audio, visual, true_label) one video at a time.
 
-    centroids: np.ndarray
-    audio_map: np.ndarray
-    visual_map: np.ndarray
-    clusters: np.ndarray
-    lengths: np.ndarray
-
-
-def _synth_world(cfg: SynthConfig) -> tuple[_SynthWorld, np.random.Generator]:
+    One latent vector per video feeds both modalities, so a cross-modal
+    correlation exists by construction. Deterministic for a given seed.
+    """
     rng = np.random.default_rng(cfg.seed)
     centroids = rng.normal(size=(cfg.n_clusters, cfg.latent_dim))
     audio_map = rng.normal(size=(AUDIO_DIM, cfg.latent_dim)) / np.sqrt(cfg.latent_dim)
@@ -238,22 +232,12 @@ def _synth_world(cfg: SynthConfig) -> tuple[_SynthWorld, np.random.Generator]:
             raise ValidationError("could not draw a cluster assignment covering every cluster")
     lo, hi = cfg.length_range
     lengths = rng.integers(lo, hi + 1, size=cfg.n_videos)
-    return _SynthWorld(centroids, audio_map, visual_map, clusters, lengths), rng
-
-
-def iter_synth_videos(cfg: SynthConfig) -> Iterator[tuple[ManifestEntry, FeatureSequence, FeatureSequence, int]]:
-    """Yield (entry, audio, visual, true_label) one video at a time.
-
-    One latent vector per video feeds both modalities, so a cross-modal
-    correlation exists by construction. Deterministic for a given seed.
-    """
-    world, rng = _synth_world(cfg)
     for v in range(cfg.n_videos):
-        c = int(world.clusters[v])
-        length = int(world.lengths[v])
-        z = world.centroids[c] + cfg.noise_std * rng.normal(size=cfg.latent_dim)
-        audio = world.audio_map @ z + cfg.noise_std * rng.normal(size=(length, AUDIO_DIM))
-        visual = world.visual_map @ z + cfg.noise_std * rng.normal(size=(length, VISUAL_DIM))
+        c = int(clusters[v])
+        length = int(lengths[v])
+        z = centroids[c] + cfg.noise_std * rng.normal(size=cfg.latent_dim)
+        audio = audio_map @ z + cfg.noise_std * rng.normal(size=(length, AUDIO_DIM))
+        visual = visual_map @ z + cfg.noise_std * rng.normal(size=(length, VISUAL_DIM))
         video_id = f"mv{v:05d}"
         entry = ManifestEntry(
             video_id=video_id,

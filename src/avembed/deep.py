@@ -89,6 +89,14 @@ class DeepModel:
     reg: float
     objective_history: list[float] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        head = self.cca_head
+        for side, branch, w in (("audio", self.audio_branch, head.wx), ("visual", self.visual_branch, head.wy)):
+            if w.shape[0] != branch.layer_dims[-1]:
+                raise ValueError(
+                    f"the {side} head reads {w.shape[0]} features but its branch outputs {branch.layer_dims[-1]}"
+                )
+
     @property
     def correlations(self) -> np.ndarray:
         return self.cca_head.correlations

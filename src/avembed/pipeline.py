@@ -32,7 +32,10 @@ from .data import (
 from .errors import ValidationError
 
 BASE_CHUNK_SEC = 3
-SWEEP_CONFIGS = ((3, 1), (6, 2), (9, 3), "mean")
+# the eval sweep's columns: (map_matrix.csv header, pr_*/report_* file stem, query mode)
+SWEEP_CONFIGS = (
+    ("1/3", "1of3", (3, 1)), ("2/6", "2of6", (6, 2)), ("3/9", "3of9", (9, 3)), ("mean", "mean", "mean"),
+)
 METHODS = ("cca", "kcca", "ccca", "dcca", "sdcca")
 # the methods that train on cluster labels
 SUPERVISED = ("ccca", "sdcca")
@@ -53,21 +56,22 @@ class PreparedDataset:
 
 
 def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence):
-    if audio_seq.n_frames != visual_seq.n_frames:
-        raise ValidationError(
-            f"{audio_seq.video_id!r}: audio has {audio_seq.n_frames} frames but visual has "
-            f"{visual_seq.n_frames}; modalities must truncate equally"
-        )
     means, maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
     return video_level_audio(audio_seq), means, maxes, video_level_visual(visual_seq)
 
 
 def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, FeatureSequence]:
-    """The entry's (audio, visual) sequences; ValidationError if a file holds the other modality."""
+    """The entry's (audio, visual) sequences; ValidationError if a file holds the other
+    modality or the two hold different frame counts."""
     audio, visual = load_sequence(root / entry.audio_path), load_sequence(root / entry.visual_path)
     for seq, side in ((audio, "audio"), (visual, "visual")):
         if seq.modality != side:
             raise ValidationError(f"{entry.video_id!r}: its {side}_path holds a {seq.modality} sequence")
+    if audio.n_frames != visual.n_frames:
+        raise ValidationError(
+            f"{entry.video_id!r}: audio has {audio.n_frames} frames but visual has "
+            f"{visual.n_frames}; modalities must truncate equally"
+        )
     return audio, visual
 
 
@@ -131,29 +135,29 @@ def representation_from_selection(chunk_means: np.ndarray, selection: att.ChunkS
     Base chunks all hold BASE_CHUNK_SEC frames, so the mean of the selected
     base-chunk means equals the mean over their frames.
     """
-    n_base = selection.distribution.shape[0]
-    per_macro = n_base // selection.chunk_count
-    rows = []
-    for i in selection.selected_indices:
-        rows.append(chunk_means[i * per_macro : (i + 1) * per_macro])
-    return np.concatenate(rows, axis=0).mean(axis=0)
+    n_base, c, d = selection.distribution.shape[0], selection.chunk_count, chunk_means.shape[1]
+    macros = chunk_means[:n_base].reshape(c, n_base // c, d)
+    return macros[selection.selected_indices].reshape(-1, d).mean(axis=0)
 
 
 def query_matrix(
     prepared: PreparedDataset,
     mode: tuple[int, int] | str,
     params: att.AttentionParams | None = None,
+    rows: list[int] | None = None,
 ) -> np.ndarray:
-    """Per-video audio query vectors: 'mean' or a (c, k) chunk-selection config."""
+    """Audio query vectors of the given rows (default: every video), one per row:
+    'mean' or a (c, k) chunk-selection config."""
     if mode == "mean":
-        return prepared.audio_mean
+        return prepared.audio_mean if rows is None else prepared.audio_mean[rows]
     c, k = mode
     if params is None:
         raise ValueError("chunk-selection query mode needs attention parameters")
-    out = np.empty((len(prepared), prepared.audio_mean.shape[1]))
-    for i in range(len(prepared)):
+    rows = range(len(prepared)) if rows is None else rows
+    out = np.empty((len(rows), prepared.audio_mean.shape[1]))
+    for j, i in enumerate(rows):
         sel = chunk_selection_for(prepared.chunk_maxes[i], params, c, k)
-        out[i] = representation_from_selection(prepared.chunk_means[i], sel)
+        out[j] = representation_from_selection(prepared.chunk_means[i], sel)
     return out
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from avembed.attention import (
     attention_distribution,
-    attention_scores,
-    bilstm_forward,
+    bilstm_states,
+    score_states,
     select_top_k,
 )
 from avembed.cca import fit_cca, fit_cluster_cca, fit_kcca, project
@@ -174,8 +174,8 @@ class TestCriterion7ChunkSelection:
         checked = 0
         for draw in range(100):
             feats = rng.uniform(-2, 2, size=(36, 8))
-            states = bilstm_forward(list(feats), planted_attention)
-            theta = attention_distribution(attention_scores(states, planted_attention))
+            states = bilstm_states(feats, planted_attention)
+            theta = attention_distribution(score_states(states, planted_attention))
             for c, k in configs:
                 sel = select_top_k(theta, c, k)
                 macro = theta.reshape(c, -1).max(axis=1)

@@ -11,8 +11,6 @@ from avembed.attention import (
     LstmParams,
     _sigmoid,
     attention_distribution,
-    attention_scores,
-    bilstm_forward,
     bilstm_states,
     load_attention_params,
     lstm_step,
@@ -185,7 +183,6 @@ class TestJointRecurrence:
         states = bilstm_states(feats, p)
         np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(score_states(states, p), ref_scores, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(attention_scores(bilstm_forward(list(feats), p), p), ref_scores, rtol=0, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = random_attention(3, 4, 2, np.random.default_rng(16))
@@ -210,8 +207,8 @@ class TestBilstm:
             w_out=np.ones(2),
             bias=np.zeros(2),
         )
-        states = bilstm_forward([rng.normal(size=3)], p)
-        np.testing.assert_allclose(states[0][0], states[0][1], atol=1e-12)
+        states = bilstm_states(rng.normal(size=(1, 3)), p)
+        np.testing.assert_allclose(states[0, :4], states[0, 4:], atol=1e-12)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(2)
@@ -220,29 +217,23 @@ class TestBilstm:
         head = dict(w_forward=np.eye(4)[:1], w_backward=np.eye(4)[:1], w_out=np.ones(1), bias=np.zeros(1))
         p = AttentionParams(forward_lstm=fwd, backward_lstm=bwd, **head)
         p_swapped = AttentionParams(forward_lstm=bwd, backward_lstm=fwd, **head)
-        seq = [rng.normal(size=3) for _ in range(6)]
-        states = bilstm_forward(seq, p)
-        states_rev = bilstm_forward(seq[::-1], p_swapped)
+        seq = rng.normal(size=(6, 3))
+        states = bilstm_states(seq, p)
+        states_rev = bilstm_states(seq[::-1], p_swapped)
         for t in range(6):
-            np.testing.assert_allclose(states[t][0], states_rev[5 - t][1], atol=1e-12)
-            np.testing.assert_allclose(states[t][1], states_rev[5 - t][0], atol=1e-12)
+            np.testing.assert_allclose(states[t, :4], states_rev[5 - t, 4:], atol=1e-12)
+            np.testing.assert_allclose(states[t, 4:], states_rev[5 - t, :4], atol=1e-12)
 
     def test_forward_states_equal_chained_steps(self):
         rng = np.random.default_rng(3)
         p = random_attention(3, 5, 2, rng)
-        seq = [rng.normal(size=3) for _ in range(5)]
-        states = bilstm_forward(seq, p)
+        seq = rng.normal(size=(5, 3))
+        states = bilstm_states(seq, p)
         h = np.zeros(5)
         c = np.zeros(5)
         for t in range(5):
             h, c = lstm_step(seq[t], h, c, p.forward_lstm)
-            np.testing.assert_allclose(states[t][0], h, atol=1e-12)
-
-    def test_empty_sequence_rejected(self):
-        rng = np.random.default_rng(4)
-        p = random_attention(3, 4, 2, rng)
-        with pytest.raises(ValidationError):
-            bilstm_forward([], p)
+            np.testing.assert_allclose(states[t, :5], h, atol=1e-12)
 
 
 class TestChunkFeature:
@@ -269,22 +260,22 @@ class TestAttentionScores:
         rng = np.random.default_rng(6)
         p = random_attention(3, 4, 2, rng)
         p = AttentionParams(p.forward_lstm, p.backward_lstm, p.w_forward, p.w_backward, np.zeros(2), p.bias)
-        states = bilstm_forward([rng.normal(size=3) for _ in range(4)], p)
-        assert np.all(attention_scores(states, p) == 0)
+        states = bilstm_states(rng.normal(size=(4, 3)), p)
+        assert np.all(score_states(states, p) == 0)
 
     def test_identical_states_constant_scores(self):
         rng = np.random.default_rng(7)
         p = random_attention(3, 4, 2, rng)
         h = rng.normal(size=4)
-        u = attention_scores([(h, h)] * 5, p)
+        u = score_states(np.tile(np.concatenate([h, h]), (5, 1)), p)
         assert np.allclose(u, u[0])
 
     def test_matches_second_transcription(self):
         rng = np.random.default_rng(8)
         p = random_attention(3, 4, 3, rng)
-        states = bilstm_forward([rng.normal(size=3) for _ in range(6)], p)
-        u = attention_scores(states, p)
-        for t, (hf, hb) in enumerate(states):
+        states = bilstm_states(rng.normal(size=(6, 3)), p)
+        u = score_states(states, p)
+        for t, (hf, hb) in enumerate(zip(states[:, :4], states[:, 4:])):
             pre = [
                 sum(p.w_forward[m, j] * hf[j] for j in range(4))
                 + sum(p.w_backward[m, j] * hb[j] for j in range(4))
@@ -419,9 +410,9 @@ class TestWeightsFile:
         path = tmp_path / "attention.json"
         save_attention_params(p, path)
         loaded = load_attention_params(path)
-        seq = [rng.normal(size=8) for _ in range(5)]
-        u1 = attention_scores(bilstm_forward(seq, p), p)
-        u2 = attention_scores(bilstm_forward(seq, loaded), loaded)
+        seq = rng.normal(size=(5, 8))
+        u1 = score_states(bilstm_states(seq, p), p)
+        u2 = score_states(bilstm_states(seq, loaded), loaded)
         np.testing.assert_allclose(u1, u2, atol=1e-12)
 
     def test_shape_validation_on_load(self, tmp_path):
@@ -449,15 +440,15 @@ class TestPlantedFixture:
         rng = np.random.default_rng(15)
         feats = rng.uniform(-1, 1, size=(12, 8))
         feats[7, 0] = 3.0  # plant the winner in coordinate 0
-        states = bilstm_forward(list(feats), planted_attention)
-        theta = attention_distribution(attention_scores(states, planted_attention))
+        states = bilstm_states(feats, planted_attention)
+        theta = attention_distribution(score_states(states, planted_attention))
         assert int(np.argmax(theta)) == 7
 
     def test_seeded_standin_is_deterministic(self):
         p1 = random_attention_params(8, seed=3)
         p2 = random_attention_params(8, seed=3)
-        seq = [np.ones(8)] * 4
+        seq = np.ones((4, 8))
         np.testing.assert_array_equal(
-            attention_scores(bilstm_forward(seq, p1), p1),
-            attention_scores(bilstm_forward(seq, p2), p2),
+            score_states(bilstm_states(seq, p1), p1),
+            score_states(bilstm_states(seq, p2), p2),
         )

@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avembed import blockio
+from avembed.attention import random_attention_params
 from avembed.cli import main
 from avembed.data import load_manifest, filter_manifest
+from avembed.pipeline import embedders, load_model, prepare_dataset, query_matrix
+from avembed.retrieval import load_index, rank
 
 
 def run(*argv):
@@ -193,6 +197,20 @@ class TestTrainIndexQuery:
         top = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert top["video_id"] == "mv00007"
 
+    def test_chunk_mode_query_ranks_the_selected_chunks(self, artifacts, dataset, capsys):
+        vid = "mv00003"
+        assert run("query", "--dataset", dataset, "--index", artifacts["index"], "--model", artifacts["model"],
+                   "--video-id", vid, "-n", 5, "--query-mode", "3,1") == 0
+        got = [(o["video_id"], o["similarity"]) for o in map(json.loads, capsys.readouterr().out.splitlines())]
+        # the default stand-in scorer: --attention-seed 0, --attention-hidden 16
+        prepared = prepare_dataset(dataset)
+        row = prepared.ids.index(vid)
+        query = query_matrix(prepared, (3, 1), random_attention_params(128, 16, 16, seed=0))[row]
+        assert not np.allclose(query, prepared.audio_mean[row])  # the mean-mode query would not pass
+        embed_audio, _ = embedders(load_model(artifacts["model"]))
+        want = rank(load_index(artifacts["index"]), embed_audio(query[None])[0], n=5, query_id=vid)
+        assert got == want.items
+
     def test_kcca_and_deep_train_roundtrip(self, dataset, tmp_path):
         kmodel = tmp_path / "kcca.model"
         assert run("train", "--dataset", dataset, "--method", "kcca", "--r", 4,
@@ -288,6 +306,26 @@ class TestCorruptArtifacts:
     def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change):
         model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
         self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)
+
+    @pytest.mark.parametrize("method, edit", [
+        ("cca", lambda b: b.update(mean_x=b["mean_x"][:5])),
+        ("kcca", lambda b: b.update(dual_x=b["dual_x"][:-3])),
+        ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2)})),
+        ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2),
+                                     "head.mean_x": np.tile(b["head.mean_x"], 2)})),
+    ], ids=["linear-mean-short", "kcca-dual-short", "dcca-head-rows-doubled", "dcca-head-wider-than-branch"])
+    def test_model_blocks_disagree_in_shape(self, artifacts, deep_artifacts, dataset, tmp_path, capsys,
+                                            method, edit):
+        if method == "kcca":
+            src = tmp_path / "kcca.model"
+            assert run("train", "--dataset", dataset, "--method", "kcca", "--r", 4, "--out", src) == 0
+        else:
+            src = (artifacts if method == "cca" else deep_artifacts)["model"]
+        magic = src.read_bytes()[:4]
+        header, blocks = blockio.load(src, magic)
+        edit(blocks)
+        blockio.save(tmp_path / "bad.model", magic, header, blocks)
+        self._query_fails_cleanly(dataset, capsys, artifacts["index"], tmp_path / "bad.model")
 
     def test_model_block_name_not_utf8(self, artifacts, dataset, tmp_path, capsys):
         raw = bytearray(artifacts["model"].read_bytes())

@@ -92,8 +92,8 @@ class AttentionParams:
             raise ValueError("w_forward shape does not match attention/hidden dims")
         if self.w_backward.shape != (m, self.backward_lstm.hidden_dim):
             raise ValueError("w_backward shape does not match attention/hidden dims")
-        if self.bias.shape != (m,):
-            raise ValueError("bias shape does not match attention dim")
+        if self.w_out.shape != (m,) or self.bias.shape != (m,):
+            raise ValueError("w_out and bias must be vectors of the attention dim")
         if self.forward_lstm.input_dim != self.backward_lstm.input_dim:
             raise ValueError("forward and backward LSTMs read different input dims")
 
@@ -268,14 +268,15 @@ def _lstm_to_json(p: LstmParams) -> dict:
     return out
 
 
-def _lstm_from_json(obj: dict) -> LstmParams:
-    # load_attention_params maps a missing array or a bad shape to FormatError
-    return LstmParams(
-        w_x={g: np.asarray(obj[f"w_x_{g}"], dtype=np.float64) for g in _GATES},
-        w_h={g: np.asarray(obj[f"w_h_{g}"], dtype=np.float64) for g in _GATES},
-        w_c={g: np.asarray(obj[f"w_c_{g}"], dtype=np.float64) for g in _PEEPHOLE_GATES},
-        b={g: np.asarray(obj[f"b_{g}"], dtype=np.float64) for g in _GATES},
-    )
+def _lstm_from_json(obj: dict, key: str, where: str) -> LstmParams:
+    """The LSTM direction under obj[key]; each of its arrays must hold numbers only."""
+    lstm = blockio.field(obj, key, dict, where)
+
+    def arrays(prefix: str, gates: tuple[str, ...]) -> dict[str, np.ndarray]:
+        return {g: blockio.field(lstm, f"{prefix}_{g}", blockio.NUMBERS, f"{where} {key}") for g in gates}
+
+    return LstmParams(w_x=arrays("w_x", _GATES), w_h=arrays("w_h", _GATES),
+                      w_c=arrays("w_c", _PEEPHOLE_GATES), b=arrays("b", _GATES))
 
 
 def save_attention_params(p: AttentionParams, path: str | Path) -> None:
@@ -293,22 +294,18 @@ def save_attention_params(p: AttentionParams, path: str | Path) -> None:
 
 def load_attention_params(path: str | Path) -> AttentionParams:
     obj = blockio.read_json_object(path, "attention weights")
-    if obj.get("version") != 1:
-        raise FormatError(f"{path}: unsupported attention weights version {obj.get('version')!r}")
+    where = f"{path}: attention weights"
+    version = blockio.field(obj, "version", int, where)
+    if version != 1:
+        raise FormatError(f"{where} key 'version' is {version}; only version 1 is supported")
     try:
-        params = AttentionParams(
-            forward_lstm=_lstm_from_json(obj["forward_lstm"]),
-            backward_lstm=_lstm_from_json(obj["backward_lstm"]),
-            w_forward=np.asarray(obj["w_forward"], dtype=np.float64),
-            w_backward=np.asarray(obj["w_backward"], dtype=np.float64),
-            w_out=np.asarray(obj["w_out"], dtype=np.float64),
-            bias=np.asarray(obj["bias"], dtype=np.float64),
+        return AttentionParams(
+            forward_lstm=_lstm_from_json(obj, "forward_lstm", where),
+            backward_lstm=_lstm_from_json(obj, "backward_lstm", where),
+            **{k: blockio.field(obj, k, blockio.NUMBERS, where) for k in ("w_forward", "w_backward", "w_out", "bias")},
         )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # an array of the wrong JSON type or shape
+    except ValueError as exc:  # arrays whose shapes disagree
         raise FormatError(f"{path}: {exc}") from exc
-    return params
 
 
 def random_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator, scale: float = 0.2) -> LstmParams:

@@ -164,11 +164,27 @@ def iter_json_lines(path: str | Path, what: str, raw: bytes | None = None) -> It
             yield line_no, _json_object(path, line_no, what, line)
 
 
+# the kind of a field that holds a JSON list, nested or not, of numbers
+NUMBERS = "an array of numbers"
+
+
+def _float_array(value) -> np.ndarray | None:
+    """A JSON list of numbers, nested to any regular shape, as a float64 array; None for anything else."""
+    if type(value) is not list:
+        return None
+    try:
+        array = np.array(value, dtype=object)
+    except ValueError:  # a ragged nesting numpy cannot hold
+        return None
+    return array.astype(np.float64) if all(type(v) in (int, float) for v in array.flat) else None
+
+
 def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
-    """obj[key] as kind (int, float, str, or a tuple of allowed values), else FormatError.
+    """obj[key] as kind (int, float, str, dict, NUMBERS, or a tuple of allowed values), else FormatError.
 
     Types are exact, so bool is never an int; a float field also takes an int.
-    A nullable field may also be null or absent, and then reads as None.
+    A NUMBERS field reads as a float64 array. A nullable field may also be null
+    or absent, and then reads as None.
     """
     value = obj.get(key)
     if type(value) is kind or (value is None and nullable):
@@ -177,9 +193,13 @@ def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
         return float(value)
     if isinstance(kind, tuple) and value in kind:
         return value
+    if kind is NUMBERS and (array := _float_array(value)) is not None:
+        return array
     if key not in obj:
         raise FormatError(f"{where} lacks key {key!r}")
-    expected = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
+    expected = f"one of {list(kind)}" if isinstance(kind, tuple) else getattr(kind, "__name__", kind)
     if nullable:
         expected += " or null"
-    raise FormatError(f"{where} key {key!r} must be {expected}, got {json.dumps(value)}")
+    shown = json.dumps(value)
+    shown = shown if len(shown) <= 60 else shown[:57] + "..."
+    raise FormatError(f"{where} key {key!r} must be {expected}, got {shown}")

@@ -17,7 +17,9 @@ matrix is formed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -99,13 +101,18 @@ def _check_dims(model, dims: dict[str, str]) -> None:
             raise ValueError(f"{name} of shape {shape} does not fit the other arrays")
 
 
-def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
-    return a
+def _paired_views(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as finite float64 matrices with one row per pair; ValueError otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    for name, a in (("x", x), ("y", y)):
+        if a.ndim != 2:
+            raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains non-finite values")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"views must pair rows: {x.shape[0]} vs {y.shape[0]}")
+    return x, y
 
 
 def _inv_sqrt_psd(m: np.ndarray, *, allow_floor: bool) -> np.ndarray:
@@ -127,8 +134,13 @@ def _resolve_reg(trace: float, dim: int, reg: float | None) -> float:
     return float(reg)
 
 
-def _whitening(x: np.ndarray, y: np.ndarray, reg: float | None):
-    """Centered views, regularized covariances, and their inverse square roots."""
+# what a covariance builder hands the solve: zx, zy are the centred rows in the coordinates of the
+# ridged sxx, syy, and qx, qy the bases back to the views (None keeps a view's own axes)
+_Stats = namedtuple("_Stats", "mean_x mean_y zx zy qx qy sxx syy sxy reg_x reg_y")
+
+
+def _covariances(x: np.ndarray, y: np.ndarray, reg: float | None) -> _Stats:
+    """Statistics of the identity pairing in the views' own axes (d <= n)."""
     n = x.shape[0]
     mean_x = x.mean(axis=0)
     mean_y = y.mean(axis=0)
@@ -140,11 +152,15 @@ def _whitening(x: np.ndarray, y: np.ndarray, reg: float | None):
     reg_y = _resolve_reg(float(np.trace(syy)), syy.shape[0], reg)
     sxx += reg_x * np.eye(sxx.shape[0])
     syy += reg_y * np.eye(syy.shape[0])
-    sxy = xc.T @ yc / (n - 1)
-    allow_floor = reg_x > 0 and reg_y > 0
-    isx = _inv_sqrt_psd(sxx, allow_floor=allow_floor)
-    isy = _inv_sqrt_psd(syy, allow_floor=allow_floor)
-    return mean_x, mean_y, xc, yc, isx, isy, sxy, reg_x, reg_y
+    return _Stats(mean_x, mean_y, xc, yc, None, None, sxx, syy, xc.T @ yc / (n - 1), reg_x, reg_y)
+
+
+def _whiten(st: _Stats, full: bool) -> tuple[np.ndarray, ...]:
+    """(Sxx)^(-1/2), (Syy)^(-1/2) and the SVD u, s, vt of the whitened cross-covariance."""
+    allow_floor = st.reg_x > 0 and st.reg_y > 0
+    isx = _inv_sqrt_psd(st.sxx, allow_floor=allow_floor)
+    isy = _inv_sqrt_psd(st.syy, allow_floor=allow_floor)
+    return (isx, isy, *np.linalg.svd(isx @ st.sxy @ isy, full_matrices=full))
 
 
 def _pair_indices(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,10 +224,10 @@ def _to_view(w: np.ndarray, basis: np.ndarray | None, reg: float, r: int) -> np.
     return w
 
 
-def _fit_pairs(
-    x: np.ndarray, y: np.ndarray, a_idx: np.ndarray, v_idx: np.ndarray, r: int, reg: float | None
-) -> LinearProjection:
-    """CCA on pair-count statistics, each view in its own or its thin coordinates."""
+def _pair_covariances(
+    x: np.ndarray, y: np.ndarray, a_idx: np.ndarray, v_idx: np.ndarray, reg: float | None
+) -> _Stats:
+    """Pair-count statistics, each view in its own or its thin coordinates."""
     m = a_idx.size
     counts_x = np.bincount(a_idx, minlength=x.shape[0]).astype(np.float64)
     counts_y = np.bincount(v_idx, minlength=y.shape[0]).astype(np.float64)
@@ -227,22 +243,7 @@ def _fit_pairs(
     sxx = (zx * counts_x[:, None]).T @ zx / (m - 1) + reg_x * np.eye(zx.shape[1])
     syy = (zy * counts_y[:, None]).T @ zy / (m - 1) + reg_y * np.eye(zy.shape[1])
     sxy = zx.T @ _pair_sum(a_idx, v_idx, zy) / (m - 1)
-    isx = _inv_sqrt_psd(sxx, allow_floor=allow_floor)
-    isy = _inv_sqrt_psd(syy, allow_floor=allow_floor)
-    t = isx @ sxy @ isy
-    # trailing singular vectors (zero correlation) are needed when r exceeds a coordinate rank
-    u, s, vt = np.linalg.svd(t, full_matrices=r > min(t.shape))
-    correlations = np.zeros(r)
-    correlations[: min(r, s.size)] = s[:r]
-    return LinearProjection(
-        wx=_to_view(isx @ u[:, :r], qx, reg_x, r),
-        wy=_to_view(isy @ vt.T[:, :r], qy, reg_y, r),
-        mean_x=mean_x,
-        mean_y=mean_y,
-        correlations=np.clip(correlations, 0.0, 1.0),
-        reg_x=reg_x,
-        reg_y=reg_y,
-    )
+    return _Stats(mean_x, mean_y, zx, zy, qx, qy, sxx, syy, sxy, reg_x, reg_y)
 
 
 def fit_cca(
@@ -263,11 +264,8 @@ def fit_cca(
     with row i. An r above the data rank still gives r columns, the trailing
     ones with correlation 0.
     """
-    x = _as_matrix(x, "x")
-    y = _as_matrix(y, "y")
+    x, y = _paired_views(x, y)
     n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"views must pair rows: {n} vs {y.shape[0]}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not 1 <= r <= min(x.shape[1], y.shape[1]):
@@ -277,20 +275,24 @@ def fit_cca(
         a_idx = v_idx = rows
     else:
         a_idx, v_idx = _pair_indices(pairs, n)
+    # identity statistics stay apart: via the pair counts their last bits, and kcca's MAPs, would move
     identity = np.array_equal(a_idx, rows) and np.array_equal(v_idx, rows)
-    if not (identity and x.shape[1] <= n and y.shape[1] <= n):
-        return _fit_pairs(x, y, a_idx, v_idx, r, reg)
-    mean_x, mean_y, _, _, isx, isy, sxy, reg_x, reg_y = _whitening(x, y, reg)
-    t = isx @ sxy @ isy
-    u, s, vt = np.linalg.svd(t, full_matrices=False)
+    if identity and x.shape[1] <= n and y.shape[1] <= n:
+        st = _covariances(x, y, reg)
+    else:
+        st = _pair_covariances(x, y, a_idx, v_idx, reg)
+    # trailing singular vectors (zero correlation) are needed when r exceeds a coordinate rank
+    isx, isy, u, s, vt = _whiten(st, full=r > min(st.sxy.shape))
+    correlations = np.zeros(r)
+    correlations[: min(r, s.size)] = s[:r]
     return LinearProjection(
-        wx=isx @ u[:, :r],
-        wy=isy @ vt.T[:, :r],
-        mean_x=mean_x,
-        mean_y=mean_y,
-        correlations=np.clip(s[:r], 0.0, 1.0),
-        reg_x=reg_x,
-        reg_y=reg_y,
+        wx=_to_view(isx @ u[:, :r], st.qx, st.reg_x, r),
+        wy=_to_view(isy @ vt.T[:, :r], st.qy, st.reg_y, r),
+        mean_x=st.mean_x,
+        mean_y=st.mean_y,
+        correlations=np.clip(correlations, 0.0, 1.0),
+        reg_x=st.reg_x,
+        reg_y=st.reg_y,
     )
 
 
@@ -348,11 +350,8 @@ def fit_kcca(
     passed through the same whitened-SVD core as fit_cca; primal weights are
     mapped back to dual coefficients. O(n^3): capped at desk scale.
     """
-    x = _as_matrix(x, "x")
-    y = _as_matrix(y, "y")
+    x, y = _paired_views(x, y)
     n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"views must pair rows: {n} vs {y.shape[0]}")
     if n > KCCA_N_CAP:
         raise ResourceLimitError(
             f"KCCA solve is O(n^3); n={n} exceeds the cap of {KCCA_N_CAP}. "
@@ -425,10 +424,9 @@ def fit_cluster_cca(
     target_count: int | None = None,
 ) -> LinearProjection:
     """CCA over cluster-expanded pairs; f = 0 reduces to the identity pairing."""
-    x = _as_matrix(x, "x")
-    y = _as_matrix(y, "y")
+    x, y = _paired_views(x, y)
     labels = np.asarray(labels)
-    if labels.shape[0] != x.shape[0] or y.shape[0] != x.shape[0]:
+    if labels.shape[0] != x.shape[0]:
         raise ValueError("labels must align with the paired rows")
     pairs = expand_pairs(labels, f=f, seed=seed, target_count=target_count)
     return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
@@ -465,26 +463,25 @@ def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None =
 def load_cca_model(path: str | Path) -> LinearProjection | KernelModel:
     header, blocks = blockio.load(path, _MODEL_MAGIC)
     kind = header.get("type")
+    get = partial(blockio.field, header, where=f"{path}: {kind} model header")
     try:
         if kind == "linear-cca":
             return LinearProjection(
                 **blockio.expect(path, blocks, _LINEAR_BLOCKS),
-                correlations=np.asarray(header["correlations"]),
-                reg_x=float(header["reg_x"]),
-                reg_y=float(header["reg_y"]),
+                correlations=get("correlations", blockio.NUMBERS),
+                reg_x=get("reg_x", float),
+                reg_y=get("reg_y", float),
             )
         if kind == "kcca":
             return KernelModel(
                 **blockio.expect(path, blocks, _KERNEL_BLOCKS),
-                beta=float(header["beta"]),
-                kappa=float(header["kappa"]),
-                kernel=str(header["kernel"]),
-                correlations=np.asarray(header["correlations"]),
-                grand_mean_x=float(header["grand_mean_x"]),
-                grand_mean_y=float(header["grand_mean_y"]),
+                beta=get("beta", float),
+                kappa=get("kappa", float),
+                kernel=get("kernel", ("gaussian", "linear")),
+                correlations=get("correlations", blockio.NUMBERS),
+                grand_mean_x=get("grand_mean_x", float),
+                grand_mean_y=get("grand_mean_y", float),
             )
-    except KeyError as exc:
-        raise FormatError(f"{path}: {kind} model lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
+    except (TypeError, ValueError) as exc:  # blocks whose shapes disagree
         raise FormatError(f"{path}: invalid {kind} model: {exc}") from exc
     raise FormatError(f"{path}: unknown model type {kind!r}")

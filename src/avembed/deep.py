@@ -10,13 +10,14 @@ CCA head fitted on the final eval-mode outputs defines the shared space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import blockio
 from .attention import _sigmoid
-from .cca import _SIDES, LinearProjection, _whitening, fit_cca, project
+from .cca import _SIDES, LinearProjection, _covariances, _paired_views, _whiten, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
@@ -177,22 +178,15 @@ def branch_backward(
 
 
 def _whitened_svd(fx: np.ndarray, fy: np.ndarray, reg: float | None):
-    n = fx.shape[0]
-    if fy.shape[0] != n:
-        raise ValueError(f"views must pair rows: {n} vs {fy.shape[0]}")
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    _, _, xc, yc, isx, isy, sxy, _, _ = _whitening(
-        np.asarray(fx, dtype=np.float64), np.asarray(fy, dtype=np.float64), reg
-    )
-    t = isx @ sxy @ isy
-    u, s, vt = np.linalg.svd(t, full_matrices=False)
-    return xc, yc, isx, isy, u, s, vt
+    st = _covariances(fx, fy, reg)
+    return (st.zx, st.zy, *_whiten(st, full=False))
 
 
 def _check_rank(fx: np.ndarray, fy: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    fx = np.asarray(fx, dtype=np.float64)
-    fy = np.asarray(fy, dtype=np.float64)
+    """Checked views for the public objective; a training minibatch is paired with r + 1 rows by construction."""
+    fx, fy = _paired_views(fx, fy)
+    if fx.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples, got {fx.shape[0]}")
     if not 1 <= r <= min(fx.shape[1], fy.shape[1]):
         raise ValueError(f"r must be in [1, {min(fx.shape[1], fy.shape[1])}], got {r}")
     return fx, fy
@@ -323,16 +317,6 @@ def _train_on_pairs(
     )
 
 
-def _check_views(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("views must be matrices with paired rows")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite training inputs")
-    return x, y
-
-
 def train_dcca(
     x: np.ndarray,
     y: np.ndarray,
@@ -346,7 +330,7 @@ def train_dcca(
     dropout all draw from one seeded stream. The CCA head is fitted once, on
     full-dataset eval-mode outputs after the last epoch.
     """
-    x, y = _check_views(x, y)
+    x, y = _paired_views(x, y)
     idx = np.arange(x.shape[0])
     return _train_on_pairs(x, y, idx, idx, cfg, audio_layers, visual_layers)
 
@@ -362,7 +346,7 @@ def train_sdcca(
     visual_layers: tuple[int, ...] = DEFAULT_VISUAL_LAYERS,
 ) -> DeepModel:
     """DCCA over cluster-expanded pairs; f = 0 reproduces the plain pairing."""
-    x, y = _check_views(x, y)
+    x, y = _paired_views(x, y)
     labels = np.asarray(labels)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("labels must align with the paired rows")
@@ -422,33 +406,32 @@ def load_deep_model(path: str | Path) -> DeepModel:
     header, blocks = blockio.load(path, _MODEL_MAGIC)
     if header.get("type") != "dcca":
         raise FormatError(f"{path}: not a deep model file")
+    get = partial(blockio.field, header, where=f"{path}: dcca model header")
+    n_a, n_v = get("n_audio_layers", int), get("n_visual_layers", int)
+    blockio.expect(path, blocks, _block_names(n_a, n_v))
+    history = get("objective_history", blockio.NUMBERS, nullable=True)
     try:
-        n_a = int(header["n_audio_layers"])
-        n_v = int(header["n_visual_layers"])
-        blockio.expect(path, blocks, _block_names(n_a, n_v))
         audio, visual = (
             BranchNetwork(
                 weights=[blocks[f"{side}.w{i}"] for i in range(n)],
                 biases=[blocks[f"{side}.b{i}"] for i in range(n)],
-                dropout_rate=float(header["dropout"]),
+                dropout_rate=get("dropout", float),
             )
             for side, n in (("audio", n_a), ("visual", n_v))
         )
         head = LinearProjection(
             **{name: blocks[f"head.{name}"] for name in _HEAD_BLOCKS},
-            correlations=np.asarray(header["head_correlations"]),
-            reg_x=float(header["head_reg_x"]),
-            reg_y=float(header["head_reg_y"]),
+            correlations=get("head_correlations", blockio.NUMBERS),
+            reg_x=get("head_reg_x", float),
+            reg_y=get("head_reg_y", float),
         )
         return DeepModel(
             audio_branch=audio,
             visual_branch=visual,
             cca_head=head,
-            r=int(header["r"]),
-            reg=float(header["reg"]),
-            objective_history=[float(v) for v in header.get("objective_history", [])],
+            r=get("r", int),
+            reg=get("reg", float),
+            objective_history=[] if history is None else history.tolist(),
         )
-    except KeyError as exc:
-        raise FormatError(f"{path}: dcca model lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a header field of the wrong type or range
+    except (TypeError, ValueError) as exc:  # blocks whose shapes disagree, or a dropout out of range
         raise FormatError(f"{path}: invalid dcca model: {exc}") from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avembed.cca import (
+    EIG_FLOOR,
     KernelModel,
     fit_cca,
     fit_cluster_cca,
@@ -133,6 +134,34 @@ class TestFitCca:
         m_yx = fit_cca(y, x, 3, reg=1e-4)
         np.testing.assert_allclose(m_xy.correlations, m_yx.correlations, atol=1e-12)
         np.testing.assert_allclose(np.abs(m_xy.wx), np.abs(m_yx.wy), atol=1e-8)
+
+    @pytest.mark.parametrize("reg", [None, 0.05], ids=["default-reg", "given-reg"])
+    def test_identity_pairing_is_the_plain_formula_bit_for_bit(self, reg):
+        # kcca's chance-level MAPs move with the last bit of this fit, so it is pinned exactly
+        rng = np.random.default_rng(19)
+        n, r = 80, 3
+        x = rng.normal(size=(n, 5)) @ rng.normal(size=(5, 5))
+        y = x[:, :4] + rng.normal(size=(n, 4))
+
+        def whiten(v):
+            mean = v.mean(axis=0)
+            vc = v - mean
+            cov = vc.T @ vc / (n - 1)
+            ridge = 1e-4 * np.trace(cov) / v.shape[1] if reg is None else reg
+            cov += ridge * np.eye(v.shape[1])
+            evals, evecs = np.linalg.eigh(cov)
+            return mean, vc, ridge, (evecs / np.sqrt(np.maximum(evals, EIG_FLOOR))) @ evecs.T
+
+        mean_x, xc, reg_x, isx = whiten(x)
+        mean_y, yc, reg_y, isy = whiten(y)
+        u, s, vt = np.linalg.svd(isx @ (xc.T @ yc / (n - 1)) @ isy, full_matrices=False)
+        idx = np.arange(n)
+        for model in (fit_cca(x, y, r, reg), fit_cca(x, y, r, reg, pairs=(idx, idx))):
+            assert np.array_equal(model.wx, isx @ u[:, :r])
+            assert np.array_equal(model.wy, isy @ vt.T[:, :r])
+            assert np.array_equal(model.mean_x, mean_x) and np.array_equal(model.mean_y, mean_y)
+            assert np.array_equal(model.correlations, np.clip(s[:r], 0.0, 1.0))
+            assert (model.reg_x, model.reg_y) == (reg_x, reg_y)
 
 
 class TestProject:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from avembed import blockio
-from avembed.attention import random_attention_params
+from avembed.attention import random_attention_params, save_attention_params
 from avembed.cli import main
 from avembed.data import load_manifest, filter_manifest
 from avembed.pipeline import embedders, load_model, prepare_dataset, query_matrix
@@ -173,6 +173,17 @@ def deep_artifacts(dataset, tmp_path_factory):
     return {"model": model, "index": index}
 
 
+@pytest.fixture(scope="module")
+def kcca_artifacts(dataset, tmp_path_factory):
+    work = tmp_path_factory.mktemp("kcca_artifacts")
+    model, index = work / "kcca.model", work / "kcca.index"
+    assert run("train", "--dataset", dataset, "--method", "kcca", "--r", 4, "--out", model) == 0
+    assert run("index", "--dataset", dataset, "--model", model, "--out", index) == 0
+    assert run("query", "--dataset", dataset, "--index", index, "--model", model,
+               "--video-id", "mv00003", "-n", 3) == 0
+    return {"model": model, "index": index}
+
+
 class TestTrainIndexQuery:
     def test_model_loadable_with_sorted_correlations(self, artifacts):
         from avembed.cca import load_cca_model
@@ -277,35 +288,50 @@ def _edit_json(change):
 class TestCorruptArtifacts:
     """Every corrupt model or index file read by `query` exits 2 with a message."""
 
-    def _query_fails_cleanly(self, dataset, capsys, index, model):
+    def _query_fails_cleanly(self, dataset, capsys, index, model) -> str:
         code = run("query", "--dataset", dataset, "--index", index, "--model", model,
                    "--video-id", "mv00003", "-n", 3)
         err = capsys.readouterr().err
         assert code == 2
         assert "avembed: data error" in err and "Traceback" not in err
+        return err
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: b"\xff" + h[1:],                   # flipped byte: not UTF-8
-        lambda h: b"[" + h[1:],                       # flipped byte: not JSON
-        lambda h: b"[1, 2]",                          # JSON, but not an object
-        _edit_json(lambda obj: obj.pop("type")),      # no model type
-        _edit_json(lambda obj: obj.update(type="pca")),  # unknown model type
-        _edit_json(lambda obj: obj.pop("reg_x")),     # a field of the type missing
-        _edit_json(lambda obj: obj.update(reg_x="small")),  # a field of the wrong JSON type
-    ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field", "field-not-number"])
-    def test_model_header(self, artifacts, dataset, tmp_path, capsys, edit):
-        model = _edit_header(artifacts["model"], tmp_path / "bad.model", edit)
-        self._query_fails_cleanly(dataset, capsys, artifacts["index"], model)
+    @pytest.mark.parametrize("method, edit, message", [
+        ("cca", lambda h: b"\xff" + h[1:], ""),                   # flipped byte: not UTF-8
+        ("cca", lambda h: b"[" + h[1:], ""),                       # flipped byte: not JSON
+        ("cca", lambda h: b"[1, 2]", ""),                          # JSON, but not an object
+        ("cca", _edit_json(lambda obj: obj.pop("type")), ""),      # no model type
+        ("cca", _edit_json(lambda obj: obj.update(type="pca")), ""),  # unknown model type
+        ("cca", _edit_json(lambda obj: obj.pop("reg_x")), ""),     # a field of the type missing
+        ("cca", _edit_json(lambda obj: obj.update(reg_x="small")), ""),  # a field of the wrong JSON type
+        ("cca", _edit_json(lambda obj: obj.update(reg_x="0.5")), "key 'reg_x' must be float"),
+        ("cca", _edit_json(lambda obj: obj.update(reg_x=True)), "key 'reg_x' must be float"),
+        ("cca", _edit_json(lambda obj: obj.update(correlations=["a", "b", "c", "d"])),
+         "key 'correlations' must be an array of numbers"),
+        ("kcca", _edit_json(lambda obj: obj.update(beta="0.4")), "key 'beta' must be float"),
+        ("kcca", _edit_json(lambda obj: obj.update(kernel=5)), "key 'kernel' must be one of"),
+        ("kcca", _edit_json(lambda obj: obj.update(kernel="polynomial")), "key 'kernel' must be one of"),
+    ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field", "field-not-number",
+            "reg-numeric-string", "reg-bool", "correlations-strings", "kcca-beta-string", "kcca-kernel-int",
+            "kcca-kernel-unknown"])
+    def test_model_header(self, artifacts, kcca_artifacts, dataset, tmp_path, capsys, method, edit, message):
+        src = kcca_artifacts if method == "kcca" else artifacts
+        model = _edit_header(src["model"], tmp_path / "bad.model", edit)
+        assert message in self._query_fails_cleanly(dataset, capsys, src["index"], model)
 
-    @pytest.mark.parametrize("change", [
-        lambda obj: obj.pop("n_audio_layers"),
-        lambda obj: obj.pop("head_correlations"),
-        lambda obj: obj.update(n_audio_layers=obj["n_audio_layers"] + 1),  # one block pair short
-        lambda obj: obj.update(n_audio_layers="two"),
-    ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high", "layer-count-not-int"])
-    def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change):
+    @pytest.mark.parametrize("change, message", [
+        (lambda obj: obj.pop("n_audio_layers"), ""),
+        (lambda obj: obj.pop("head_correlations"), ""),
+        (lambda obj: obj.update(n_audio_layers=obj["n_audio_layers"] + 1), ""),  # one block pair short
+        (lambda obj: obj.update(n_audio_layers="two"), ""),
+        (lambda obj: obj.update(n_audio_layers=2.0), "key 'n_audio_layers' must be int"),
+        (lambda obj: obj.update(r=True), "key 'r' must be int"),
+        (lambda obj: obj.update(dropout="0.2"), "key 'dropout' must be float"),
+    ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high", "layer-count-not-int",
+            "layer-count-float", "r-bool", "dropout-string"])
+    def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change, message):
         model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
-        self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)
+        assert message in self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)
 
     @pytest.mark.parametrize("method, edit", [
         ("cca", lambda b: b.update(mean_x=b["mean_x"][:5])),
@@ -438,6 +464,22 @@ class TestJsonTypesAndFileSlots:
         err = self._fails_cleanly(capsys, "train", "--dataset", dataset, "--method", "ccca", "--r", 4,
                                   "--labels", labels, "--out", tmp_path / "ccca.model")
         assert "assignment key 'label' must be int, got 0.7" in err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda obj: obj.update(w_out=[str(v) for v in obj["w_out"]]), "key 'w_out' must be an array of numbers"),
+        (lambda obj: obj.update(bias=[v > 0 for v in obj["bias"]]), "key 'bias' must be an array of numbers"),
+        (lambda obj: obj.update(version=1.0), "key 'version' must be int, got 1.0"),
+        (lambda obj: obj.update(w_out=[[v, -v] for v in obj["w_out"]]), "w_out and bias must be vectors"),
+    ], ids=["w-out-strings", "bias-bools", "version-float", "w-out-matrix"])
+    def test_attention_weights_typed_and_shaped(self, dataset, tmp_path, capsys, change, message):
+        weights = tmp_path / "weights.json"
+        save_attention_params(random_attention_params(128, 16, 16, seed=0), weights)
+        argv = ("chunk-select", "--dataset", dataset, "--video-id", "mv00000", "--attention-weights", weights)
+        assert run(*argv) == 0
+        obj = json.loads(weights.read_text())
+        change(obj)
+        weights.write_text(json.dumps(obj))
+        assert message in self._fails_cleanly(capsys, *argv)
 
     def test_sequence_file_with_trailing_bytes(self, dataset, tmp_path, capsys):
         audio = tmp_path / "audio.fvsq"

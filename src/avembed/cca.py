@@ -10,9 +10,13 @@ enter only through per-row counts n_a and n_v and the sparse pair-count matrix
 C: the count-weighted means, Sxx = Xc' diag(n_a) Xc, Syy = Yc' diag(n_v) Yc
 and Sxy = Xc' C Yc, each over m - 1, are the statistics of the materialised
 pairs without copying a row per pair. A view with more dimensions d than rows
-n is solved in an orthonormal basis Q (d x n) of its centred rows: its
-covariance there is n x n, and outside span(Q) it is reg * I, so no d x d
-matrix is formed.
+n is solved in the span of its centred rows Xc: the eigendecomposition
+Xc Xc' = U diag(s^2) U' of the n x n Gram gives the rows' coordinates U s in
+the orthonormal basis V = Xc' U / s, and outside span(V) the covariance is
+reg * I. Directions whose eigenvalue lies within rounding of zero (relative to
+the largest) are left to the ridge. Weights go back to the view as
+Xc' (U / s w), so V is formed only when r exceeds its rank k, to build a
+d x (r - k) complement; no d x d matrix is formed.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class LinearProjection:
 
     def __post_init__(self) -> None:
         _check_dims(self, {"wx": "dr", "wy": "er", "mean_x": "d", "mean_y": "e", "correlations": "r"})
+        for name in ("reg_x", "reg_y"):
+            _check_ridge(name, getattr(self, name))
 
     @property
     def r(self) -> int:
@@ -101,6 +107,12 @@ def _check_dims(model, dims: dict[str, str]) -> None:
             raise ValueError(f"{name} of shape {shape} does not fit the other arrays")
 
 
+def _check_ridge(name: str, reg: float) -> None:
+    """ValueError unless reg is a finite number >= 0."""
+    if not 0 <= reg < np.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {reg}")
+
+
 def _paired_views(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x and y as finite float64 matrices with one row per pair; ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
@@ -129,13 +141,12 @@ def _inv_sqrt_psd(m: np.ndarray, *, allow_floor: bool) -> np.ndarray:
 def _resolve_reg(trace: float, dim: int, reg: float | None) -> float:
     if reg is None:
         return DEFAULT_REG_SCALE * trace / dim
-    if reg < 0:
-        raise ValueError(f"reg must be >= 0, got {reg}")
+    _check_ridge("reg", reg)
     return float(reg)
 
 
 # what a covariance builder hands the solve: zx, zy are the centred rows in the coordinates of the
-# ridged sxx, syy, and qx, qy the bases back to the views (None keeps a view's own axes)
+# ridged sxx, syy, and qx, qy the maps back to the views, each (xc, U / s) (None keeps a view's own axes)
 _Stats = namedtuple("_Stats", "mean_x mean_y zx zy qx qy sxx syy sxy reg_x reg_y")
 
 
@@ -193,12 +204,16 @@ def _pair_sum(a_idx: np.ndarray, v_idx: np.ndarray, z: np.ndarray) -> np.ndarray
     return out
 
 
-def _coordinates(xc: np.ndarray, allow_floor: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The centred rows in the coordinates the solver whitens, and the basis back to the view.
+def _coordinates(xc: np.ndarray, allow_floor: bool) -> tuple[np.ndarray, tuple | None]:
+    """The centred rows in the coordinates the solver whitens, and the map back to the view.
 
-    With d <= n the view's own axes are kept (basis None). With d > n the rows
-    are written in an orthonormal basis Q (d x n) of their span, xc = Z Q',
-    and the covariance outside span(Q) is reg * I.
+    With d <= n the view's own axes are kept (map None). With d > n the Gram
+    xc xc' = U diag(s^2) U' gives the coordinates Z = U s of the rows in the
+    orthonormal basis V = xc' U / s of their span, xc = Z V', and the
+    covariance outside span(V) is reg * I. Eigenvalues at or below
+    max(EIG_FLOOR, s_max^2 * n * eps) are rounding noise, such as the
+    direction the centring removed, and are dropped: their U / s would not be
+    orthonormal in the view. The map is (xc, U / s), not V.
     """
     n, d = xc.shape
     if d <= n:
@@ -207,19 +222,25 @@ def _coordinates(xc: np.ndarray, allow_floor: bool) -> tuple[np.ndarray, np.ndar
         raise SingularityError(
             f"covariance of {d} dimensions from {n} rows is rank deficient; pass reg > 0"
         )
-    q, rt = np.linalg.qr(xc.T)
-    return rt.T, q
+    evals, evecs = np.linalg.eigh(xc @ xc.T)
+    keep = evals > max(EIG_FLOOR, evals[-1] * n * np.finfo(np.float64).eps)
+    s = np.sqrt(evals[keep])
+    u = evecs[:, keep]
+    return u * s, (xc, u / s)
 
 
-def _to_view(w: np.ndarray, basis: np.ndarray | None, reg: float, r: int) -> np.ndarray:
-    """Map coordinate weights back to the view; columns beyond span(basis) come from its complement."""
+def _to_view(w: np.ndarray, basis: tuple | None, reg: float, r: int) -> np.ndarray:
+    """Map coordinate weights back to the view; columns beyond span(V) come from its complement."""
     if basis is None:
         return w
-    k = basis.shape[1]
-    w = basis @ w
-    if w.shape[1] < r:
-        # the complement of span(basis) has eigenvalue reg and no correlation with the other view
-        complement = np.linalg.qr(basis, mode="complete")[0][:, k : k + r - w.shape[1]]
+    xc, u_over_s = basis
+    k = w.shape[1]
+    w = xc.T @ (u_over_s @ w)
+    if k < r:
+        # the complement of span(V) has eigenvalue reg and no correlation with the other view: the
+        # trailing columns of a reduced QR of [V | E] are orthonormal to V, with E any d x (r - k)
+        v = xc.T @ u_over_s
+        complement = np.linalg.qr(np.hstack([v, np.eye(v.shape[0], r - k)]))[0][:, k:]
         w = np.hstack([w, complement / np.sqrt(max(reg, EIG_FLOOR))])
     return w
 

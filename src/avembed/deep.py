@@ -17,7 +17,7 @@ import numpy as np
 
 from . import blockio
 from .attention import _sigmoid
-from .cca import _SIDES, LinearProjection, _covariances, _paired_views, _whiten, fit_cca, project
+from .cca import _SIDES, LinearProjection, _check_ridge, _covariances, _paired_views, _whiten, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
@@ -92,6 +92,9 @@ class DeepModel:
 
     def __post_init__(self) -> None:
         head = self.cca_head
+        if self.r != head.r:
+            raise ValueError(f"r is {self.r} but the CCA head has {head.r} columns")
+        _check_ridge("reg", self.reg)
         for side, branch, w in (("audio", self.audio_branch, head.wx), ("visual", self.visual_branch, head.wy)):
             if w.shape[0] != branch.layer_dims[-1]:
                 raise ValueError(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from avembed.cca import (
 )
 from avembed.clustering import expand_pairs
 from avembed.errors import ResourceLimitError, SingularityError
+
+# a negative eigenvalue reaching sqrt, or a division by a zero singular value, fails instead of giving NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def shared_latent_views(n, seed, noise_var=0.25, extra_dims=3):
@@ -125,6 +129,25 @@ class TestFitCca:
         syy = empirical_regularized_cov(y, model.reg_y)
         np.testing.assert_allclose(model.wx.T @ sxx @ model.wx, np.eye(r), atol=1e-8)
         np.testing.assert_allclose(model.wy.T @ syy @ model.wy, np.eye(r), atol=1e-8)
+
+    def test_rank_above_rows_builds_no_square_complement(self):
+        # the complement of the rows' span needs r - k columns, not a d x d basis (72 MB here)
+        rng = np.random.default_rng(20)
+        n, r = 40, 45
+        x = rng.normal(size=(n, 3000))
+        y = rng.normal(size=(n, 60))
+        tracemalloc.start()
+        try:
+            model = fit_cca(x, y, r, reg=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert model.wx.shape == (3000, r) and model.wy.shape == (60, r)
+        np.testing.assert_allclose(model.correlations[n - 1 :], 0.0, atol=1e-10)
+        for view, w, reg in ((x, model.wx, model.reg_x), (y, model.wy, model.reg_y)):
+            pw = (view - view.mean(axis=0)) @ w  # w' Sxx w without forming the d x d Sxx
+            np.testing.assert_allclose(pw.T @ pw / (n - 1) + reg * w.T @ w, np.eye(r), atol=1e-8)
 
     def test_view_swap_symmetry(self):
         rng = np.random.default_rng(6)
@@ -353,6 +376,31 @@ class TestClusterCca:
             np.testing.assert_allclose(got.wx.T @ sxx @ got.wx, np.eye(r), atol=1e-8, err_msg=msg)
             np.testing.assert_allclose(got.wy.T @ syy @ got.wy, np.eye(r), atol=1e-8, err_msg=msg)
             np.testing.assert_allclose(got.wx.T @ sxy @ got.wy, np.diag(got.correlations), atol=1e-8, err_msg=msg)
+
+    @pytest.mark.parametrize("expansion", [None, (0.5, None), (0.5, 200)], ids=["identity", "f-half", "target-count"])
+    @pytest.mark.parametrize("reg", [None, 1e-3], ids=["default-reg", "given-reg"])
+    def test_rank_deficient_wide_views(self, expansion, reg):
+        # views of rank 6 in 90 dimensions from 40 rows: the Gram has 34 eigenvalues that are rounding
+        # noise, and a direction kept from among them breaks the whitening in the view
+        rng = np.random.default_rng(21)
+        n, d, r = 40, 90, 5
+        labels = rng.integers(0, 4, size=n)
+        shared = rng.normal(size=(n, 3)) + labels[:, None]
+        x = np.hstack([shared, rng.normal(size=(n, 3))]) @ rng.normal(scale=10.0, size=(6, d))
+        y = np.hstack([shared, rng.normal(size=(n, 3))]) @ rng.normal(scale=10.0, size=(6, d))
+        if expansion is None:
+            a = v = np.arange(n)
+            got = fit_cca(x, y, r, reg)
+        else:
+            pairs = expand_pairs(labels, f=expansion[0], seed=3, target_count=expansion[1])
+            a, v = pairs.audio_indices, pairs.visual_indices
+            got = fit_cca(x, y, r, reg, pairs=(a, v))
+        ref = fit_cca(x[a], y[v], r, reg)
+        np.testing.assert_allclose(got.correlations, ref.correlations, rtol=0, atol=1e-10)
+        sxx = empirical_regularized_cov(x[a], got.reg_x)
+        syy = empirical_regularized_cov(y[v], got.reg_y)
+        np.testing.assert_allclose(got.wx.T @ sxx @ got.wx, np.eye(r), atol=1e-8)
+        np.testing.assert_allclose(got.wy.T @ syy @ got.wy, np.eye(r), atol=1e-8)
 
     def test_pair_count_consistency(self):
         labels = np.repeat(np.arange(10), 800)

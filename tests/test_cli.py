@@ -311,9 +311,12 @@ class TestCorruptArtifacts:
         ("kcca", _edit_json(lambda obj: obj.update(beta="0.4")), "key 'beta' must be float"),
         ("kcca", _edit_json(lambda obj: obj.update(kernel=5)), "key 'kernel' must be one of"),
         ("kcca", _edit_json(lambda obj: obj.update(kernel="polynomial")), "key 'kernel' must be one of"),
+        ("cca", _edit_json(lambda obj: obj.update(reg_x=-3.0)), "reg_x must be a finite number >= 0"),
+        ("cca", _edit_json(lambda obj: obj.update(reg_y=float("nan"))), "reg_y must be a finite number >= 0"),
+        ("cca", _edit_json(lambda obj: obj.update(reg_x=float("inf"))), "reg_x must be a finite number >= 0"),
     ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field", "field-not-number",
             "reg-numeric-string", "reg-bool", "correlations-strings", "kcca-beta-string", "kcca-kernel-int",
-            "kcca-kernel-unknown"])
+            "kcca-kernel-unknown", "reg-negative", "reg-nan", "reg-infinite"])
     def test_model_header(self, artifacts, kcca_artifacts, dataset, tmp_path, capsys, method, edit, message):
         src = kcca_artifacts if method == "kcca" else artifacts
         model = _edit_header(src["model"], tmp_path / "bad.model", edit)
@@ -327,8 +330,13 @@ class TestCorruptArtifacts:
         (lambda obj: obj.update(n_audio_layers=2.0), "key 'n_audio_layers' must be int"),
         (lambda obj: obj.update(r=True), "key 'r' must be int"),
         (lambda obj: obj.update(dropout="0.2"), "key 'dropout' must be float"),
+        (lambda obj: obj.update(r=obj["r"] + 3), "but the CCA head has"),
+        (lambda obj: obj.update(reg=-3.0), "reg must be a finite number >= 0"),
+        (lambda obj: obj.update(reg=float("nan")), "reg must be a finite number >= 0"),
+        (lambda obj: obj.update(head_reg_y=-1.0), "reg_y must be a finite number >= 0"),
     ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high", "layer-count-not-int",
-            "layer-count-float", "r-bool", "dropout-string"])
+            "layer-count-float", "r-bool", "dropout-string", "r-not-head-width", "reg-negative", "reg-nan",
+            "head-reg-negative"])
     def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change, message):
         model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
         assert message in self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)

@@ -11,6 +11,9 @@ from avembed.clustering import (
 )
 from avembed.errors import ValidationError
 
+# a negative eigenvalue reaching sqrt, or a division by a zero singular value, fails instead of giving NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_blobs(k=10, per_cluster=100, dim=16, noise_std=0.1, sep_factor=14.0, seed=0):
     """Gaussian blobs whose minimum centroid separation is sep_factor * noise_std."""

@@ -10,7 +10,9 @@ corrupt too. Integers are little-endian:
     block:       u32 name_len | name utf-8 | u8 dtype code | u32 ndim | u32 dim_0.. | payload
 
 A model file is a file header and then named blocks up to the end of the file;
-an index file is a file header, one block and a JSON-lines id/label table.
+an index file is a file header, one block and an id table: the JSON-lines
+{video_id, label} table that is an assignments file on its own, each video_id
+once.
 dtype codes: 0 = float32, 1 = float64, 2 = int64. Payloads are row-major.
 
 JSON artifacts are UTF-8 and hold one object per file (read_json_object) or
@@ -28,7 +30,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorruptFileError, FormatError
+from .errors import CorruptFileError, FormatError, ValidationError
 
 _DTYPE_CODES = {0: "<f4", 1: "<f8", 2: "<i8"}
 _CODE_FOR_KIND = {"<f4": 0, "<f8": 1, "<i8": 2}
@@ -162,6 +164,25 @@ def iter_json_lines(path: str | Path, what: str, raw: bytes | None = None) -> It
     for line_no, line in enumerate(lines, 1):
         if line.strip():
             yield line_no, _json_object(path, line_no, what, line)
+
+
+def id_table(ids: Sequence[str], labels: Sequence[int]) -> bytes:
+    """The JSON-lines {video_id, label} table of index and assignments files."""
+    if len(ids) != len(labels):
+        raise ValueError("video_ids and labels must align")
+    return "".join(json.dumps({"video_id": v, "label": int(lab)}) + "\n" for v, lab in zip(ids, labels)).encode()
+
+
+def read_id_table(path: str | Path, what: str, raw: bytes | None = None) -> dict[str, int]:
+    """video_id -> label of an id table, in file order; a repeated video_id is a ValidationError."""
+    table: dict[str, int] = {}
+    for line_no, obj in iter_json_lines(path, what, raw):
+        where = f"{path}:{line_no}: {what}"
+        vid = field(obj, "video_id", str, where)
+        if vid in table:
+            raise ValidationError(f"{where} repeats video_id {vid!r}")
+        table[vid] = field(obj, "label", int, where)
+    return table
 
 
 # the kind of a field that holds a JSON list, nested or not, of numbers

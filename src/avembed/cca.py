@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blockio
-from .clustering import expand_pairs
+from .clustering import _sq_distances, expand_pairs
 from .errors import FormatError, NumericalError, ResourceLimitError, SingularityError
 
 EIG_FLOOR = 1e-12
@@ -113,8 +113,9 @@ def _check_ridge(name: str, reg: float) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {reg}")
 
 
-def _paired_views(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as finite float64 matrices with one row per pair; ValueError otherwise."""
+def _paired_views(x: np.ndarray, y: np.ndarray, r: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as finite float64 matrices with one row per pair and, given r, at least
+    2 rows and 1 <= r <= the narrower width; ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     for name, a in (("x", x), ("y", y)):
@@ -124,7 +125,27 @@ def _paired_views(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             raise ValueError(f"{name} contains non-finite values")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"views must pair rows: {x.shape[0]} vs {y.shape[0]}")
+    if r is not None and x.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
+    if r is not None and not 1 <= r <= min(x.shape[1], y.shape[1]):
+        raise ValueError(f"r must be in [1, {min(x.shape[1], y.shape[1])}], got {r}")
     return x, y
+
+
+def _labelled_views(x: np.ndarray, y: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The paired views and their labels, one per row; ValueError otherwise."""
+    x, y = _paired_views(x, y)
+    labels = np.asarray(labels)
+    if labels.shape[0] != x.shape[0]:
+        raise ValueError("labels must align with the paired rows")
+    return x, y, labels
+
+
+def _side(side: str) -> str:
+    """'x' for the audio side, 'y' for the visual side; ValueError for any other name."""
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+    return _SIDES[side]
 
 
 def _inv_sqrt_psd(m: np.ndarray, *, allow_floor: bool) -> np.ndarray:
@@ -285,12 +306,8 @@ def fit_cca(
     with row i. An r above the data rank still gives r columns, the trailing
     ones with correlation 0.
     """
-    x, y = _paired_views(x, y)
+    x, y = _paired_views(x, y, r)
     n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if not 1 <= r <= min(x.shape[1], y.shape[1]):
-        raise ValueError(f"r must be in [1, {min(x.shape[1], y.shape[1])}], got {r}")
     rows = np.arange(n)
     if pairs is None:
         a_idx = v_idx = rows
@@ -319,28 +336,20 @@ def fit_cca(
 
 def project(model: LinearProjection, features: np.ndarray, side: str) -> np.ndarray:
     """(features - mean) @ W for the chosen side ('audio'/'x' or 'visual'/'y')."""
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+    s = _side(side)
     features = np.asarray(features, dtype=np.float64)
     squeeze = features.ndim == 1
     features = np.atleast_2d(features)
-    w, mean = (model.wx, model.mean_x) if _SIDES[side] == "x" else (model.wy, model.mean_y)
+    w, mean = getattr(model, "w" + s), getattr(model, "mean_" + s)
     if features.shape[1] != w.shape[0]:
         raise ValueError(f"feature dim {features.shape[1]} does not match side dim {w.shape[0]}")
     out = (features - mean) @ w
     return out[0] if squeeze else out
 
 
-def _gaussian_kernel(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
-    a_sq = np.einsum("ij,ij->i", a, a)[:, None]
-    b_sq = np.einsum("ij,ij->i", b, b)[None, :]
-    sq = np.maximum(a_sq - 2.0 * a @ b.T + b_sq, 0.0)
-    return np.exp(-beta * sq)
-
-
 def _kernel(a: np.ndarray, b: np.ndarray, kind: str, beta: float) -> np.ndarray:
     if kind == "gaussian":
-        return _gaussian_kernel(a, b, beta)
+        return np.exp(-beta * _sq_distances(a, b))
     if kind == "linear":
         return a @ b.T
     raise ValueError(f"unknown kernel {kind!r}")
@@ -416,17 +425,11 @@ def fit_kcca(
 
 def kernel_project(model: KernelModel, features: np.ndarray, side: str) -> np.ndarray:
     """Project new points through the dual coefficients with training-set centering."""
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+    s = _side(side)
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if _SIDES[side] == "x":
-        train, dual, col_means, grand, offset = (
-            model.train_x, model.dual_x, model.col_means_x, model.grand_mean_x, model.offset_x,
-        )
-    else:
-        train, dual, col_means, grand, offset = (
-            model.train_y, model.dual_y, model.col_means_y, model.grand_mean_y, model.offset_y,
-        )
+    train, dual, col_means, grand, offset = (
+        getattr(model, f"{name}_{s}") for name in ("train", "dual", "col_means", "grand_mean", "offset")
+    )
     if features.shape[1] != train.shape[1]:
         raise ValueError(f"feature dim {features.shape[1]} does not match training dim {train.shape[1]}")
     kt = _kernel(features, train, model.kernel, model.beta)
@@ -445,10 +448,7 @@ def fit_cluster_cca(
     target_count: int | None = None,
 ) -> LinearProjection:
     """CCA over cluster-expanded pairs; f = 0 reduces to the identity pairing."""
-    x, y = _paired_views(x, y)
-    labels = np.asarray(labels)
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError("labels must align with the paired rows")
+    x, y, labels = _labelled_views(x, y, labels)
     pairs = expand_pairs(labels, f=f, seed=seed, target_count=target_count)
     return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
 

@@ -136,6 +136,8 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
     if cfg.get("attention_weights"):
         return att.load_attention_params(cfg["attention_weights"])
     hidden = cfg["attention_hidden"]
+    if hidden < 1:
+        raise ValueError(f"attention_hidden must be >= 1, got {hidden}")
     return att.random_attention_params(input_dim, hidden, hidden, seed=cfg["attention_seed"])
 
 
@@ -289,6 +291,9 @@ def cmd_train(cfg: dict) -> int:
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model, _, _ = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
+    null = int(np.sum(model.correlations <= 1e-10))
+    if null:
+        print(f"note: {null} of the r={model.r} canonical correlations are <= 1e-10", file=sys.stderr)
     print(f"trained {method} (r={model.r}, top correlation {model.correlations[0]:.4f}) -> {cfg['out']}")
     return 0
 

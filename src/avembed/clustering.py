@@ -42,22 +42,13 @@ class ClusterModel:
 
 @dataclass
 class PairSet:
-    """Within-cluster (audio_index, visual_index, cluster_label) training pairs."""
+    """Within-cluster training pairs: pair i is (audio_indices[i], visual_indices[i])."""
 
-    pairs: np.ndarray  # (m, 3) int64
-    fraction: float
-    seed: int
+    audio_indices: np.ndarray  # (m,) int64
+    visual_indices: np.ndarray  # (m,) int64
 
     def __len__(self) -> int:
-        return self.pairs.shape[0]
-
-    @property
-    def audio_indices(self) -> np.ndarray:
-        return self.pairs[:, 0]
-
-    @property
-    def visual_indices(self) -> np.ndarray:
-        return self.pairs[:, 1]
+        return self.audio_indices.shape[0]
 
 
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -160,80 +151,61 @@ def expand_pairs(
         raise ValueError(f"expansion fraction must be in [0, 1], got {f}")
     n = la.shape[0]
     rng = np.random.default_rng(seed)
-    identity = np.column_stack([np.arange(n), np.arange(n), la])
+    identity = np.arange(n)
 
     members: dict[int, np.ndarray] = {int(c): np.flatnonzero(la == c) for c in np.unique(la)}
 
     if target_count is not None:
         if target_count < n:
             raise ValueError(f"target_count {target_count} below the {n} identity pairs")
-        cross_rows = _sample_cross_pairs(la, members, target_count - n, rng)
-        pairs = np.vstack([identity, cross_rows]) if cross_rows.size else identity
-        return PairSet(pairs=pairs, fraction=f, seed=seed)
+        audio, visual = _sample_cross_pairs(members, target_count - n, rng)
+        return PairSet(np.concatenate([identity, audio]), np.concatenate([identity, visual]))
 
     if f == 0.0:
-        return PairSet(pairs=identity, fraction=f, seed=seed)
+        return PairSet(identity, identity)
 
-    rows = [identity]
+    audio, visual = [identity], [identity]
     for i in range(n):
         cluster = members[int(la[i])]
         count = max(1, int(round(f * cluster.shape[0])))
+        others = cluster[cluster != i]
         if count >= cluster.shape[0]:
-            partners = cluster
+            chosen = others
+        elif count > 1:
+            chosen = np.sort(rng.choice(others, size=count - 1, replace=False))
         else:
-            others = cluster[cluster != i]
-            chosen = rng.choice(others, size=count - 1, replace=False) if count > 1 else np.empty(0, np.int64)
-            partners = np.concatenate([[i], chosen])
-        partners = np.sort(partners[partners != i])
-        if partners.size:
-            block = np.column_stack([np.full(partners.size, i), partners, np.full(partners.size, la[i])])
-            rows.append(block)
-    return PairSet(pairs=np.vstack(rows), fraction=f, seed=seed)
+            continue
+        audio.append(np.full(chosen.size, i))
+        visual.append(chosen)
+    return PairSet(np.concatenate(audio), np.concatenate(visual))
 
 
 def _sample_cross_pairs(
-    la: np.ndarray, members: dict[int, np.ndarray], count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample `count` distinct non-identity within-cluster cells uniformly."""
+    members: dict[int, np.ndarray], count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample `count` distinct non-identity within-cluster cells uniformly, as (audio, visual) indices."""
     if count == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    audio_flat: list[np.ndarray] = []
-    visual_flat: list[np.ndarray] = []
-    label_flat: list[np.ndarray] = []
-    for c, idx in sorted(members.items()):
-        m = idx.shape[0]
-        a = np.repeat(idx, m)
-        v = np.tile(idx, m)
-        keep = a != v
-        audio_flat.append(a[keep])
-        visual_flat.append(v[keep])
-        label_flat.append(np.full(keep.sum(), c, dtype=np.int64))
-    a_all = np.concatenate(audio_flat)
-    v_all = np.concatenate(visual_flat)
-    l_all = np.concatenate(label_flat)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # every (audio, visual) cell of each cluster, clusters in ascending label order
+    cells = [(np.repeat(idx, idx.size), np.tile(idx, idx.size)) for idx in members.values()]
+    a_all = np.concatenate([a[a != v] for a, v in cells])
+    v_all = np.concatenate([v[a != v] for a, v in cells])
     if count > a_all.shape[0]:
         raise ValueError(
             f"target_count asks for {count} cross pairs but only {a_all.shape[0]} exist"
         )
     chosen = rng.choice(a_all.shape[0], size=count, replace=False)
     chosen.sort()
-    return np.column_stack([a_all[chosen], v_all[chosen], l_all[chosen]])
+    return a_all[chosen], v_all[chosen]
 
 
 def save_assignments(video_ids: Sequence[str], labels: np.ndarray, path: str | Path) -> None:
-    """Cluster assignments as JSON lines {video_id, label}."""
-    if len(video_ids) != len(labels):
-        raise ValueError("video_ids and labels must align")
-    with open(path, "w", encoding="utf-8") as fh:
-        for vid, lab in zip(video_ids, labels):
-            fh.write(json.dumps({"video_id": vid, "label": int(lab)}) + "\n")
+    """Cluster assignments as an id table: JSON lines {video_id, label}."""
+    Path(path).write_bytes(blockio.id_table(video_ids, labels))
 
 
 def load_assignments(path: str | Path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for line_no, obj in blockio.iter_json_lines(path, "assignment line"):
-        where = f"{path}:{line_no}: assignment"
-        out[blockio.field(obj, "video_id", str, where)] = blockio.field(obj, "label", int, where)
+    out = blockio.read_id_table(path, "assignment")
     if not out:
         raise ValidationError(f"{path}: empty assignments file")
     return out

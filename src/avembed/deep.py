@@ -17,7 +17,8 @@ import numpy as np
 
 from . import blockio
 from .attention import _sigmoid
-from .cca import _SIDES, LinearProjection, _check_ridge, _covariances, _paired_views, _whiten, fit_cca, project
+from .cca import LinearProjection, _check_ridge, _covariances, _labelled_views, _paired_views, _side, _whiten
+from .cca import fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
@@ -185,16 +186,6 @@ def _whitened_svd(fx: np.ndarray, fy: np.ndarray, reg: float | None):
     return (st.zx, st.zy, *_whiten(st, full=False))
 
 
-def _check_rank(fx: np.ndarray, fy: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Checked views for the public objective; a training minibatch is paired with r + 1 rows by construction."""
-    fx, fy = _paired_views(fx, fy)
-    if fx.shape[0] < 2:
-        raise ValueError(f"need at least 2 samples, got {fx.shape[0]}")
-    if not 1 <= r <= min(fx.shape[1], fy.shape[1]):
-        raise ValueError(f"r must be in [1, {min(fx.shape[1], fy.shape[1])}], got {r}")
-    return fx, fy
-
-
 def _clipped_sum(s: np.ndarray, r: int) -> float:
     return float(np.minimum(s[:r], 1.0).sum())
 
@@ -218,14 +209,14 @@ def _gradient(r: int, xc, yc, isx, isy, u, s, vt) -> tuple[np.ndarray, np.ndarra
 def _objective_and_grad(
     fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """total_correlation and corr_gradient from one whitening and SVD; r is not checked."""
+    """total_correlation and corr_gradient from one whitening and SVD; r is not checked: TrainConfig bounds it."""
     parts = _whitened_svd(fx, fy, reg)
     return (_clipped_sum(parts[5], r), *_gradient(r, *parts))
 
 
 def total_correlation(fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None = None) -> float:
     """Sum of the top-r singular values of the whitened cross-covariance, each clipped to 1."""
-    fx, fy = _check_rank(fx, fy, r)
+    fx, fy = _paired_views(fx, fy, r)
     return _clipped_sum(_whitened_svd(fx, fy, reg)[5], r)
 
 
@@ -233,7 +224,7 @@ def corr_gradient(
     fx: np.ndarray, fy: np.ndarray, r: int, reg: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of total_correlation with respect to each view's entries."""
-    fx, fy = _check_rank(fx, fy, r)
+    fx, fy = _paired_views(fx, fy, r)
     return _gradient(r, *_whitened_svd(fx, fy, reg))
 
 
@@ -349,10 +340,7 @@ def train_sdcca(
     visual_layers: tuple[int, ...] = DEFAULT_VISUAL_LAYERS,
 ) -> DeepModel:
     """DCCA over cluster-expanded pairs; f = 0 reproduces the plain pairing."""
-    x, y = _paired_views(x, y)
-    labels = np.asarray(labels)
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError("labels must align with the paired rows")
+    x, y, labels = _labelled_views(x, y, labels)
     pairs = expand_pairs(labels, f=f, seed=cfg.seed, target_count=target_count)
     return _train_on_pairs(
         x, y, pairs.audio_indices, pairs.visual_indices, cfg, audio_layers, visual_layers
@@ -361,12 +349,10 @@ def train_sdcca(
 
 def embed(model: DeepModel, features: np.ndarray, side: str) -> np.ndarray:
     """Eval-mode branch forward, then the CCA head projection for that side."""
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
-    branch = model.audio_branch if _SIDES[side] == "x" else model.visual_branch
+    branch = model.audio_branch if _side(side) == "x" else model.visual_branch
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     out, _ = branch_forward(branch, features, "eval")
-    return project(model.cca_head, out, _SIDES[side])
+    return project(model.cca_head, out, side)
 
 
 def save_deep_model(model: DeepModel, path: str | Path, extra: dict | None = None) -> None:

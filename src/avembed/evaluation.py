@@ -33,6 +33,13 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
+def _relevance(ranked: RankedList, judgment: RelevanceJudgment) -> np.ndarray:
+    """1.0 where the ranked video is relevant, else 0.0, in rank order."""
+    if not judgment.relevant_set:
+        raise ValidationError(f"query {judgment.query_id!r} has an empty relevant set")
+    return np.array([vid in judgment.relevant_set for vid in ranked.video_ids], dtype=np.float64)
+
+
 def precision_recall(
     ranked: RankedList, judgment: RelevanceJudgment, output_sizes: Sequence[int]
 ) -> list[tuple[int, float, float]]:
@@ -40,10 +47,8 @@ def precision_recall(
     sizes = list(output_sizes)
     if any(s <= 0 for s in sizes) or any(b < a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("output_sizes must be positive and ascending")
+    hits = np.cumsum(_relevance(ranked, judgment))
     n_rel = len(judgment.relevant_set)
-    if n_rel == 0:
-        raise ValidationError(f"query {judgment.query_id!r} has an empty relevant set")
-    hits = np.cumsum([1 if vid in judgment.relevant_set else 0 for vid in ranked.video_ids])
     out = []
     for s in sizes:
         h = int(hits[min(s, len(hits)) - 1]) if len(hits) else 0
@@ -53,23 +58,18 @@ def precision_recall(
 
 def average_precision(ranked: RankedList, judgment: RelevanceJudgment, n: int | None = None) -> float:
     """AP = (1/R) * sum_{i<=N} p(i) * rel(i) with binary same-cluster relevance."""
-    n_rel = len(judgment.relevant_set)
-    if n_rel == 0:
-        raise ValidationError(f"query {judgment.query_id!r} has an empty relevant set")
+    rel = _relevance(ranked, judgment)
     if n is None:
         n = len(ranked.items)
     if not 0 <= n <= len(ranked.items):
         raise ValueError(f"N must be in [0, {len(ranked.items)}], got {n}")
-    rel = np.array([vid in judgment.relevant_set for vid in ranked.video_ids[:n]], dtype=np.float64)
+    rel = rel[:n]
     if n == 0 or rel.sum() == 0:
         return 0.0
     precision_at = np.cumsum(rel) / np.arange(1, n + 1)
-    # sequential accumulation in rank order, matching a literal transcription
-    # of the formula term by term
-    total = 0.0
-    for value in precision_at[rel > 0]:
-        total += float(value)
-    return total / n_rel
+    # cumsum adds in rank order, one term at a time, as a literal transcription of the formula
+    # does; a pairwise sum would round differently
+    return float(np.cumsum(precision_at[rel > 0])[-1]) / len(judgment.relevant_set)
 
 
 def mean_ap(aps: Sequence[float]) -> float:
@@ -132,34 +132,32 @@ def cross_validate(
 
     per_query_ap: dict[str, float] = {}
     per_fold_map: list[float] = []
-    pr_sums: dict[int, list[float]] = {}
-    pr_counts: dict[int, int] = {}
+    pr_sums: dict[int, list] = {}  # size -> [precision sum, recall sum, query count]
     for fold_no, held in enumerate(fold_indices):
         train_idx = np.sort(np.concatenate([f for j, f in enumerate(fold_indices) if j != fold_no]))
         embed_audio, embed_visual = trainer(train_idx)
-        index = build_index(
-            embed_visual(visual[held]), labels[held], [ids[i] for i in held]
-        )
+        held_ids = [ids[i] for i in held]
+        index = build_index(embed_visual(visual[held]), labels[held], held_ids)
+        relevant: dict[int, set[str]] = {}
+        for vid, label in zip(held_ids, labels[held].tolist()):
+            relevant.setdefault(label, set()).add(vid)
         query_embs = embed_audio(audio[held])
         sizes = list(range(1, len(held) + 1, pr_stride))
         fold_aps = []
         for row, i in enumerate(held):
-            held_same = [ids[j] for j in held if labels[j] == labels[i]]
-            judgment = RelevanceJudgment(query_id=ids[i], relevant_set=set(held_same))
+            judgment = RelevanceJudgment(query_id=ids[i], relevant_set=relevant[int(labels[i])])
             ranked = rank(index, query_embs[row], n=len(held), query_id=ids[i])
             ap = average_precision(ranked, judgment)
             per_query_ap[ids[i]] = ap
             fold_aps.append(ap)
             for s, p, r in precision_recall(ranked, judgment, sizes):
-                acc = pr_sums.setdefault(s, [0.0, 0.0])
+                acc = pr_sums.setdefault(s, [0.0, 0.0, 0])
                 acc[0] += p
                 acc[1] += r
-                pr_counts[s] = pr_counts.get(s, 0) + 1
+                acc[2] += 1
         per_fold_map.append(mean_ap(fold_aps))
 
-    pr_points = [
-        (s, pr_sums[s][0] / pr_counts[s], pr_sums[s][1] / pr_counts[s]) for s in sorted(pr_sums)
-    ]
+    pr_points = [(s, p / count, r / count) for s, (p, r, count) in sorted(pr_sums.items())]
     echo = dict(config or {})
     echo.setdefault("pr_averaging", "per-query-then-mean")
     return EvalReport(

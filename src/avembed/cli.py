@@ -177,16 +177,15 @@ def cmd_synth(cfg: dict) -> int:
         seed=cfg["seed"],
     )
     manifest = write_dataset(synth, out)
-    labels = {e.video_id: e.label for e in manifest.entries}
     names = (
         list(EMOTION_CATEGORIES)
         if synth.n_clusters == len(EMOTION_CATEGORIES)
         else [f"cluster_{i:02d}" for i in range(synth.n_clusters)]
     )
-    categories = {
-        names[c]: [v for v, lab in labels.items() if lab == c][:3] for c in range(synth.n_clusters)
-    }
-    save_seed_sets(categories, out / "seeds.json")
+    # a category per cluster that holds a video: with fewer videos than clusters some hold none
+    labels = np.array([e.label for e in manifest.entries])
+    exemplars, _ = pl.seed_sets_from_labels(np.array([e.video_id for e in manifest.entries]), labels)
+    save_seed_sets({names[c]: v.tolist() for c, v in zip(np.unique(labels), exemplars)}, out / "seeds.json")
     lengths = [e.length_sec for e in manifest.entries]
     print(
         f"wrote {len(manifest)} videos to {out} "

@@ -73,6 +73,8 @@ def seeded_kmeans(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     k = len(seeds)
     if k < 1:
         raise ValueError("need at least one seed set")

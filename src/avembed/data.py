@@ -137,7 +137,7 @@ def load_manifest(path: str | Path) -> Manifest:
                 length_sec=blockio.field(obj, "length_sec", int, where),
                 audio_path=blockio.field(obj, "audio_path", str, where),
                 visual_path=blockio.field(obj, "visual_path", str, where),
-                label=blockio.field(obj, "label", int, where, nullable=True),
+                label=blockio.label_field(obj, where, nullable=True),
             )
         )
     if not entries:

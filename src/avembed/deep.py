@@ -17,16 +17,15 @@ import numpy as np
 
 from . import blockio
 from .attention import _sigmoid
-from .cca import LinearProjection, _check_ridge, _covariances, _labelled_views, _paired_views, _side, _whiten
-from .cca import fit_cca, project
+from .cca import LinearProjection, _LINEAR_BLOCKS, _check_ridge, _covariances, _labelled_views, _paired_views
+from .cca import _side, _whiten, decode, encode, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
 DEFAULT_AUDIO_LAYERS = (128, 128, 64, 64)
 DEFAULT_VISUAL_LAYERS = (512, 512, 256, 256)
 
-_MODEL_MAGIC = b"AVDM"
-_HEAD_BLOCKS = ("wx", "wy", "mean_x", "mean_y")
+MODEL_MAGIC = b"AVDM"
 
 
 @dataclass
@@ -42,11 +41,11 @@ class BranchNetwork:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be non-empty and aligned")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError(f"layer {i}: bias dim {b.shape[0]} != output dim {w.shape[1]}")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i}: input dim {w.shape[0]} breaks the chain")
+        # layer i maps width i to width i + 1; names are those of the model file's blocks, less the side
+        blockio.check_dims({
+            **{f"w{i}": (w, (i, i + 1)) for i, w in enumerate(self.weights)},
+            **{f"b{i}": (b, (i + 1,)) for i, b in enumerate(self.biases)},
+        })
 
     @property
     def layer_dims(self) -> list[int]:
@@ -96,11 +95,11 @@ class DeepModel:
         if self.r != head.r:
             raise ValueError(f"r is {self.r} but the CCA head has {head.r} columns")
         _check_ridge("reg", self.reg)
-        for side, branch, w in (("audio", self.audio_branch, head.wx), ("visual", self.visual_branch, head.wy)):
-            if w.shape[0] != branch.layer_dims[-1]:
-                raise ValueError(
-                    f"the {side} head reads {w.shape[0]} features but its branch outputs {branch.layer_dims[-1]}"
-                )
+        # each side of the head reads what its branch's last layer outputs
+        blockio.check_dims({
+            "audio output layer": (self.audio_branch.weights[-1], "ia"), "head.wx": (head.wx, "ar"),
+            "visual output layer": (self.visual_branch.weights[-1], "jv"), "head.wy": (head.wy, "vr"),
+        })
 
     @property
     def correlations(self) -> np.ndarray:
@@ -356,6 +355,7 @@ def embed(model: DeepModel, features: np.ndarray, side: str) -> np.ndarray:
 
 
 def save_deep_model(model: DeepModel, path: str | Path, extra: dict | None = None) -> None:
+    head_fields, head_blocks = encode(model.cca_head, "linear-cca", "head_", "head.")
     header = {
         "type": "dcca",
         "audio_dims": model.audio_branch.layer_dims,
@@ -363,64 +363,54 @@ def save_deep_model(model: DeepModel, path: str | Path, extra: dict | None = Non
         "dropout": model.audio_branch.dropout_rate,
         "r": model.r,
         "reg": model.reg,
-        "head_reg_x": model.cca_head.reg_x,
-        "head_reg_y": model.cca_head.reg_y,
-        "head_correlations": [float(c) for c in model.cca_head.correlations],
+        **head_fields,
         "objective_history": model.objective_history,
         "n_audio_layers": len(model.audio_branch.weights),
         "n_visual_layers": len(model.visual_branch.weights),
         "config": extra or {},
     }
-    arrays = []
-    for net in (model.audio_branch, model.visual_branch):
-        for w, b in zip(net.weights, net.biases):
-            arrays += [w, b]
-    arrays += [getattr(model.cca_head, name) for name in _HEAD_BLOCKS]
-    names = _block_names(len(model.audio_branch.weights), len(model.visual_branch.weights))
-    blockio.save(path, _MODEL_MAGIC, header, dict(zip(names, arrays)))
+    blocks = {}
+    for side, net in (("audio", model.audio_branch), ("visual", model.visual_branch)):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            blocks[f"{side}.w{i}"], blocks[f"{side}.b{i}"] = w, b
+    blockio.save(path, MODEL_MAGIC, header, {**blocks, **head_blocks})
 
 
 def _block_names(n_audio: int, n_visual: int) -> list[str]:
-    """Block order of a deep model file: each layer's weights then bias, per branch, then the CCA head."""
+    """The blocks of a deep model file: each layer's weights and bias, per branch, then the CCA head's."""
     layers = [
         f"{side}.{kind}{i}"
         for side, n in (("audio", n_audio), ("visual", n_visual))
         for i in range(n)
         for kind in "wb"
     ]
-    return layers + [f"head.{name}" for name in _HEAD_BLOCKS]
+    return layers + [f"head.{name}" for name in _LINEAR_BLOCKS]
 
 
 def load_deep_model(path: str | Path) -> DeepModel:
-    header, blocks = blockio.load(path, _MODEL_MAGIC)
+    header, blocks = blockio.load(path, MODEL_MAGIC)
     if header.get("type") != "dcca":
         raise FormatError(f"{path}: not a deep model file")
-    get = partial(blockio.field, header, where=f"{path}: dcca model header")
+    where = f"{path}: dcca model header"
+    get = partial(blockio.field, header, where=where)
     n_a, n_v = get("n_audio_layers", int), get("n_visual_layers", int)
     blockio.expect(path, blocks, _block_names(n_a, n_v))
     history = get("objective_history", blockio.NUMBERS, nullable=True)
+    branches = []
+    for side, n in (("audio", n_a), ("visual", n_v)):
+        try:
+            weights = [blocks[f"{side}.w{i}"] for i in range(n)]
+            biases = [blocks[f"{side}.b{i}"] for i in range(n)]
+            branches.append(BranchNetwork(weights=weights, biases=biases, dropout_rate=get("dropout", float)))
+        except ValueError as exc:  # blocks whose shapes disagree, or a dropout out of range
+            raise FormatError(f"{path}: invalid dcca model: {side}.{exc}") from exc
     try:
-        audio, visual = (
-            BranchNetwork(
-                weights=[blocks[f"{side}.w{i}"] for i in range(n)],
-                biases=[blocks[f"{side}.b{i}"] for i in range(n)],
-                dropout_rate=get("dropout", float),
-            )
-            for side, n in (("audio", n_a), ("visual", n_v))
-        )
-        head = LinearProjection(
-            **{name: blocks[f"head.{name}"] for name in _HEAD_BLOCKS},
-            correlations=get("head_correlations", blockio.NUMBERS),
-            reg_x=get("head_reg_x", float),
-            reg_y=get("head_reg_y", float),
-        )
         return DeepModel(
-            audio_branch=audio,
-            visual_branch=visual,
-            cca_head=head,
+            *branches,
+            cca_head=decode("linear-cca", header, blocks, where, "head_", "head."),
             r=get("r", int),
             reg=get("reg", float),
             objective_history=[] if history is None else history.tolist(),
         )
-    except (TypeError, ValueError) as exc:  # blocks whose shapes disagree, or a dropout out of range
+    except (TypeError, ValueError) as exc:  # blocks whose shapes disagree
         raise FormatError(f"{path}: invalid dcca model: {exc}") from exc

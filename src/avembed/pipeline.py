@@ -164,15 +164,9 @@ def query_matrix(
 def seed_sets_from_labels(
     features: np.ndarray, labels: np.ndarray, per_cluster: int = 3
 ) -> tuple[list[np.ndarray], list[list[int]]]:
-    """First per_cluster exemplars of each label as k-means seed sets."""
-    seeds, exemplar_rows = [], []
-    for c in np.unique(labels):
-        rows = np.flatnonzero(labels == c)[:per_cluster]
-        if rows.size == 0:
-            raise ValidationError(f"cluster {int(c)} has no exemplars")
-        seeds.append(features[rows])
-        exemplar_rows.append([int(r) for r in rows])
-    return seeds, exemplar_rows
+    """The first per_cluster rows of features of each label, in ascending label order, and their numbers."""
+    rows = [np.flatnonzero(labels == c)[:per_cluster] for c in np.unique(labels)]
+    return [features[r] for r in rows], [r.tolist() for r in rows]
 
 
 def cluster_dataset(
@@ -248,36 +242,36 @@ def train_method(
     return (model, *embedders(model))
 
 
+# model class -> (its module, embed function, save function); the functions are looked up
+# through the module on every call, so a function rebound there later is the one that runs
+_MODEL_KINDS = {
+    deep_mod.DeepModel: (deep_mod, "embed", "save_deep_model"),
+    cca_mod.KernelModel: (cca_mod, "kernel_project", "save_kernel_model"),
+    cca_mod.LinearProjection: (cca_mod, "project", "save_projection"),
+}
+
+
 def embedders(model) -> tuple[EmbedFn, EmbedFn]:
     """(audio embedder, visual embedder) of a fitted or loaded model of any method."""
+    module, embed_name, _ = _MODEL_KINDS[type(model)]
 
-    # the projections are looked up through their modules on every call, so a
-    # function rebound there later is the one that runs
     def embed(m: np.ndarray, side: str) -> np.ndarray:
-        if isinstance(model, deep_mod.DeepModel):
-            return deep_mod.embed(model, m, side)
-        if isinstance(model, cca_mod.KernelModel):
-            return cca_mod.kernel_project(model, m, side)
-        return cca_mod.project(model, np.atleast_2d(m), side)
+        return getattr(module, embed_name)(model, np.atleast_2d(m), side)
 
     return (lambda m: embed(m, "audio")), (lambda m: embed(m, "visual"))
 
 
 def save_model(model, path: str | Path, extra: dict | None = None) -> None:
     """Write a fitted model of any method; extra is echoed in its header."""
-    if isinstance(model, deep_mod.DeepModel):
-        deep_mod.save_deep_model(model, path, extra=extra)
-    elif isinstance(model, cca_mod.KernelModel):
-        cca_mod.save_kernel_model(model, path, extra=extra)
-    else:
-        cca_mod.save_projection(model, path, extra=extra)
+    module, _, save_name = _MODEL_KINDS[type(model)]
+    getattr(module, save_name)(model, path, extra=extra)
 
 
 def load_model(path: str | Path):
     """Read a model file of any method; as in embedders, the loaders are looked up at call time."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(deep_mod._MODEL_MAGIC))
-    if magic == deep_mod._MODEL_MAGIC:
+        magic = fh.read(len(deep_mod.MODEL_MAGIC))
+    if magic == deep_mod.MODEL_MAGIC:
         return deep_mod.load_deep_model(path)
     return cca_mod.load_cca_model(path)
 

@@ -61,6 +61,18 @@ class TestSynth:
         assert len(seeds["categories"]) == 4
         assert all(len(v) == 3 for v in seeds["categories"].values())
 
+    def test_fewer_videos_than_clusters_seeds_only_drawn_clusters(self, tmp_path, capsys):
+        # 5 videos cannot cover 10 clusters: an empty category would make `cluster` reject the file
+        root = tmp_path / "data"
+        assert run("synth", "--out", root, "--videos", 5, "--clusters", 10, "--latent-dim", 4,
+                   "--seed", 2) == 0
+        categories = json.loads((root / "seeds.json").read_text())["categories"]
+        labels = {e.label for e in load_manifest(root / "manifest.jsonl").entries}
+        assert len(categories) == len(labels) and all(categories.values())
+        out = tmp_path / "labels.jsonl"
+        assert run("cluster", "--dataset", root, "--seeds-file", root / "seeds.json", "--out", out) == 0
+        assert f"into {len(labels)} groups" in capsys.readouterr().out
+
 
 class TestIngest:
     def test_valid_dataset_passes(self, dataset, capsys):
@@ -152,6 +164,15 @@ class TestCluster:
             err = capsys.readouterr().err
             assert f"--k {k}" in err and "4 seed sets" in err
             assert not out.exists()
+
+    def test_max_iter_below_one_is_usage_error(self, dataset, tmp_path, capsys):
+        # with no iteration every label would stay -1
+        out = tmp_path / "assignments.jsonl"
+        assert run("cluster", "--dataset", dataset, "--seeds-file", dataset / "seeds.json", "--out", out,
+                   "--max-iter", 0) == 1
+        err = capsys.readouterr().err
+        assert "max_iter must be >= 1, got 0" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -364,15 +385,17 @@ class TestCorruptArtifacts:
         model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
         assert message in self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)
 
-    @pytest.mark.parametrize("method, edit", [
-        ("cca", lambda b: b.update(mean_x=b["mean_x"][:5])),
-        ("kcca", lambda b: b.update(dual_x=b["dual_x"][:-3])),
-        ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2)})),
+    @pytest.mark.parametrize("method, edit, message", [
+        ("cca", lambda b: b.update(mean_x=b["mean_x"][:5]), "mean_x of shape (5,)"),
+        ("kcca", lambda b: b.update(dual_x=b["dual_x"][:-3]), "dual_x of shape"),
+        ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2)}), "mean_x of shape"),
         ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2),
-                                     "head.mean_x": np.tile(b["head.mean_x"], 2)})),
-    ], ids=["linear-mean-short", "kcca-dual-short", "dcca-head-rows-doubled", "dcca-head-wider-than-branch"])
+                                     "head.mean_x": np.tile(b["head.mean_x"], 2)}), "head.wx of shape"),
+        ("dcca", lambda b: b.update({"audio.w0": b["audio.w0"][0]}), "audio.w0 of shape (16,)"),
+    ], ids=["linear-mean-short", "kcca-dual-short", "dcca-head-rows-doubled", "dcca-head-wider-than-branch",
+            "dcca-weight-1d"])
     def test_model_blocks_disagree_in_shape(self, artifacts, deep_artifacts, dataset, tmp_path, capsys,
-                                            method, edit):
+                                            method, edit, message):
         if method == "kcca":
             src = tmp_path / "kcca.model"
             assert run("train", "--dataset", dataset, "--method", "kcca", "--r", 4, "--out", src) == 0
@@ -382,7 +405,7 @@ class TestCorruptArtifacts:
         header, blocks = blockio.load(src, magic)
         edit(blocks)
         blockio.save(tmp_path / "bad.model", magic, header, blocks)
-        self._query_fails_cleanly(dataset, capsys, artifacts["index"], tmp_path / "bad.model")
+        assert message in self._query_fails_cleanly(dataset, capsys, artifacts["index"], tmp_path / "bad.model")
 
     def test_model_block_name_not_utf8(self, artifacts, dataset, tmp_path, capsys):
         raw = bytearray(artifacts["model"].read_bytes())
@@ -416,6 +439,27 @@ class TestCorruptArtifacts:
         index.write_bytes(b"".join(lines[:-1]) + b'{"video_id": "mv00000", "label": 0}\n')
         err = self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
         assert f"{index} id table:36: id line repeats video_id 'mv00000'" in err
+
+    def test_index_label_beyond_int64(self, artifacts, dataset, tmp_path, capsys):
+        lines = artifacts["index"].read_bytes().splitlines(keepends=True)
+        last = json.loads(lines[-1])
+        index = tmp_path / "bad.index"
+        index.write_bytes(b"".join(lines[:-1]) + json.dumps({**last, "label": 2**70}).encode() + b"\n")
+        err = self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+        assert f"{index} id table:36: id line key 'label' must fit int64" in err
+
+    def test_assignment_label_beyond_int64(self, artifacts, dataset, tmp_path, capsys):
+        ids = [e.video_id for e in load_manifest(dataset / "manifest.jsonl").entries]
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps({"video_id": v, "label": 2**70 if i == 2 else i % 4}) + "\n"
+                                  for i, v in enumerate(ids)))
+        out = tmp_path / "videos.index"
+        assert run("index", "--dataset", dataset, "--model", artifacts["model"], "--labels", labels,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "avembed: data error" in err and "Traceback" not in err
+        assert f"{labels}:3: assignment key 'label' must fit int64, got {2**70}" in err
+        assert not out.exists()
 
     def test_assignments_repeat_a_video(self, artifacts, dataset, tmp_path, capsys):
         ids = [e.video_id for e in load_manifest(dataset / "manifest.jsonl").entries]
@@ -507,6 +551,14 @@ class TestJsonTypesAndFileSlots:
     def test_manifest_field_type(self, dataset, tmp_path, capsys, change, message):
         _manifest_dir(dataset, tmp_path, change)
         assert message in self._fails_cleanly(capsys, "ingest", "--dataset", tmp_path)
+
+    def test_manifest_label_beyond_int64(self, dataset, tmp_path, capsys):
+        # ccca trains on the manifest's labels when no --labels file is given
+        _manifest_dir(dataset, tmp_path, lambda e: e.update(label=-(2**63) - 1))
+        err = self._fails_cleanly(capsys, "train", "--dataset", tmp_path, "--method", "ccca", "--r", 4,
+                                  "--out", tmp_path / "ccca.model")
+        assert f"{tmp_path / 'manifest.jsonl'}:1: manifest key 'label' must fit int64" in err
+        assert not (tmp_path / "ccca.model").exists()
 
     def test_assignment_label_float(self, dataset, tmp_path, capsys):
         ids = [json.loads(line)["video_id"] for line in (dataset / "manifest.jsonl").read_text().splitlines()]

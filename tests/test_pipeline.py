@@ -169,6 +169,16 @@ class TestTrainMethodDispatch:
             np.testing.assert_array_equal(lv(prepared.visual[:5]), qv)
             np.testing.assert_array_equal(loaded.correlations, model.correlations)
 
+    @pytest.mark.parametrize("method", ["cca", "kcca", "ccca", "dcca", "sdcca"])
+    def test_resaving_a_loaded_model_writes_the_same_bytes(self, prepared, tmp_path, method):
+        model, _, _ = train_method(method, prepared.audio_mean, prepared.visual, prepared.manifest_labels, r=4,
+                                   reg=1e-3, f=0.5, batch_size=16, epochs=2, audio_layers=(16, 8),
+                                   visual_layers=(16, 8))
+        first, again = tmp_path / "first.model", tmp_path / "again.model"
+        save_model(model, first, extra={"method": method})
+        save_model(load_model(first), again, extra={"method": method})
+        assert again.read_bytes() == first.read_bytes()
+
     def test_unknown_method(self, prepared):
         with pytest.raises(ValueError):
             train_method("pca", prepared.audio_mean, prepared.visual, None, r=2, reg=None)

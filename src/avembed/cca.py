@@ -61,9 +61,11 @@ class LinearProjection:
     reg_x: float
     reg_y: float
 
+    # the axis labels of each array, for blockio.check_dims
+    AXES = {"wx": "dr", "wy": "er", "mean_x": "d", "mean_y": "e", "correlations": "r"}
+
     def __post_init__(self) -> None:
-        blockio.check_dims({"wx": (self.wx, "dr"), "wy": (self.wy, "er"), "mean_x": (self.mean_x, "d"),
-                            "mean_y": (self.mean_y, "e"), "correlations": (self.correlations, "r")})
+        blockio.check_dims({name: (getattr(self, name), axes) for name, axes in self.AXES.items()})
         for name in ("reg_x", "reg_y"):
             _check_ridge(name, getattr(self, name))
 
@@ -92,13 +94,13 @@ class KernelModel:
     offset_x: np.ndarray = field(repr=False)
     offset_y: np.ndarray = field(repr=False)
 
+    AXES = {
+        "train_x": "nd", "train_y": "ne", "dual_x": "nr", "dual_y": "nr", "col_means_x": "n",
+        "col_means_y": "n", "offset_x": "r", "offset_y": "r", "correlations": "r",
+    }
+
     def __post_init__(self) -> None:
-        blockio.check_dims({
-            "train_x": (self.train_x, "nd"), "train_y": (self.train_y, "ne"), "dual_x": (self.dual_x, "nr"),
-            "dual_y": (self.dual_y, "nr"), "col_means_x": (self.col_means_x, "n"),
-            "col_means_y": (self.col_means_y, "n"), "offset_x": (self.offset_x, "r"),
-            "offset_y": (self.offset_y, "r"), "correlations": (self.correlations, "r"),
-        })
+        blockio.check_dims({name: (getattr(self, name), axes) for name, axes in self.AXES.items()})
 
     @property
     def r(self) -> int:
@@ -471,10 +473,14 @@ def encode(model, kind: str, field_prefix: str = "", block_prefix: str = "") -> 
 def decode(kind: str, header: dict, blocks: dict, where: str, field_prefix: str = "", block_prefix: str = ""):
     """The model that encode stored under these prefixes; ValueError if its blocks' shapes disagree."""
     cls, names, fields = _MODEL_TYPES[kind]
-    return cls(
+    values = {
         **{name: blocks[block_prefix + name] for name in names},
         **{name: blockio.field(header, field_prefix + name, f, where) for name, f in fields.items()},
-    )
+    }
+    # the class's own shape check, under the names the file stores the values by
+    stored = {**{name: block_prefix + name for name in names}, **{name: field_prefix + name for name in fields}}
+    blockio.check_dims({stored[name]: (values[name], axes) for name, axes in cls.AXES.items()})
+    return cls(**values)
 
 
 def save_projection(model: LinearProjection, path: str | Path, extra: dict | None = None) -> None:

@@ -222,7 +222,7 @@ def cmd_ingest(cfg: dict) -> int:
 
 
 def cmd_chunk_select(cfg: dict) -> int:
-    prepared = pl.prepare_dataset(cfg["dataset"])
+    prepared = pl.prepare_dataset(cfg["dataset"], chunks=True)
     c, k = cfg["chunks"], cfg["top_k"]
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     wanted = [cfg["video_id"]] if cfg.get("video_id") else prepared.ids
@@ -272,21 +272,31 @@ def cmd_cluster(cfg: dict) -> int:
     return 0
 
 
-def _query_matrix_for(prepared: pl.PreparedDataset, cfg: dict, rows: list[int] | None = None) -> np.ndarray:
+def _query_mode(cfg: dict) -> tuple[int, int] | str:
+    """--query-mode as 'mean' or a checked (c, k) chunk config; ValidationError if it is neither."""
     mode = cfg["query_mode"]
     if mode == "mean":
-        return pl.query_matrix(prepared, "mean", rows=rows)
+        return mode
     ck = _int_tuple(mode)
     if len(ck) != 2:
         raise ValidationError(f"--query-mode must be 'mean' or two integers 'c,k', got {mode!r}")
-    params = _attention_params(cfg, prepared.audio_mean.shape[1])
-    return pl.query_matrix(prepared, ck, params, rows)
+    pl.check_chunk_config(*ck)
+    return ck
+
+
+def _query_matrix_for(
+    prepared: pl.PreparedDataset, cfg: dict, mode: tuple[int, int] | str, rows: list[int] | None = None
+) -> np.ndarray:
+    params = None if mode == "mean" else _attention_params(cfg, prepared.audio_mean.shape[1])
+    return pl.query_matrix(prepared, mode, params, rows)
 
 
 def cmd_train(cfg: dict) -> int:
-    prepared = pl.prepare_dataset(cfg["dataset"])
+    mode = _query_mode(cfg)
+    # only a chunk-selection mode reads the chunk pools
+    prepared = pl.prepare_dataset(cfg["dataset"], chunks=mode != "mean")
     method = cfg["method"]
-    audio = _query_matrix_for(prepared, cfg)
+    audio = _query_matrix_for(prepared, cfg, mode)
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model, _, _ = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
@@ -308,13 +318,14 @@ def cmd_index(cfg: dict) -> int:
 
 
 def cmd_query(cfg: dict) -> int:
-    prepared = pl.prepare_dataset(cfg["dataset"])
+    mode = _query_mode(cfg)
+    prepared = pl.prepare_dataset(cfg["dataset"], chunks=mode != "mean")
     index = rt.load_index(cfg["index"])
     embed_audio, _ = pl.embedders(pl.load_model(cfg["model"]))
     vid = cfg["video_id"]
     if vid not in prepared.ids:
         raise ValidationError(f"video {vid!r} not in the dataset")
-    query_vec = embed_audio(_query_matrix_for(prepared, cfg, [prepared.ids.index(vid)]))[0]
+    query_vec = embed_audio(_query_matrix_for(prepared, cfg, mode, [prepared.ids.index(vid)]))[0]
     ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:
         print(json.dumps({"video_id": video_id, "similarity": sim}))
@@ -333,7 +344,7 @@ def cmd_eval(cfg: dict) -> int:
         raise ValueError("pr_stride must be >= 1")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    prepared = pl.prepare_dataset(cfg["dataset"])
+    prepared = pl.prepare_dataset(cfg["dataset"], chunks=True)
     labels = _labels_for(prepared, cfg)
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
     fit_kwargs = _fit_kwargs(cfg)

@@ -261,6 +261,7 @@ def _train_on_pairs(
     visual_layers: tuple[int, ...],
 ) -> DeepModel:
     """Shared training loop; pairs are (a_idx[i], v_idx[i]) rows of x and y."""
+    # last-bit chaotic: first-layer dW * (1 + 2**-52) moves ordering seed 0's sdcca MAP 0.6883 -> 0.6759
     if cfg.r > min(audio_layers[-1], visual_layers[-1]):
         raise ValueError(
             f"r={cfg.r} exceeds branch output dims ({audio_layers[-1]}, {visual_layers[-1]})"

@@ -1,9 +1,11 @@
 """Wiring between the dataset, chunk scorer, clustering, models, and eval.
 
 Per-video representations are pooled in one streaming pass (frame matrices
-are not kept): full-frame audio means for mean-mode queries, per-base-chunk
-means and maxes for attention-based queries, and max-pooled video-level
-visual features.
+are not kept): full-frame audio means for mean-mode queries and max-pooled
+video-level visual features, always; per-base-chunk means and maxes for
+attention-based queries only with chunks=True. The pools hold
+2 * (frames // 3) * 128 float64 per video, about 147 KB at 216 s, so the
+callers that never score chunks leave them out.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ class PreparedDataset:
     ids: list[str]
     lengths: np.ndarray
     audio_mean: np.ndarray       # (n, 128) mean over all frames
-    chunk_means: list[np.ndarray]  # per video: (n_base, 128) per-base-chunk frame means
-    chunk_maxes: list[np.ndarray]  # per video: (n_base, 128) per-base-chunk frame maxes
+    # per video: (n_base, 128) per-base-chunk frame means and maxes; None unless
+    # prepared with chunks=True
+    chunk_means: list[np.ndarray] | None
+    chunk_maxes: list[np.ndarray] | None
     visual: np.ndarray           # (n, 1024) max-pooled video-level features
     manifest_labels: np.ndarray | None = None
 
@@ -55,9 +59,11 @@ class PreparedDataset:
         return len(self.ids)
 
 
-def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence):
-    means, maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
-    return video_level_audio(audio_seq), means, maxes, video_level_visual(visual_seq)
+def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence, chunks: bool = False):
+    """(audio mean, chunk means, chunk maxes, visual max) of one video; the chunk pools are None
+    unless chunks."""
+    pools = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC) if chunks else (None, None)
+    return video_level_audio(audio_seq), *pools, video_level_visual(visual_seq)
 
 
 def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, FeatureSequence]:
@@ -75,30 +81,35 @@ def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, Featu
     return audio, visual
 
 
-def prepare_dataset(dataset_dir: str | Path) -> PreparedDataset:
+def prepare_dataset(dataset_dir: str | Path, chunks: bool = False) -> PreparedDataset:
+    """Every video of the dataset's manifest, pooled; chunks=True also keeps the chunk pools."""
     root = Path(dataset_dir)
     manifest = load_manifest(root / "manifest.jsonl")
     return _prepare_from_pairs(
         ((e, *load_video(root, e), e.label) for e in manifest.entries),
         has_labels=all(e.label is not None for e in manifest.entries),
+        chunks=chunks,
     )
 
 
-def prepare_synthetic(cfg: SynthConfig) -> PreparedDataset:
-    return _prepare_from_pairs(iter_synth_videos(cfg), has_labels=True)
+def prepare_synthetic(cfg: SynthConfig, chunks: bool = False) -> PreparedDataset:
+    """The generator's videos, pooled as prepare_dataset pools them."""
+    return _prepare_from_pairs(iter_synth_videos(cfg), has_labels=True, chunks=chunks)
 
 
-def _prepare_from_pairs(pairs, has_labels: bool) -> PreparedDataset:
-    ids, lengths, means, cmeans, cmaxes, visuals, labels = [], [], [], [], [], [], []
+def _prepare_from_pairs(pairs, has_labels: bool, chunks: bool) -> PreparedDataset:
+    ids, lengths, means, visuals, labels = [], [], [], [], []
+    cmeans, cmaxes = ([], []) if chunks else (None, None)
     for entry, audio_seq, visual_seq, label in pairs:
-        a_mean, ch_means, ch_maxes, v_max = _pool_video(audio_seq, visual_seq)
+        a_mean, ch_means, ch_maxes, v_max = _pool_video(audio_seq, visual_seq, chunks)
         ids.append(entry.video_id)
         lengths.append(entry.length_sec)
         means.append(a_mean)
-        cmeans.append(ch_means)
-        cmaxes.append(ch_maxes)
         visuals.append(v_max)
         labels.append(label)
+        if chunks:
+            cmeans.append(ch_means)
+            cmaxes.append(ch_maxes)
     return PreparedDataset(
         ids=ids,
         lengths=np.asarray(lengths),
@@ -110,6 +121,12 @@ def _prepare_from_pairs(pairs, has_labels: bool) -> PreparedDataset:
     )
 
 
+def check_chunk_config(c: int, k: int) -> None:
+    """ValidationError unless 1 <= k <= c: the top k of c macro-chunks."""
+    if not 1 <= k <= c:
+        raise ValidationError(f"top-k must be in [1, chunks], got top-k {k} of {c} chunks")
+
+
 def chunk_selection_for(
     chunk_maxes: np.ndarray, params: att.AttentionParams, c: int, k: int
 ) -> att.ChunkSelection:
@@ -118,8 +135,7 @@ def chunk_selection_for(
     Base chunks beyond the largest multiple of c are dropped before scoring so
     the macro partition is exact (extends the remainder-drop rule).
     """
-    if not 1 <= k <= c:
-        raise ValidationError(f"top-k must be in [1, chunks], got top-k {k} of {c} chunks")
+    check_chunk_config(c, k)
     n_base = chunk_maxes.shape[0]
     usable = (n_base // c) * c
     if usable < c:
@@ -153,6 +169,8 @@ def query_matrix(
     c, k = mode
     if params is None:
         raise ValueError("chunk-selection query mode needs attention parameters")
+    if prepared.chunk_maxes is None:
+        raise ValueError("chunk-selection query mode needs the chunk pools: prepare with chunks=True")
     rows = range(len(prepared)) if rows is None else rows
     out = np.empty((len(rows), prepared.audio_mean.shape[1]))
     for j, i in enumerate(rows):

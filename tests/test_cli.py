@@ -1,13 +1,14 @@
 import argparse
 import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avembed import blockio
+from avembed import blockio, data, pipeline
 from avembed.attention import random_attention_params, save_attention_params
 from avembed.cli import main
 from avembed.data import load_manifest, filter_manifest
@@ -244,7 +245,7 @@ class TestTrainIndexQuery:
                    "--video-id", vid, "-n", 5, "--query-mode", "3,1") == 0
         got = [(o["video_id"], o["similarity"]) for o in map(json.loads, capsys.readouterr().out.splitlines())]
         # the default stand-in scorer: --attention-seed 0, --attention-hidden 16
-        prepared = prepare_dataset(dataset)
+        prepared = prepare_dataset(dataset, chunks=True)
         row = prepared.ids.index(vid)
         query = query_matrix(prepared, (3, 1), random_attention_params(128, 16, 16, seed=0))[row]
         assert not np.allclose(query, prepared.audio_mean[row])  # the mean-mode query would not pass
@@ -309,6 +310,75 @@ class TestTrainIndexQuery:
 
         with pytest.raises(ResourceLimitError, match="cap"):
             fit_kcca(big, big, 1)
+
+
+class TestChunkPoolsPerCommand:
+    """Only the commands that score chunks pool them: once per video of the 36."""
+
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        calls = []
+        real = data.pool_chunks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data, "pool_chunks", counted)
+        monkeypatch.setattr(pipeline, "pool_chunks", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, pooled", [
+        ("cluster --seeds-file {dataset}/seeds.json --out {out}/labels.jsonl", 0),
+        ("train --method cca --r 4 --out {out}/m.model", 0),
+        ("index --model {model} --labels {labels} --out {out}/videos.index", 0),
+        ("query --index {index} --model {model} --video-id mv00003 -n 3", 0),
+        ("train --method cca --r 4 --query-mode 3,1 --out {out}/m.model", 36),
+        ("query --index {index} --model {model} --video-id mv00003 -n 3 --query-mode 3,1", 36),
+        ("chunk-select --chunks 3 --top-k 1", 36),
+        ("eval --out-dir {out}/eval --methods cca --folds 2 --r 4 --pr-stride 6", 36),
+    ], ids=["cluster", "train-mean", "index", "query-mean", "train-chunks", "query-chunks", "chunk-select",
+            "eval"])
+    def test_pools_built_only_to_score_chunks(self, artifacts, dataset, tmp_path, pool_calls, argv, pooled):
+        command, *rest = argv.format(dataset=dataset, out=tmp_path, model=artifacts["model"],
+                                     labels=artifacts["assignments"], index=artifacts["index"]).split()
+        assert run(command, "--dataset", dataset, *rest) == 0
+        assert len(pool_calls) == pooled
+
+
+class TestQueryModeCheckedFirst:
+    """A malformed --query-mode exits 2 before the corpus is read."""
+
+    @pytest.fixture(scope="class")
+    def truncated(self, dataset, tmp_path_factory):
+        root = tmp_path_factory.mktemp("truncated") / "data"
+        shutil.copytree(dataset, root)
+        victim = sorted((root / "audio").iterdir())[5]
+        victim.write_bytes(victim.read_bytes()[:-9])
+        return root, victim.name
+
+    def _argv(self, command, artifacts, tmp_path):
+        if command == "train":
+            return ("train", "--method", "cca", "--r", 4, "--out", tmp_path / "m.model")
+        return ("query", "--index", artifacts["index"], "--model", artifacts["model"], "--video-id", "mv00003")
+
+    @pytest.mark.parametrize("mode, message", [
+        ("1,2,3", "--query-mode must be 'mean' or two integers 'c,k', got '1,2,3'"),
+        ("0,1", "top-k must be in [1, chunks], got top-k 1 of 0 chunks"),
+    ], ids=["three-ints", "zero-chunks"])
+    @pytest.mark.parametrize("command", ["train", "query"])
+    def test_mode_named_not_the_file(self, truncated, artifacts, tmp_path, capsys, command, mode, message):
+        root, victim = truncated
+        assert run(*self._argv(command, artifacts, tmp_path), "--dataset", root, "--query-mode", mode) == 2
+        out, err = capsys.readouterr()
+        assert message in err and victim not in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("command", ["train", "query"])
+    def test_well_formed_mode_reaches_the_file(self, truncated, artifacts, tmp_path, capsys, command):
+        root, victim = truncated
+        assert run(*self._argv(command, artifacts, tmp_path), "--dataset", root, "--query-mode", "3,1") == 2
+        assert victim in capsys.readouterr().err
 
 
 def _edit_header(src: Path, dst: Path, edit) -> Path:
@@ -392,8 +462,10 @@ class TestCorruptArtifacts:
         ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2),
                                      "head.mean_x": np.tile(b["head.mean_x"], 2)}), "head.wx of shape"),
         ("dcca", lambda b: b.update({"audio.w0": b["audio.w0"][0]}), "audio.w0 of shape (16,)"),
+        ("dcca", lambda b: b.update({"head.wx": np.vstack([b["head.wx"]] * 2)}),
+         "invalid dcca model: head.mean_x of shape (8,) does not fit the other arrays"),
     ], ids=["linear-mean-short", "kcca-dual-short", "dcca-head-rows-doubled", "dcca-head-wider-than-branch",
-            "dcca-weight-1d"])
+            "dcca-weight-1d", "dcca-head-rows-doubled-names-the-block"])
     def test_model_blocks_disagree_in_shape(self, artifacts, deep_artifacts, dataset, tmp_path, capsys,
                                             method, edit, message):
         if method == "kcca":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from avembed.attention import attention_distribution, lstm_step, random_attention_params, select_top_k
-from avembed.data import SynthConfig, write_dataset
+from avembed.data import SynthConfig, iter_synth_videos, pool_chunks, write_dataset
 from avembed.errors import ValidationError
 from avembed.evaluation import cross_validate
 from avembed.pipeline import (
@@ -25,7 +25,7 @@ CFG = SynthConfig(n_videos=40, n_clusters=4, latent_dim=6, noise_std=0.1, seed=0
 
 @pytest.fixture(scope="module")
 def prepared():
-    return prepare_synthetic(CFG)
+    return prepare_synthetic(CFG, chunks=True)
 
 
 class TestPrepare:
@@ -64,6 +64,49 @@ class TestPrepare:
             prepare_dataset(root)
 
 
+class TestChunkPools:
+    """The per-base-chunk pools are built only with chunks=True; nothing else changes."""
+
+    @pytest.fixture(scope="class")
+    def on_disk(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pools") / "ds"
+        write_dataset(CFG, root)
+        return root
+
+    @pytest.mark.parametrize("source", ["synthetic", "disk"])
+    def test_flag_changes_only_the_pools(self, on_disk, source):
+        def prepare(chunks):
+            if source == "synthetic":
+                return prepare_synthetic(CFG, chunks=chunks)
+            return prepare_dataset(on_disk, chunks=chunks)
+
+        bare, pooled = prepare(False), prepare(True)
+        assert bare.ids == pooled.ids
+        for name in ("lengths", "manifest_labels", "audio_mean", "visual"):
+            assert np.array_equal(getattr(bare, name), getattr(pooled, name)), name
+        assert bare.chunk_means is None and bare.chunk_maxes is None
+        assert len(pooled.chunk_means) == len(pooled.chunk_maxes) == len(pooled)
+
+    def test_pools_equal_pool_chunks_of_each_audio(self, prepared):
+        videos = list(iter_synth_videos(CFG))
+        assert len(videos) == len(prepared)
+        for i, (_, audio, _, _) in enumerate(videos):
+            means, maxes = pool_chunks(audio.frames, 3)
+            assert np.array_equal(prepared.chunk_means[i], means)
+            assert np.array_equal(prepared.chunk_maxes[i], maxes)
+
+    def test_pool_less_arrays_hold_only_video_level_features(self):
+        bare = prepare_synthetic(CFG)
+        arrays = [v for v in vars(bare).values() if isinstance(v, np.ndarray)]
+        vectors = bare.lengths.nbytes + bare.manifest_labels.nbytes
+        assert sum(a.nbytes for a in arrays) == len(bare) * (128 + 1024) * 8 + vectors
+
+    def test_chunk_mode_needs_the_pools(self):
+        params = random_attention_params(128, seed=0)
+        with pytest.raises(ValueError, match="chunks=True"):
+            query_matrix(prepare_synthetic(CFG), (3, 1), params)
+
+
 class TestQueryMatrix:
     def test_mean_mode(self, prepared):
         np.testing.assert_array_equal(query_matrix(prepared, "mean"), prepared.audio_mean)
@@ -79,7 +122,8 @@ class TestQueryMatrix:
         # 213 s -> 71 base chunks; c=3 keeps the first 69
         params = random_attention_params(128, seed=2)
         prepared = prepare_synthetic(
-            SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3)
+            SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3),
+            chunks=True,
         )
         sel = chunk_selection_for(prepared.chunk_maxes[0], params, 3, 2)
         assert sel.distribution.shape == (69,)
@@ -89,7 +133,7 @@ class TestQueryMatrix:
     def test_selections_match_per_step_oracle(self):
         # the eval-sweep corpus and stand-in scorer: every selection of the
         # joint recurrence equals the one of chained per-direction lstm_steps
-        corpus = prepare_synthetic(SynthConfig(n_videos=150, n_clusters=10, noise_std=0.5, seed=0))
+        corpus = prepare_synthetic(SynthConfig(n_videos=150, n_clusters=10, noise_std=0.5, seed=0), chunks=True)
         params = random_attention_params(128, seed=0)
 
         def oracle(feats, c, k):

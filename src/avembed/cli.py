@@ -125,11 +125,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
+def _int_tuple(text: str, option: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValidationError(f"{option}: expected comma-separated integers, got {text!r}") from exc
 
 
 def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
@@ -143,7 +143,9 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
 
 def _fit_kwargs(cfg: dict) -> dict:
     """Keyword arguments of pipeline.train_method and make_trainer."""
-    layers = {name: _int_tuple(cfg[name]) for name in ("audio_layers", "visual_layers")}
+    layers = {
+        name: _int_tuple(cfg[name], "--" + name.replace("_", "-")) for name in ("audio_layers", "visual_layers")
+    }
     return {**{name: cfg[name] for name in ("seed", *_FIT_ARGS)}, **layers}
 
 
@@ -277,7 +279,7 @@ def _query_mode(cfg: dict) -> tuple[int, int] | str:
     mode = cfg["query_mode"]
     if mode == "mean":
         return mode
-    ck = _int_tuple(mode)
+    ck = _int_tuple(mode, "--query-mode")
     if len(ck) != 2:
         raise ValidationError(f"--query-mode must be 'mean' or two integers 'c,k', got {mode!r}")
     pl.check_chunk_config(*ck)

@@ -219,12 +219,15 @@ def save_seed_sets(categories: dict[str, list[str]], path: str | Path) -> None:
 
 
 def load_seed_sets(path: str | Path) -> dict[str, list[str]]:
-    cats = blockio.read_json_object(path, "seeds file").get("categories")
-    if not isinstance(cats, dict) or not cats:
-        raise FormatError(f"{path}: missing 'categories' object")
-    out = {}
-    for name, ids in cats.items():
-        if not isinstance(ids, list) or not ids:
+    where = f"{path}: seeds file"
+    cats = blockio.field(blockio.read_json_object(path, "seeds file"), "categories", dict, where)
+    if not cats:
+        raise FormatError(f"{where} holds no categories")
+    for name in cats:
+        ids = blockio.field(cats, name, list, f"{where} categories")
+        if not ids:
             raise ValidationError(f"{path}: category {name!r} holds no exemplar ids")
-        out[name] = [str(v) for v in ids]
-    return out
+        for v in ids:
+            if type(v) is not str:  # never coerced: the id 1 is not the video '1'
+                raise FormatError(f"{path}: category {name!r} holds id {json.dumps(v)[:60]}, not a string")
+    return cats

@@ -141,19 +141,12 @@ def branch_forward(
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w + b
-        if i == last:
-            out = _sigmoid(z)
-            caches.append({"input": a, "activated": out, "mask": None})
-            a = out
-        else:
-            h = np.tanh(z)
-            cache = {"input": a, "activated": h, "mask": None}
-            if use_dropout:
-                mask = (rng.random(h.shape) >= net.dropout_rate) / (1.0 - net.dropout_rate)
-                cache["mask"] = mask
-                h = h * mask
-            caches.append(cache)
-            a = h
+        h = _sigmoid(z) if i == last else np.tanh(z)
+        mask = None
+        if use_dropout and i < last:
+            mask = (rng.random(h.shape) >= net.dropout_rate) / (1.0 - net.dropout_rate)
+        caches.append({"input": a, "activated": h, "mask": mask})
+        a = h if mask is None else h * mask
     return a, caches
 
 
@@ -227,30 +220,6 @@ def corr_gradient(
     return _gradient(r, *_whitened_svd(fx, fy, reg))
 
 
-class _RmsProp:
-    def __init__(self, params: list[np.ndarray], lr: float, rho: float, eps: float):
-        self.lr = lr
-        self.rho = rho
-        self.eps = eps
-        self.cache = [np.zeros_like(p) for p in params]
-        # two scratch buffers the size of the largest parameter, viewed per parameter
-        flat = np.empty((2, max(p.size for p in params)))
-        self.scratch = [tuple(f[: p.size].reshape(p.shape) for f in flat) for p in params]
-
-    def ascend(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        # in place, in the operation order of c = rho*c + (1-rho)*g*g; p += lr*g / (sqrt(c) + eps)
-        for p, g, c, (t, d) in zip(params, grads, self.cache, self.scratch):
-            c *= self.rho
-            np.multiply(1.0 - self.rho, g, out=t)
-            t *= g
-            c += t
-            np.sqrt(c, out=d)
-            d += self.eps
-            np.multiply(self.lr, g, out=t)
-            t /= d
-            p += t
-
-
 def _train_on_pairs(
     x: np.ndarray,
     y: np.ndarray,
@@ -262,10 +231,11 @@ def _train_on_pairs(
 ) -> DeepModel:
     """Shared training loop; pairs are (a_idx[i], v_idx[i]) rows of x and y."""
     # last-bit chaotic: first-layer dW * (1 + 2**-52) moves ordering seed 0's sdcca MAP 0.6883 -> 0.6759
-    if cfg.r > min(audio_layers[-1], visual_layers[-1]):
-        raise ValueError(
-            f"r={cfg.r} exceeds branch output dims ({audio_layers[-1]}, {visual_layers[-1]})"
-        )
+    for name, widths in (("audio_layers", audio_layers), ("visual_layers", visual_layers)):
+        if not widths or min(widths) < 1:
+            raise ValueError(f"{name} must be one or more widths >= 1, got {tuple(widths)}")
+        if cfg.r > widths[-1]:
+            raise ValueError(f"r={cfg.r} exceeds the output width {widths[-1]} of {name}")
     n = a_idx.shape[0]
     if n < cfg.batch_size:
         raise ValueError(f"need at least batch_size={cfg.batch_size} pairs, got {n}")
@@ -273,8 +243,10 @@ def _train_on_pairs(
     rng = np.random.default_rng(cfg.seed)
     audio = init_branch([x.shape[1], *audio_layers], cfg.dropout, rng)
     visual = init_branch([y.shape[1], *visual_layers], cfg.dropout, rng)
-    opt_a = _RmsProp(audio.weights + audio.biases, cfg.learning_rate, cfg.rho, cfg.epsilon)
-    opt_v = _RmsProp(visual.weights + visual.biases, cfg.learning_rate, cfg.rho, cfg.epsilon)
+    # RMSProp over both branches: parameters, squared-gradient means, two scratch buffers of the largest size
+    params = audio.weights + audio.biases + visual.weights + visual.biases
+    sq_means = [np.zeros_like(p) for p in params]
+    scratch = np.empty((2, max(p.size for p in params)))
 
     history: list[float] = []
     n_batches = n // cfg.batch_size  # trailing partial batch is dropped
@@ -292,8 +264,18 @@ def _train_on_pairs(
                 )
             dw_a, db_a = branch_backward(audio, cache_a, d_fa)
             dw_v, db_v = branch_backward(visual, cache_v, d_fv)
-            opt_a.ascend(audio.weights + audio.biases, dw_a + db_a)
-            opt_v.ascend(visual.weights + visual.biases, dw_v + db_v)
+            # in place, in the operation order of c = rho*c + (1-rho)*g*g; p += lr*g / (sqrt(c) + eps)
+            for p, g, c in zip(params, dw_a + db_a + dw_v + db_v, sq_means):
+                t, d = (f[: p.size].reshape(p.shape) for f in scratch)
+                c *= cfg.rho
+                np.multiply(1.0 - cfg.rho, g, out=t)
+                t *= g
+                c += t
+                np.sqrt(c, out=d)
+                d += cfg.epsilon
+                np.multiply(cfg.learning_rate, g, out=t)
+                t /= d
+                p += t
             batch_objs.append(obj)
         history.append(float(np.mean(batch_objs)))
 

@@ -289,6 +289,28 @@ class TestTrainIndexQuery:
                    "--methods", "cca", "--folds", 2, "--r", 4, "--batch-size", 4,
                    "--pr-stride", 6) == 0
 
+    @pytest.mark.parametrize("option, value", [
+        ("--query-mode", "abc"), ("--audio-layers", "8,x"), ("--visual-layers", ""),
+    ], ids=["query-mode", "audio-layers", "visual-layers"])
+    def test_non_integer_list_names_its_option(self, dataset, tmp_path, capsys, option, value):
+        assert run("train", "--dataset", dataset, "--method", "dcca", "--r", 4, "--batch-size", 8,
+                   "--epochs", 1, f"{option}={value}", "--out", tmp_path / "m.model") == 2
+        err = capsys.readouterr().err
+        assert f"{option}: expected comma-separated integers, got {value!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("option, message", [
+        ("--audio-layers=0,4", "audio_layers must be one or more widths >= 1, got (0, 4)"),
+        ("--audio-layers=-3,4", "audio_layers must be one or more widths >= 1, got (-3, 4)"),
+        ("--visual-layers=8,0", "visual_layers must be one or more widths >= 1, got (8, 0)"),
+    ], ids=["audio-zero", "audio-negative", "visual-zero"])
+    def test_branch_width_below_one_exits_1(self, dataset, tmp_path, capsys, option, message):
+        assert run("train", "--dataset", dataset, "--method", "dcca", "--r", 4, "--batch-size", 8,
+                   "--epochs", 1, option, "--out", tmp_path / "m.model") == 1
+        err = capsys.readouterr().err
+        assert f"avembed: invalid arguments: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "m.model").exists()
+
     def test_null_correlations_noted_on_stderr(self, dataset, tmp_path, capsys):
         # f = 1 pairs every video with its whole cluster: with 4 clusters the centred pair-count
         # cross-covariance has rank 3, so 3 of 6 correlations are 0
@@ -632,6 +654,14 @@ class TestJsonTypesAndFileSlots:
         assert f"{tmp_path / 'manifest.jsonl'}:1: manifest key 'label' must fit int64" in err
         assert not (tmp_path / "ccca.model").exists()
 
+    @pytest.mark.parametrize("ids, shown", [([1, 2], "1"), (["mv00000", True], "true")], ids=["int", "bool"])
+    def test_seed_ids_are_strings(self, dataset, tmp_path, capsys, ids, shown):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"version": 1, "categories": {"a": ["mv00001"], "b": ids}}))
+        err = self._fails_cleanly(capsys, "cluster", "--dataset", dataset, "--seeds-file", seeds,
+                                  "--out", tmp_path / "labels.jsonl")
+        assert f"{seeds}: category 'b' holds id {shown}, not a string" in err
+
     def test_assignment_label_float(self, dataset, tmp_path, capsys):
         ids = [json.loads(line)["video_id"] for line in (dataset / "manifest.jsonl").read_text().splitlines()]
         labels = tmp_path / "labels.jsonl"
@@ -720,6 +750,16 @@ class TestEval:
         cca_row = [r for r in matrix if r.startswith("cca")][0]
         assert "error" in dcca_row
         assert "error" not in cca_row
+
+    def test_branch_width_below_one_fails_only_deep_cells(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "e8"
+        assert run("eval", "--dataset", dataset, "--out-dir", out_dir, "--methods", "cca,dcca,sdcca",
+                   "--folds", 2, "--r", 4, "--batch-size", 8, "--epochs", 1, "--audio-layers", "0,4",
+                   "--pr-stride", 6) == 2
+        err = capsys.readouterr().err
+        assert "eval cell dcca/1/3 failed: audio_layers must be one or more widths >= 1, got (0, 4)" in err
+        rows = {row.split(",")[0]: row for row in (out_dir / "map_matrix.csv").read_text().splitlines()[1:]}
+        assert "error" in rows["dcca"] and "error" in rows["sdcca"] and "error" not in rows["cca"]
 
     def test_single_fold_rejected_before_the_sweep(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "e5"

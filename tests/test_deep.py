@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from avembed.attention import _sigmoid
 from avembed.cca import fit_cca
 from avembed.clustering import expand_pairs
 from avembed.deep import (
@@ -267,6 +269,16 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_dcca(x, y, small_cfg(batch_size=32), audio_layers=(8,), visual_layers=(8,))
 
+    @pytest.mark.parametrize("layers, message", [
+        (dict(audio_layers=()), "audio_layers must be one or more widths >= 1, got ()"),
+        (dict(audio_layers=(0, 4)), "audio_layers must be one or more widths >= 1, got (0, 4)"),
+        (dict(visual_layers=(-3, 4)), "visual_layers must be one or more widths >= 1, got (-3, 4)"),
+    ], ids=["empty", "zero", "negative"])
+    def test_widths_below_one_rejected(self, layers, message):
+        x, y = self._correlated_data(n=64)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_dcca(x, y, small_cfg(), **{"audio_layers": (8, 4), "visual_layers": (8, 4), **layers})
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=16, r=30)  # batch < r + 1
@@ -309,6 +321,23 @@ class TestSdcca:
         assert model.cca_head.wx.shape == (6, 4)
 
 
+def _oracle_forward(net, batch, rng=None):
+    """tanh hidden layers, logistic output; with an rng (train mode, dropout_rate > 0), an
+    inverted-dropout mask per hidden layer, drawn layer by layer."""
+    a = batch
+    caches = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.tanh(a @ w + b)
+        mask = None
+        if rng is not None:
+            mask = (rng.random(h.shape) >= net.dropout_rate) / (1.0 - net.dropout_rate)
+        caches.append({"input": a, "activated": h, "mask": mask})
+        a = h if mask is None else h * mask
+    out = _sigmoid(a @ net.weights[-1] + net.biases[-1])
+    caches.append({"input": a, "activated": out, "mask": None})
+    return out, caches
+
+
 def _unpruned_backward(net, caches, d_out):
     """branch_backward without pruning: it also forms the first layer's input gradient."""
     d_w = [np.empty(0)] * len(net.weights)
@@ -330,8 +359,8 @@ def _unpruned_backward(net, caches, d_out):
 
 
 def _oracle_train(x, y, a_idx, v_idx, cfg, audio_layers, visual_layers):
-    """The training loop from the public objective and gradient, one whitening each,
-    the unpruned backward and RMSProp written out with temporaries."""
+    """The training loop from its own train-mode forward, the public objective and gradient,
+    one whitening each, the unpruned backward and RMSProp written out with temporaries."""
     rng = np.random.default_rng(cfg.seed)
     nets = (init_branch([x.shape[1], *audio_layers], cfg.dropout, rng),
             init_branch([y.shape[1], *visual_layers], cfg.dropout, rng))
@@ -343,8 +372,8 @@ def _oracle_train(x, y, a_idx, v_idx, cfg, audio_layers, visual_layers):
         objs = []
         for b in range(n // cfg.batch_size):
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            fa, cache_a = branch_forward(nets[0], x[a_idx[sel]], "train", rng)
-            fv, cache_v = branch_forward(nets[1], y[v_idx[sel]], "train", rng)
+            fa, cache_a = _oracle_forward(nets[0], x[a_idx[sel]], rng)
+            fv, cache_v = _oracle_forward(nets[1], y[v_idx[sel]], rng)
             objs.append(total_correlation(fa, fv, cfg.r, cfg.reg))
             grads = corr_gradient(fa, fv, cfg.r, cfg.reg)
             for net, cache, d_out, cs in zip(nets, (cache_a, cache_v), grads, sq):
@@ -354,14 +383,14 @@ def _oracle_train(x, y, a_idx, v_idx, cfg, audio_layers, visual_layers):
                     c += (1.0 - cfg.rho) * g * g
                     p += cfg.learning_rate * g / (np.sqrt(c) + cfg.epsilon)
         history.append(float(np.mean(objs)))
-    out_a, _ = branch_forward(nets[0], x, "eval")
-    out_v, _ = branch_forward(nets[1], y, "eval")
+    out_a, _ = _oracle_forward(nets[0], x)
+    out_v, _ = _oracle_forward(nets[1], y)
     return nets, fit_cca(out_a, out_v, cfg.r, cfg.reg, pairs=(a_idx, v_idx)), history
 
 
 class TestTrainingOracle:
-    """Training equals, bit for bit, a loop with two whitenings per batch, the first
-    layer's input gradient and RMSProp on temporaries."""
+    """Training equals, bit for bit, a loop with its own forward pass, two whitenings per
+    batch, the first layer's input gradient and RMSProp on temporaries."""
 
     @pytest.mark.parametrize("method", ["dcca", "sdcca"])
     def test_bit_identical_to_oracle(self, method):

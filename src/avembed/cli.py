@@ -205,20 +205,21 @@ def cmd_ingest(cfg: dict) -> int:
         manifest = filter_manifest(manifest, (lo, hi))
         if len(manifest) == 0:
             raise ValidationError(f"no entries with length in [{lo}, {hi}]")
-    dims = set()
+    dims = None
     for e in manifest.entries:
         audio, visual = pl.load_video(root, e)
         if audio.n_frames != e.length_sec:
             raise ValidationError(
                 f"{e.video_id!r}: manifest says {e.length_sec}s but file holds {audio.n_frames} frames"
             )
-        dims.add((audio.dim, visual.dim))
+        dims = dims or (audio.dim, visual.dim)
+        pl.check_feature_dims(dims, e.video_id, audio, visual)
     if cfg.get("out_manifest"):
         write_manifest(manifest, cfg["out_manifest"])
     labelled = sum(1 for e in manifest.entries if e.label is not None)
     print(
         f"ok: {len(manifest)} videos, lengths {manifest.length_span[0]}..{manifest.length_span[1]}, "
-        f"feature dims {sorted(dims)}, {labelled} labelled"
+        f"feature dims {[dims]}, {labelled} labelled"
     )
     return 0
 
@@ -233,7 +234,7 @@ def cmd_chunk_select(cfg: dict) -> int:
     for vid in wanted:
         if vid not in rows:
             raise ValidationError(f"video {vid!r} not in the dataset")
-        sel = pl.chunk_selection_for(prepared.chunk_maxes[rows[vid]], params, c, k)
+        sel = pl.chunk_selection_for(prepared.chunk_pools(rows[vid])[1], params, c, k)
         results.append(
             {
                 "video_id": vid,
@@ -299,6 +300,7 @@ def cmd_train(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"], chunks=mode != "mean")
     method = cfg["method"]
     audio = _query_matrix_for(prepared, cfg, mode)
+    prepared = prepared.without_chunk_pools()  # no fit reads them
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model, _, _ = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
@@ -352,6 +354,7 @@ def cmd_eval(cfg: dict) -> int:
     fit_kwargs = _fit_kwargs(cfg)
 
     queries = {name: pl.query_matrix(prepared, mode, params) for _, name, mode in pl.SWEEP_CONFIGS}
+    prepared = prepared.without_chunk_pools()  # no fit reads them
 
     matrix_rows = []
     failures = []

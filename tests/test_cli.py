@@ -1,14 +1,16 @@
 import argparse
+import gc
 import hashlib
 import json
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avembed import blockio, data, pipeline
+from avembed import blockio, data, evaluation, pipeline
 from avembed.attention import random_attention_params, save_attention_params
 from avembed.cli import main
 from avembed.data import load_manifest, filter_manifest
@@ -139,6 +141,30 @@ class TestChunkSelect:
         err = capsys.readouterr().err
         assert "avembed: data error" in err and "Traceback" not in err
         assert not (tmp_path / "m.model").exists()
+
+    def test_padding_is_never_read(self, dataset, monkeypatch, capsys):
+        real = pipeline.prepare_dataset
+
+        def poisoned(*args, **kwargs):
+            prepared = real(*args, **kwargs)
+            for i, m in enumerate(prepared.chunk_counts):
+                prepared.chunk_means[i, m:] = np.nan
+                prepared.chunk_maxes[i, m:] = np.nan
+            assert np.isnan(prepared.chunk_maxes).any()  # 213..219 s: the shorter videos are padded
+            return prepared
+
+        monkeypatch.setattr(pipeline, "prepare_dataset", poisoned)
+        assert run("chunk-select", "--dataset", dataset, "--chunks", 6, "--top-k", 2) == 0
+        got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        # each video on its own, from its own float64 maxes; the default stand-in scorer
+        params = random_attention_params(128, 16, 16, seed=0)
+        want = []
+        for e in load_manifest(dataset / "manifest.jsonl").entries:
+            _, maxes = data.pool_chunks(data.load_sequence(dataset / e.audio_path).frames, 3)
+            sel = pipeline.chunk_selection_for(maxes.astype(np.float64), params, 6, 2)
+            want.append({"video_id": e.video_id, "chunks": 6, "top_k": 2, "selected": sel.selected_indices,
+                         "scores": [float(v) for v in sel.scores]})
+        assert got == want
 
 
 class TestCluster:
@@ -366,6 +392,75 @@ class TestChunkPoolsPerCommand:
                                      labels=artifacts["assignments"], index=artifacts["index"]).split()
         assert run(command, "--dataset", dataset, *rest) == 0
         assert len(pool_calls) == pooled
+
+
+class TestChunkPoolsDropped:
+    """eval and a chunk-mode train drop the chunk pools once their query vectors exist, so no
+    fit can reach them."""
+
+    @pytest.mark.parametrize("argv, fit", [
+        ("eval --out-dir {out}/eval --methods cca --folds 2 --r 4 --pr-stride 6", (evaluation, "cross_validate")),
+        ("train --method cca --r 4 --query-mode 3,1 --out {out}/m.model", (pipeline, "train_method")),
+    ], ids=["eval", "train-chunks"])
+    def test_no_fit_reaches_the_pools(self, dataset, tmp_path, monkeypatch, argv, fit):
+        pools, alive_at_fit = [], []
+        real_query, (module, name) = pipeline.query_matrix, fit
+        real_fit = getattr(module, name)
+
+        def query(prepared, *args, **kwargs):
+            pools.extend(weakref.ref(a) for a in (prepared.chunk_means, prepared.chunk_maxes))
+            return real_query(prepared, *args, **kwargs)
+
+        def fit_once(*args, **kwargs):
+            gc.collect()
+            alive_at_fit.append(any(ref() is not None for ref in pools))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "query_matrix", query)
+        monkeypatch.setattr(module, name, fit_once)
+        command, *rest = argv.format(out=tmp_path).split()
+        assert run(command, "--dataset", dataset, *rest) == 0
+        assert pools and alive_at_fit and not any(alive_at_fit)
+
+
+class TestFeatureDims:
+    """Every video must have the first video's feature dims: a file that differs exits 2 with a
+    message naming the video, the modality and both dims."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dims") / "data"
+        assert run("synth", "--out", root, "--videos", 12, "--clusters", 3, "--latent-dim", 4, "--seed", 3) == 0
+        model = root.parent / "cca.model"
+        assert run("train", "--dataset", root, "--method", "cca", "--r", 4, "--out", model) == 0
+        return root, model
+
+    @staticmethod
+    def _cut(corpus, tmp_path, side, dim) -> Path:
+        """A copy of the corpus whose mv00004 has only the first dim columns on the given side."""
+        root = tmp_path / "data"
+        shutil.copytree(corpus, root)
+        path = root / side / "mv00004.fvsq"
+        seq = data.load_sequence(path)
+        data.write_sequence(data.FeatureSequence(seq.video_id, side, seq.frames[:, :dim]), path)
+        return root
+
+    @pytest.mark.parametrize("side, dim, argv", [
+        ("audio", 64, "ingest"),
+        ("audio", 64, "cluster --out {out}/labels.jsonl"),
+        ("audio", 64, "chunk-select --chunks 3 --top-k 1"),
+        ("audio", 64, "eval --out-dir {out}/eval --methods cca --folds 2 --r 4"),
+        ("visual", 512, "ingest"),
+        ("visual", 512, "index --model {model} --out {out}/videos.index"),
+    ], ids=["audio-ingest", "audio-cluster", "audio-chunk-select", "audio-eval", "visual-ingest", "visual-index"])
+    def test_differing_dims_exit_2(self, corpus, tmp_path, capsys, side, dim, argv):
+        root = self._cut(corpus[0], tmp_path, side, dim)
+        command, *rest = argv.format(out=tmp_path, model=corpus[1]).split()
+        assert run(command, "--dataset", root, *rest) == 2
+        out, err = capsys.readouterr()
+        full = 128 if side == "audio" else 1024
+        assert f"'mv00004': {side} features are {dim}-d but the first video's are {full}-d" in err
+        assert "Traceback" not in err and "ok:" not in out
 
 
 class TestQueryModeCheckedFirst:

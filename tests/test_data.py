@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avembed.data import (
+    AUDIO_DIM,
+    VISUAL_DIM,
     FeatureSequence,
     Manifest,
     ManifestEntry,
     SynthConfig,
     filter_manifest,
+    iter_synth_videos,
     load_manifest,
     load_sequence,
     pool_chunks,
@@ -35,6 +38,14 @@ class TestSequenceRoundTrip:
         assert loaded.modality == "audio"
         assert loaded.frames.dtype == np.float32
         assert np.array_equal(loaded.frames, seq.frames)
+
+    def test_file_is_header_then_little_endian_rows(self, tmp_path):
+        # a column-major float32 matrix is written row-major all the same
+        frames = np.asfortranarray(_seq(5, 3, seed=2).frames)
+        path = tmp_path / "v.fvsq"
+        write_sequence(FeatureSequence("v", "visual", frames), path)
+        header = b"FVSQ" + bytes([1, 1]) + np.array([5, 3], dtype="<u4").tobytes()
+        assert path.read_bytes() == header + np.ascontiguousarray(frames, dtype="<f4").tobytes()
 
     def test_wrong_magic_is_format_error(self, tmp_path):
         path = tmp_path / "bad.fvsq"
@@ -154,6 +165,10 @@ class TestPartitionChunks:
         assert np.array_equal(means[0], seq.frames[0:3].mean(axis=0, dtype=np.float64))
         assert np.array_equal(maxes[-1], seq.frames[213:216].max(axis=0).astype(np.float64))
 
+    def test_means_float64_maxes_in_the_frames_dtype(self):
+        means, maxes = pool_chunks(_seq(9, 4).frames, 3)
+        assert means.dtype == np.float64 and maxes.dtype == np.float32
+
     def test_216_frames_chunk72_gives_3(self):
         assert pool_chunks(_seq(216, 128).frames, 72)[0].shape[0] == 3
 
@@ -260,3 +275,25 @@ class TestSynthDataset:
         cfg = SynthConfig(n_videos=30, n_clusters=3, latent_dim=4, seed=8)
         manifest, _, _ = synth_dataset(cfg)
         assert all(213 <= e.length_sec <= 219 for e in manifest.entries)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_frames_equal_the_out_of_place_expression(self, seed):
+        # the generator's draws replayed, each modality's frames as map @ z + noise_std * noise
+        cfg = SynthConfig(n_videos=8, n_clusters=3, latent_dim=5, noise_std=0.3, length_range=(4, 9), seed=seed)
+        rng = np.random.default_rng(seed)
+        centroids = rng.normal(size=(3, 5))
+        audio_map = rng.normal(size=(AUDIO_DIM, 5)) / np.sqrt(5)
+        visual_map = rng.normal(size=(VISUAL_DIM, 5)) / np.sqrt(5)
+        clusters = rng.integers(0, 3, size=8)
+        while len(np.unique(clusters)) < 3:
+            clusters = rng.integers(0, 3, size=8)
+        lengths = rng.integers(4, 10, size=8)
+        videos = list(iter_synth_videos(cfg))
+        assert len(videos) == 8
+        for v, (entry, audio, visual, label) in enumerate(videos):
+            z = centroids[clusters[v]] + 0.3 * rng.normal(size=5)
+            want_audio = audio_map @ z + 0.3 * rng.normal(size=(lengths[v], AUDIO_DIM))
+            want_visual = visual_map @ z + 0.3 * rng.normal(size=(lengths[v], VISUAL_DIM))
+            assert label == clusters[v] and entry.length_sec == lengths[v]
+            assert np.array_equal(audio.frames, want_audio.astype(np.float32))
+            assert np.array_equal(visual.frames, want_visual.astype(np.float32))

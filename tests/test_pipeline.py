@@ -34,8 +34,10 @@ class TestPrepare:
         assert prepared.audio_mean.shape == (40, 128)
         assert prepared.visual.shape == (40, 1024)
         assert prepared.manifest_labels is not None
+        # padded to the generator's longest length, 219 s
+        assert prepared.chunk_means.shape == prepared.chunk_maxes.shape == (40, 73, 128)
         for i, length in enumerate(prepared.lengths):
-            assert prepared.chunk_means[i].shape == (length // 3, 128)
+            assert [p.shape for p in prepared.chunk_pools(i)] == [(length // 3, 128)] * 2
 
     def test_matches_disk_roundtrip(self, prepared, tmp_path):
         write_dataset(CFG, tmp_path / "ds")
@@ -84,16 +86,61 @@ class TestChunkPools:
         assert bare.ids == pooled.ids
         for name in ("lengths", "manifest_labels", "audio_mean", "visual"):
             assert np.array_equal(getattr(bare, name), getattr(pooled, name)), name
-        assert bare.chunk_means is None and bare.chunk_maxes is None
-        assert len(pooled.chunk_means) == len(pooled.chunk_maxes) == len(pooled)
+        assert bare.chunk_means is None and bare.chunk_maxes is None and bare.chunk_counts is None
+        assert len(pooled.chunk_means) == len(pooled.chunk_maxes) == len(pooled.chunk_counts) == len(pooled)
 
     def test_pools_equal_pool_chunks_of_each_audio(self, prepared):
         videos = list(iter_synth_videos(CFG))
         assert len(videos) == len(prepared)
+        assert prepared.chunk_means.dtype == np.float64 and prepared.chunk_maxes.dtype == np.float32
         for i, (_, audio, _, _) in enumerate(videos):
+            assert prepared.chunk_counts[i] == audio.n_frames // 3
             means, maxes = pool_chunks(audio.frames, 3)
-            assert np.array_equal(prepared.chunk_means[i], means)
-            assert np.array_equal(prepared.chunk_maxes[i], maxes)
+            got_means, got_maxes = prepared.chunk_pools(i)
+            assert np.array_equal(got_means, means) and np.array_equal(got_maxes, maxes)
+
+    def test_padding_is_never_read(self):
+        # lengths 60..219 s: most rows end in padding; NaN there would reach any query that read it
+        cfg = SynthConfig(n_videos=12, n_clusters=3, latent_dim=4, length_range=(60, 219), seed=2)
+        poisoned = prepare_synthetic(cfg, chunks=True)
+        for i, m in enumerate(poisoned.chunk_counts):
+            poisoned.chunk_means[i, m:] = np.nan
+            poisoned.chunk_maxes[i, m:] = np.nan
+        assert np.isnan(poisoned.chunk_maxes).any()
+        params = random_attention_params(128, seed=4)
+        frames = [audio.frames for _, audio, _, _ in iter_synth_videos(cfg)]
+        for c, k in ((3, 1), (6, 2), (9, 3)):
+            # each video on its own, from its own float64 pools
+            want = []
+            for f in frames:
+                means, maxes = pool_chunks(f, 3)
+                sel = chunk_selection_for(maxes.astype(np.float64), params, c, k)
+                want.append(representation_from_selection(means, sel))
+            assert np.array_equal(query_matrix(poisoned, (c, k), params), np.stack(want))
+
+    def test_video_longer_than_its_manifest_line_grows_the_pools(self, on_disk, tmp_path):
+        import json
+        import shutil
+
+        # every line says 3 s, so the pools start one chunk wide
+        root = tmp_path / "ds"
+        shutil.copytree(on_disk, root)
+        lines = [json.loads(line) for line in (root / "manifest.jsonl").read_text().splitlines()]
+        (root / "manifest.jsonl").write_text("".join(json.dumps({**e, "length_sec": 3}) + "\n" for e in lines))
+        prepared = prepare_dataset(root, chunks=True)
+        counts = [audio.n_frames // 3 for _, audio, _, _ in iter_synth_videos(CFG)]
+        assert prepared.chunk_maxes.shape == (40, max(counts), 128)
+        assert prepared.chunk_counts.tolist() == counts
+        for i, (_, audio, _, _) in enumerate(iter_synth_videos(CFG)):
+            for got, want in zip(prepared.chunk_pools(i), pool_chunks(audio.frames, 3)):
+                assert np.array_equal(got, want)
+
+    def test_dropping_the_pools_keeps_the_rest(self, prepared):
+        bare = prepared.without_chunk_pools()
+        assert bare.chunk_means is None and bare.chunk_maxes is None and bare.chunk_counts is None
+        assert prepared.chunk_maxes is not None
+        for name in ("ids", "lengths", "audio_mean", "visual", "manifest_labels"):
+            assert getattr(bare, name) is getattr(prepared, name), name
 
     def test_pool_less_arrays_hold_only_video_level_features(self):
         bare = prepare_synthetic(CFG)
@@ -125,9 +172,10 @@ class TestQueryMatrix:
             SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3),
             chunks=True,
         )
-        sel = chunk_selection_for(prepared.chunk_maxes[0], params, 3, 2)
+        means, maxes = prepared.chunk_pools(0)
+        sel = chunk_selection_for(maxes, params, 3, 2)
         assert sel.distribution.shape == (69,)
-        rep = representation_from_selection(prepared.chunk_means[0], sel)
+        rep = representation_from_selection(means, sel)
         assert rep.shape == (128,)
 
     def test_selections_match_per_step_oracle(self):
@@ -152,7 +200,8 @@ class TestQueryMatrix:
             ]
             return select_top_k(attention_distribution(np.array(u)), c, k)
 
-        for maxes in corpus.chunk_maxes:
+        for i in range(len(corpus)):
+            _, maxes = corpus.chunk_pools(i)
             for c, k in ((3, 1), (6, 2), (9, 3)):
                 got = chunk_selection_for(maxes, params, c, k)
                 ref = oracle(maxes[: (maxes.shape[0] // c) * c], c, k)
@@ -163,7 +212,7 @@ class TestQueryMatrix:
     def test_top_k_outside_one_to_c_rejected(self, prepared, c, k):
         params = random_attention_params(128, seed=0)
         with pytest.raises(ValidationError, match="top-k"):
-            chunk_selection_for(prepared.chunk_maxes[0], params, c, k)
+            chunk_selection_for(prepared.chunk_pools(0)[1], params, c, k)
 
     def test_selection_requires_params(self, prepared):
         with pytest.raises(ValueError):

@@ -225,16 +225,13 @@ def cmd_ingest(cfg: dict) -> int:
 
 
 def cmd_chunk_select(cfg: dict) -> int:
-    prepared = pl.prepare_dataset(cfg["dataset"], chunks=True)
+    ids = [cfg["video_id"]] if cfg.get("video_id") else None
+    prepared = pl.prepare_dataset(cfg["dataset"], chunks=True, ids=ids)
     c, k = cfg["chunks"], cfg["top_k"]
     params = _attention_params(cfg, prepared.audio_mean.shape[1])
-    wanted = [cfg["video_id"]] if cfg.get("video_id") else prepared.ids
-    rows = {v: i for i, v in enumerate(prepared.ids)}
     results = []
-    for vid in wanted:
-        if vid not in rows:
-            raise ValidationError(f"video {vid!r} not in the dataset")
-        sel = pl.chunk_selection_for(prepared.chunk_pools(rows[vid])[1], params, c, k)
+    for i, vid in enumerate(prepared.ids):
+        sel = pl.chunk_selection_for(prepared.chunk_pools(i)[1], params, c, k)
         results.append(
             {
                 "video_id": vid,

@@ -107,15 +107,26 @@ def check_feature_dims(
             )
 
 
-def prepare_dataset(dataset_dir: str | Path, chunks: bool = False) -> PreparedDataset:
-    """Every video of the dataset's manifest, pooled; chunks=True also keeps the chunk pools."""
+def prepare_dataset(
+    dataset_dir: str | Path, chunks: bool = False, ids: Sequence[str] | None = None
+) -> PreparedDataset:
+    """The videos of the dataset's manifest named by ids (default: all), pooled in manifest
+    order; chunks=True also keeps the chunk pools. Only their files are read, and an id the
+    manifest lacks raises ValidationError before any of them is."""
     root = Path(dataset_dir)
-    manifest = load_manifest(root / "manifest.jsonl")
+    entries = load_manifest(root / "manifest.jsonl").entries
+    if ids is not None:
+        known = {e.video_id for e in entries}
+        for vid in ids:
+            if vid not in known:
+                raise ValidationError(f"video {vid!r} not in the dataset")
+        wanted = set(ids)
+        entries = [e for e in entries if e.video_id in wanted]
     return _prepare_from_pairs(
-        ((e, *load_video(root, e), e.label) for e in manifest.entries),
-        n=len(manifest),
-        has_labels=all(e.label is not None for e in manifest.entries),
-        chunk_rows=manifest.length_span[1] // BASE_CHUNK_SEC if chunks else None,
+        ((e, *load_video(root, e), e.label) for e in entries),
+        n=len(entries),
+        has_labels=all(e.label is not None for e in entries),
+        chunk_rows=max(e.length_sec for e in entries) // BASE_CHUNK_SEC if chunks else None,
     )
 
 

@@ -114,9 +114,33 @@ class TestChunkSelect:
         assert run("chunk-select", "--dataset", dataset, "--video-id", "mv00000",
                    "--chunks", 3, "--top-k", 5) == 2
 
-    def test_unknown_video(self, dataset):
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The paths pipeline.load_sequence is called with."""
+        paths, real = [], pipeline.load_sequence
+
+        def counted(path):
+            paths.append(Path(path))
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "load_sequence", counted)
+        return paths
+
+    def test_unknown_video(self, dataset, reads, capsys):
         assert run("chunk-select", "--dataset", dataset, "--video-id", "nope",
                    "--chunks", 3, "--top-k", 1) == 2
+        assert "video 'nope' not in the dataset" in capsys.readouterr().err
+        assert reads == []
+
+    def test_single_video_reads_only_its_files(self, dataset, reads, capsys):
+        argv = ("chunk-select", "--dataset", dataset, "--chunks", 6, "--top-k", 2, "--attention-seed", 3)
+        assert run(*argv, "--video-id", "mv00007") == 0
+        assert sorted(p.name for p in reads) == ["mv00007.fvsq"] * 2
+        one = capsys.readouterr().out
+        assert run(*argv) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(reads) == 2 + 2 * len(lines)
+        assert [line for line in lines if json.loads(line)["video_id"] == "mv00007"] == [one]
 
     @pytest.mark.parametrize("hidden", [0, -1])
     def test_attention_hidden_below_one_is_usage_error(self, dataset, capsys, hidden):

@@ -6,7 +6,6 @@ from .attention import (
     LstmParams,
     attention_distribution,
     bilstm_states,
-    lstm_step,
     score_states,
     select_top_k,
 )
@@ -28,7 +27,6 @@ from .data import (
     filter_manifest,
     load_sequence,
     pool_chunks,
-    synth_dataset,
     video_level_audio,
     video_level_visual,
     write_sequence,
@@ -53,6 +51,6 @@ from .evaluation import (
     pr_curve_export,
     precision_recall,
 )
-from .retrieval import EmbeddingIndex, RankedList, build_index, cosine, rank
+from .retrieval import EmbeddingIndex, RankedList, build_index, rank
 
 __version__ = "0.1.0"

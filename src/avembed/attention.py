@@ -5,8 +5,6 @@ previous cell state, the output gate sees the current one. Both directions run
 as one recurrence over a joint state [h_forward | h_backward]: step t advances
 the forward LSTM on chunk t and the backward LSTM on chunk T-1-t. Per-chunk
 scores are squashed to a distribution and pooled to macro-chunk scores.
-``lstm_step`` is the per-direction, per-gate transcription that the joint
-recurrence is tested against.
 """
 
 from __future__ import annotations
@@ -170,23 +168,6 @@ class ChunkSelection:
             raise ValidationError("distribution is not a probability vector")
         self.distribution = theta
         self.scores = np.asarray(self.scores, dtype=np.float64)
-
-
-def lstm_step(
-    x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step; returns (h_t, c_t)."""
-    if x_t.shape != (p.input_dim,) or h_prev.shape != (p.hidden_dim,) or c_prev.shape != (p.hidden_dim,):
-        raise ValueError(
-            f"dimension mismatch: x {x_t.shape}, h {h_prev.shape}, c {c_prev.shape} "
-            f"vs params ({p.hidden_dim}, {p.input_dim})"
-        )
-    i_t = _sigmoid(p.b["input"] + p.w_x["input"] @ x_t + p.w_h["input"] @ h_prev + p.w_c["input"] @ c_prev)
-    f_t = _sigmoid(p.b["forget"] + p.w_x["forget"] @ x_t + p.w_h["forget"] @ h_prev + p.w_c["forget"] @ c_prev)
-    c_t = f_t * c_prev + i_t * np.tanh(p.w_x["cell"] @ x_t + p.w_h["cell"] @ h_prev + p.b["cell"])
-    o_t = _sigmoid(p.w_x["output"] @ x_t + p.w_h["output"] @ h_prev + p.w_c["output"] @ c_t + p.b["output"])
-    h_t = o_t * np.tanh(c_t)
-    return h_t, c_t
 
 
 def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:

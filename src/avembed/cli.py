@@ -188,10 +188,10 @@ def cmd_synth(cfg: dict) -> int:
     labels = np.array([e.label for e in manifest.entries])
     exemplars, _ = pl.seed_sets_from_labels(np.array([e.video_id for e in manifest.entries]), labels)
     save_seed_sets({names[c]: v.tolist() for c, v in zip(np.unique(labels), exemplars)}, out / "seeds.json")
-    lengths = [e.length_sec for e in manifest.entries]
+    lo, hi = manifest.length_span
     print(
         f"wrote {len(manifest)} videos to {out} "
-        f"(lengths {min(lengths)}..{max(lengths)}, {synth.n_clusters} clusters, seed {synth.seed})"
+        f"(lengths {lo}..{hi}, {synth.n_clusters} clusters, seed {synth.seed})"
     )
     return 0
 
@@ -205,21 +205,14 @@ def cmd_ingest(cfg: dict) -> int:
         manifest = filter_manifest(manifest, (lo, hi))
         if len(manifest) == 0:
             raise ValidationError(f"no entries with length in [{lo}, {hi}]")
-    dims = None
-    for e in manifest.entries:
-        audio, visual = pl.load_video(root, e)
-        if audio.n_frames != e.length_sec:
-            raise ValidationError(
-                f"{e.video_id!r}: manifest says {e.length_sec}s but file holds {audio.n_frames} frames"
-            )
-        dims = dims or (audio.dim, visual.dim)
-        pl.check_feature_dims(dims, e.video_id, audio, visual)
+    prepared = pl.prepare_dataset(root, ids=[e.video_id for e in manifest.entries])
     if cfg.get("out_manifest"):
         write_manifest(manifest, cfg["out_manifest"])
     labelled = sum(1 for e in manifest.entries if e.label is not None)
+    lo, hi = manifest.length_span
     print(
-        f"ok: {len(manifest)} videos, lengths {manifest.length_span[0]}..{manifest.length_span[1]}, "
-        f"feature dims {[dims]}, {labelled} labelled"
+        f"ok: {len(manifest)} videos, lengths {lo}..{hi}, feature dims "
+        f"{prepared.audio_mean.shape[1]}/{prepared.visual.shape[1]}, {labelled} labelled"
     )
     return 0
 

@@ -76,23 +76,20 @@ class ManifestEntry:
 @dataclass
 class Manifest:
     entries: list[ManifestEntry]
-    length_span: tuple[int, int]
 
     def __post_init__(self) -> None:
-        lo, hi = self.length_span
-        if lo > hi:
-            raise ValueError(f"invalid length_span [{lo}, {hi}]")
         ids = [e.video_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValidationError("manifest contains duplicate video_ids")
-        for e in self.entries:
-            if not lo <= e.length_sec <= hi:
-                raise ValidationError(
-                    f"entry {e.video_id!r} length {e.length_sec} outside span [{lo}, {hi}]"
-                )
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def length_span(self) -> tuple[int, int]:
+        """(shortest, longest) length_sec of the entries."""
+        lengths = [e.length_sec for e in self.entries]
+        return min(lengths), max(lengths)
 
 
 def write_sequence(seq: FeatureSequence, path: str | Path) -> None:
@@ -142,8 +139,7 @@ def load_manifest(path: str | Path) -> Manifest:
         )
     if not entries:
         raise ValidationError(f"{path}: empty manifest")
-    lengths = [e.length_sec for e in entries]
-    return Manifest(entries=entries, length_span=(min(lengths), max(lengths)))
+    return Manifest(entries=entries)
 
 
 def filter_manifest(manifest: Manifest, span: tuple[int, int]) -> Manifest:
@@ -151,8 +147,7 @@ def filter_manifest(manifest: Manifest, span: tuple[int, int]) -> Manifest:
     lo, hi = span
     if lo > hi:
         raise ValueError(f"invalid span [{lo}, {hi}]")
-    kept = [e for e in manifest.entries if lo <= e.length_sec <= hi]
-    return Manifest(entries=kept, length_span=(lo, hi))
+    return Manifest(entries=[e for e in manifest.entries if lo <= e.length_sec <= hi])
 
 
 def pool_chunks(frames: np.ndarray, chunk_len_sec: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,20 +257,6 @@ def iter_synth_videos(cfg: SynthConfig) -> Iterator[tuple[ManifestEntry, Feature
         )
 
 
-def synth_dataset(
-    cfg: SynthConfig,
-) -> tuple[Manifest, dict[str, tuple[FeatureSequence, FeatureSequence]], np.ndarray]:
-    """Materialize a synthetic dataset: (manifest, {video_id: (audio, visual)}, labels)."""
-    entries = []
-    sequences: dict[str, tuple[FeatureSequence, FeatureSequence]] = {}
-    labels = []
-    for entry, audio, visual, label in iter_synth_videos(cfg):
-        entries.append(entry)
-        sequences[entry.video_id] = (audio, visual)
-        labels.append(label)
-    return Manifest(entries=entries, length_span=cfg.length_range), sequences, np.asarray(labels)
-
-
 def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
     """Generate and write a dataset directory: manifest.jsonl + audio/ + visual/ FVSQ files."""
     out = Path(out_dir)
@@ -286,6 +267,6 @@ def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
         write_sequence(audio, out / entry.audio_path)
         write_sequence(visual, out / entry.visual_path)
         entries.append(entry)
-    manifest = Manifest(entries=entries, length_span=cfg.length_range)
+    manifest = Manifest(entries=entries)
     write_manifest(manifest, out / "manifest.jsonl")
     return manifest

@@ -177,17 +177,6 @@ def pr_curve_export(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def pr_curve_import(path: str | Path) -> list[tuple[int, float, float]]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != "size,precision,recall":
-        raise ValidationError(f"{path}: not a PR curve CSV")
-    out = []
-    for line in lines[1:]:
-        s, p, r = line.split(",")
-        out.append((int(s), float(p), float(r)))
-    return out
-
-
 def report_to_json(report: EvalReport, path: str | Path) -> None:
     obj = {
         "map": report.map_score,

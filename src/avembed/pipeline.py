@@ -8,6 +8,12 @@ attention-based queries only with chunks=True. The chunk pools are two padded
 longest video's frames // 3: 12·T·128 bytes per video, about 110 KB at
 T = 72. The callers that never score chunks leave them out, and the ones that
 do drop them once their query vectors exist.
+
+load_video is the one check of a video against its manifest line: both files
+hold the named modality, as many frames as each other and as `length_sec`
+says. Every command reads its videos through it, so each one rejects what
+`ingest` rejects, and the pools are sized only once the longest entry's files
+have confirmed its length.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ SUPERVISED = ("ccca", "sdcca")
 @dataclass
 class PreparedDataset:
     ids: list[str]
-    lengths: np.ndarray
     audio_mean: np.ndarray       # (n, 128) mean over all frames
     # (n, T, 128) per-base-chunk frame means (float64) and maxes (float32): row i holds
     # chunk_counts[i] = frames // 3 chunks, then padding that nothing reads; all three
@@ -81,7 +86,7 @@ def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence, chunks:
 
 def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, FeatureSequence]:
     """The entry's (audio, visual) sequences; ValidationError if a file holds the other
-    modality or the two hold different frame counts."""
+    modality, the two hold different frame counts or not the entry's length_sec."""
     audio, visual = load_sequence(root / entry.audio_path), load_sequence(root / entry.visual_path)
     for seq, side in ((audio, "audio"), (visual, "visual")):
         if seq.modality != side:
@@ -91,10 +96,14 @@ def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, Featu
             f"{entry.video_id!r}: audio has {audio.n_frames} frames but visual has "
             f"{visual.n_frames}; modalities must truncate equally"
         )
+    if audio.n_frames != entry.length_sec:
+        raise ValidationError(
+            f"{entry.video_id!r}: manifest says {entry.length_sec}s but file holds {audio.n_frames} frames"
+        )
     return audio, visual
 
 
-def check_feature_dims(
+def _check_feature_dims(
     dims: tuple[int, int], video_id: str, audio: FeatureSequence, visual: FeatureSequence
 ) -> None:
     """ValidationError naming the video, the modality and both dims unless the video's
@@ -122,11 +131,16 @@ def prepare_dataset(
                 raise ValidationError(f"video {vid!r} not in the dataset")
         wanted = set(ids)
         entries = [e for e in entries if e.video_id in wanted]
+    held, chunk_rows = {}, None
+    if chunks:  # the longest entry's files confirm its length before the pools are sized by it
+        longest = max(entries, key=lambda e: e.length_sec)
+        held[longest.video_id] = load_video(root, longest)
+        chunk_rows = longest.length_sec // BASE_CHUNK_SEC
     return _prepare_from_pairs(
-        ((e, *load_video(root, e), e.label) for e in entries),
+        ((e, *(held.pop(e.video_id, None) or load_video(root, e)), e.label) for e in entries),
         n=len(entries),
         has_labels=all(e.label is not None for e in entries),
-        chunk_rows=max(e.length_sec for e in entries) // BASE_CHUNK_SEC if chunks else None,
+        chunk_rows=chunk_rows,
     )
 
 
@@ -140,24 +154,15 @@ def prepare_synthetic(cfg: SynthConfig, chunks: bool = False) -> PreparedDataset
     )
 
 
-def _grown(pool: np.ndarray, rows: int) -> np.ndarray:
-    """pool, padded along its chunk axis to rows."""
-    out = np.zeros((pool.shape[0], rows, pool.shape[2]), dtype=pool.dtype)
-    out[:, : pool.shape[1]] = pool
-    return out
-
-
 def _prepare_from_pairs(pairs, n: int, has_labels: bool, chunk_rows: int | None) -> PreparedDataset:
     """Pool the n videos of pairs in one pass.
 
-    chunk_rows is the expected largest chunk count T, or None to keep no chunk pools.
-    The pools are filled in place as the videos stream by; the manifest's lengths are
-    not checked against the files, so a video with more chunks grows them to fit it.
-    The small video-level features are stacked at the end instead: preallocating them
-    as well measured about 5000 more minor page faults and 10 % more time per
-    150-video mean-mode prepare.
+    chunk_rows is the largest chunk count T, or None to keep no chunk pools. The pools
+    are filled in place as the videos stream by; the small video-level features are
+    stacked at the end instead: preallocating them as well measured about 5000 more
+    minor page faults and 10 % more time per 150-video mean-mode prepare.
     """
-    ids, lengths, means, visuals, labels = [], [], [], [], []
+    ids, means, visuals, labels = [], [], [], []
     chunk_means = chunk_maxes = chunk_counts = None
     for i, (entry, audio_seq, visual_seq, label) in enumerate(pairs):
         if i == 0:
@@ -166,21 +171,17 @@ def _prepare_from_pairs(pairs, n: int, has_labels: bool, chunk_rows: int | None)
                 chunk_means = np.zeros((n, chunk_rows, dims[0]))
                 chunk_maxes = np.zeros((n, chunk_rows, dims[0]), dtype=audio_seq.frames.dtype)
                 chunk_counts = np.zeros(n, dtype=np.int64)
-        check_feature_dims(dims, entry.video_id, audio_seq, visual_seq)
+        _check_feature_dims(dims, entry.video_id, audio_seq, visual_seq)
         a_mean, ch_means, ch_maxes, v_max = _pool_video(audio_seq, visual_seq, chunk_rows is not None)
         ids.append(entry.video_id)
-        lengths.append(entry.length_sec)
         means.append(a_mean)
         visuals.append(v_max)
         labels.append(label)
         if chunk_rows is not None:
             m = chunk_counts[i] = ch_means.shape[0]
-            if m > chunk_means.shape[1]:
-                chunk_means, chunk_maxes = _grown(chunk_means, m), _grown(chunk_maxes, m)
             chunk_means[i, :m], chunk_maxes[i, :m] = ch_means, ch_maxes
     return PreparedDataset(
         ids=ids,
-        lengths=np.asarray(lengths),
         audio_mean=np.stack(means),
         chunk_means=chunk_means,
         chunk_maxes=chunk_maxes,

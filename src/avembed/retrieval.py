@@ -43,19 +43,6 @@ class RankedList:
         return [vid for vid, _ in self.items]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b / (|a| |b|); zero-norm input is an error, never a silent 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise UndefinedSimilarityError("cosine similarity is undefined for a zero-norm vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def build_index(embeddings: np.ndarray, labels: np.ndarray, ids: list[str]) -> EmbeddingIndex:
     """Index sorted by video_id with cached norms."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))

@@ -13,7 +13,6 @@ from avembed.attention import (
     attention_distribution,
     bilstm_states,
     load_attention_params,
-    lstm_step,
     random_attention_params,
     save_attention_params,
     score_states,
@@ -23,6 +22,7 @@ from avembed.data import FeatureSequence, pool_chunks, video_level_audio
 from avembed.errors import FormatError, ValidationError
 from avembed.pipeline import _pool_video, representation_from_selection
 from conftest import planted_lstm, random_attention, random_lstm
+from oracles import lstm_step
 
 
 def _zero_lstm(input_dim=3, hidden_dim=4):
@@ -101,6 +101,8 @@ class TestSigmoid:
 
 
 class TestLstmStep:
+    """The per-step reference in oracles.py against the scalar transcription above."""
+
     def test_all_zero_params_give_zero_state(self):
         p = _zero_lstm()
         h, c = lstm_step(np.ones(3), np.zeros(4), np.zeros(4), p)

@@ -65,7 +65,7 @@ def valid(tmp_path_factory) -> dict:
     save_index(build_index(rng.normal(size=(4, 2)), np.arange(4), ["a", "b", "c", "d"]), root / "index")
     entries = [ManifestEntry(v, 5 + i, f"audio/{v}.fvsq", f"visual/{v}.fvsq", label)
                for i, (v, label) in enumerate([("a", 0), ("b", None)])]
-    write_manifest(Manifest(entries, (5, 6)), root / "manifest")
+    write_manifest(Manifest(entries), root / "manifest")
     save_assignments(["a", "b"], np.array([0, 1]), root / "assignments")
     save_seed_sets({"calm": ["a"], "warm": ["b", "c"]}, root / "seeds")
     save_attention_params(random_attention_params(2, 1, 1), root / "weights")

@@ -487,6 +487,37 @@ class TestFeatureDims:
         assert "Traceback" not in err and "ok:" not in out
 
 
+class TestManifestLengthContract:
+    """A manifest line whose length_sec its files contradict exits 2 in every command that reads
+    the corpus, with ingest's message and no traceback; 10**9 s would size the chunk pools at
+    3.7 TiB if a command trusted it."""
+
+    @pytest.mark.parametrize("length_sec", [100, 10**9])
+    @pytest.mark.parametrize("argv", [
+        "ingest",
+        "cluster --seeds-file {dataset}/seeds.json --out {out}/labels.jsonl",
+        "chunk-select --chunks 3 --top-k 1",
+        "train --method cca --r 4 --out {out}/m.model",
+        "train --method cca --r 4 --query-mode 3,1 --out {out}/m.model",
+        "index --model {model} --labels {labels} --out {out}/videos.index",
+        "query --index {index} --model {model} --video-id mv00003 -n 3",
+        "eval --out-dir {out}/eval --methods cca --folds 2 --r 4",
+    ], ids=["ingest", "cluster", "chunk-select", "train-mean", "train-chunks", "index", "query", "eval"])
+    def test_exits_2_naming_the_video(self, dataset, artifacts, tmp_path, capsys, argv, length_sec):
+        entries = [json.loads(line) for line in (dataset / "manifest.jsonl").read_text().splitlines()]
+        frames = entries[5]["length_sec"]
+        entries[5]["length_sec"] = length_sec
+        for e in entries:
+            e["audio_path"], e["visual_path"] = str(dataset / e["audio_path"]), str(dataset / e["visual_path"])
+        (tmp_path / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        command, *rest = argv.format(dataset=dataset, out=tmp_path, model=artifacts["model"],
+                                     labels=artifacts["assignments"], index=artifacts["index"]).split()
+        assert run(command, "--dataset", tmp_path, *rest) == 2
+        out, err = capsys.readouterr()
+        assert f"'mv00005': manifest says {length_sec}s but file holds {frames} frames" in err
+        assert "Traceback" not in err and out == ""
+
+
 class TestQueryModeCheckedFirst:
     """A malformed --query-mode exits 2 before the corpus is read."""
 

@@ -15,7 +15,6 @@ from avembed.data import (
     load_manifest,
     load_sequence,
     pool_chunks,
-    synth_dataset,
     video_level_audio,
     video_level_visual,
     write_manifest,
@@ -84,11 +83,10 @@ class TestSequenceRoundTrip:
 
     def test_generator_output_roundtrips(self, tmp_path):
         cfg = SynthConfig(n_videos=50, n_clusters=5, latent_dim=6, noise_std=0.1, seed=3)
-        _, sequences, _ = synth_dataset(cfg)
         count = 0
-        for vid, (audio, visual) in sequences.items():
+        for entry, audio, visual, _ in iter_synth_videos(cfg):
             for seq in (audio, visual):
-                path = tmp_path / f"{vid}.{seq.modality}.fvsq"
+                path = tmp_path / f"{entry.video_id}.{seq.modality}.fvsq"
                 write_sequence(seq, path)
                 loaded = load_sequence(path)
                 assert np.array_equal(loaded.frames, seq.frames)
@@ -102,7 +100,7 @@ class TestManifest:
             ManifestEntry(f"v{i}", sec, f"audio/v{i}.fvsq", f"visual/v{i}.fvsq", None)
             for i, sec in enumerate(lengths)
         ]
-        return Manifest(entries=entries, length_span=(min(lengths), max(lengths)))
+        return Manifest(entries=entries)
 
     def test_boundary_inclusion(self):
         m = self._manifest([210, 213, 216, 219, 222])
@@ -111,7 +109,7 @@ class TestManifest:
 
     def test_superset_span_keeps_all(self):
         cfg = SynthConfig(n_videos=40, n_clusters=4, latent_dim=4, seed=1)
-        manifest, _, _ = synth_dataset(cfg)
+        manifest = Manifest(entries=[entry for entry, _, _, _ in iter_synth_videos(cfg)])
         assert len(filter_manifest(manifest, (204, 228))) == 40
 
     def test_nested_spans_nest(self):
@@ -128,13 +126,19 @@ class TestManifest:
         twice = filter_manifest(once, (211, 220))
         assert [e.video_id for e in once.entries] == [e.video_id for e in twice.entries]
 
+    def test_length_span_is_the_kept_entries_range(self):
+        m = self._manifest([210, 213, 216, 219, 222])
+        assert m.length_span == (210, 222)
+        assert filter_manifest(m, (100, 1000)).length_span == (210, 222)
+        assert filter_manifest(m, (211, 220)).length_span == (213, 219)
+
     def test_duplicate_ids_rejected(self):
         entries = [
             ManifestEntry("v0", 216, "a", "b", None),
             ManifestEntry("v0", 216, "c", "d", None),
         ]
         with pytest.raises(ValidationError):
-            Manifest(entries=entries, length_span=(216, 216))
+            Manifest(entries=entries)
 
     def test_jsonl_roundtrip(self, tmp_path):
         m = self._manifest([213, 219])
@@ -233,22 +237,21 @@ class TestVideoLevelPooling:
 class TestSynthDataset:
     def test_same_seed_identical(self):
         cfg = SynthConfig(n_videos=20, n_clusters=4, latent_dim=5, noise_std=0.2, seed=11)
-        m1, s1, l1 = synth_dataset(cfg)
-        m2, s2, l2 = synth_dataset(cfg)
-        assert np.array_equal(l1, l2)
-        assert [e.length_sec for e in m1.entries] == [e.length_sec for e in m2.entries]
-        for vid in s1:
-            assert np.array_equal(s1[vid][0].frames, s2[vid][0].frames)
-            assert np.array_equal(s1[vid][1].frames, s2[vid][1].frames)
+        count = 0
+        for (e1, a1, v1, l1), (e2, a2, v2, l2) in zip(iter_synth_videos(cfg), iter_synth_videos(cfg), strict=True):
+            assert l1 == l2 and e1 == e2
+            assert np.array_equal(a1.frames, a2.frames)
+            assert np.array_equal(v1.frames, v2.frames)
+            count += 1
+        assert count == 20
 
     def test_zero_noise_degenerate(self):
         cfg = SynthConfig(n_videos=12, n_clusters=3, latent_dim=4, noise_std=0.0, seed=2)
-        _, sequences, labels = synth_dataset(cfg)
         by_label: dict[int, list[np.ndarray]] = {}
-        for i, vid in enumerate(sequences):
-            frames = sequences[vid][0].frames
+        for _, audio, _, label in iter_synth_videos(cfg):
+            frames = audio.frames
             assert np.all(frames == frames[0])  # every frame identical
-            by_label.setdefault(int(labels[i]), []).append(frames[0])
+            by_label.setdefault(label, []).append(frames[0])
         for rows in by_label.values():  # cluster-pure: one point per cluster
             for row in rows[1:]:
                 assert np.array_equal(row, rows[0])
@@ -258,8 +261,9 @@ class TestSynthDataset:
         from avembed.clustering import seeded_kmeans
 
         cfg = SynthConfig(n_videos=100, n_clusters=10, latent_dim=12, noise_std=0.02, seed=5)
-        _, sequences, labels = synth_dataset(cfg)
-        feats = np.stack([video_level_audio(sequences[v][0]) for v in sequences])
+        videos = [(video_level_audio(audio), label) for _, audio, _, label in iter_synth_videos(cfg)]
+        feats = np.stack([f for f, _ in videos])
+        labels = np.array([label for _, label in videos])
         centroid_means = np.stack([feats[labels == c].mean(axis=0) for c in range(10)])
         gaps = [
             np.linalg.norm(centroid_means[a] - centroid_means[b])
@@ -273,8 +277,7 @@ class TestSynthDataset:
 
     def test_all_lengths_in_range(self):
         cfg = SynthConfig(n_videos=30, n_clusters=3, latent_dim=4, seed=8)
-        manifest, _, _ = synth_dataset(cfg)
-        assert all(213 <= e.length_sec <= 219 for e in manifest.entries)
+        assert all(213 <= e.length_sec <= 219 for e, _, _, _ in iter_synth_videos(cfg))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_frames_equal_the_out_of_place_expression(self, seed):

@@ -13,7 +13,6 @@ from avembed.evaluation import (
     mean_ap,
     partition_folds,
     pr_curve_export,
-    pr_curve_import,
     precision_recall,
 )
 from avembed.retrieval import RankedList
@@ -208,6 +207,13 @@ class TestCrossValidate:
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))
 
 
+def read_pr_csv(path):
+    """The (size, precision, recall) rows of a PR curve CSV, after its header."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "size,precision,recall"
+    return [(int(s), float(p), float(r)) for s, p, r in (row.split(",") for row in rows)]
+
+
 class TestPrCurveExport:
     def _report(self):
         return EvalReport(
@@ -227,7 +233,7 @@ class TestPrCurveExport:
         report = self._report()
         path = tmp_path / "pr.csv"
         pr_curve_export(report, path)
-        assert pr_curve_import(path) == report.pr_points
+        assert read_pr_csv(path) == report.pr_points
 
     def test_reimport_exact_on_awkward_floats(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -235,7 +241,7 @@ class TestPrCurveExport:
         report = EvalReport(per_query_ap={}, map_score=0.0, pr_points=points)
         path = tmp_path / "pr.csv"
         pr_curve_export(report, path)
-        assert pr_curve_import(path) == points
+        assert read_pr_csv(path) == points
 
     def test_monotone_recall_on_synthetic_report(self, tmp_path):
         audio, visual, labels, ids = clustered_corpus(n=100, seed=9)
@@ -244,6 +250,6 @@ class TestPrCurveExport:
         )
         path = tmp_path / "pr.csv"
         pr_curve_export(report, path)
-        points = pr_curve_import(path)
+        points = read_pr_csv(path)
         recalls = [r for _, _, r in points]
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))

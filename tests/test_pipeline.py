@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avembed.attention import attention_distribution, lstm_step, random_attention_params, select_top_k
+from avembed.attention import attention_distribution, random_attention_params, select_top_k
 from avembed.data import SynthConfig, iter_synth_videos, pool_chunks, write_dataset
 from avembed.errors import ValidationError
 from avembed.evaluation import cross_validate
@@ -19,6 +19,7 @@ from avembed.pipeline import (
     seed_sets_from_labels,
     train_method,
 )
+from oracles import lstm_step
 
 CFG = SynthConfig(n_videos=40, n_clusters=4, latent_dim=6, noise_std=0.1, seed=0)
 
@@ -36,7 +37,8 @@ class TestPrepare:
         assert prepared.manifest_labels is not None
         # padded to the generator's longest length, 219 s
         assert prepared.chunk_means.shape == prepared.chunk_maxes.shape == (40, 73, 128)
-        for i, length in enumerate(prepared.lengths):
+        for i, (entry, _, _, _) in enumerate(iter_synth_videos(CFG)):
+            length = entry.length_sec
             assert [p.shape for p in prepared.chunk_pools(i)] == [(length // 3, 128)] * 2
 
     def test_matches_disk_roundtrip(self, prepared, tmp_path):
@@ -84,7 +86,7 @@ class TestChunkPools:
 
         bare, pooled = prepare(False), prepare(True)
         assert bare.ids == pooled.ids
-        for name in ("lengths", "manifest_labels", "audio_mean", "visual"):
+        for name in ("manifest_labels", "audio_mean", "visual"):
             assert np.array_equal(getattr(bare, name), getattr(pooled, name)), name
         assert bare.chunk_means is None and bare.chunk_maxes is None and bare.chunk_counts is None
         assert len(pooled.chunk_means) == len(pooled.chunk_maxes) == len(pooled.chunk_counts) == len(pooled)
@@ -118,35 +120,30 @@ class TestChunkPools:
                 want.append(representation_from_selection(means, sel))
             assert np.array_equal(query_matrix(poisoned, (c, k), params), np.stack(want))
 
-    def test_video_longer_than_its_manifest_line_grows_the_pools(self, on_disk, tmp_path):
+    def test_video_longer_than_its_manifest_line_is_rejected(self, on_disk, tmp_path):
         import json
         import shutil
 
-        # every line says 3 s, so the pools start one chunk wide
+        # every line says 3 s, so pools sized by the manifest would be one chunk wide
         root = tmp_path / "ds"
         shutil.copytree(on_disk, root)
         lines = [json.loads(line) for line in (root / "manifest.jsonl").read_text().splitlines()]
         (root / "manifest.jsonl").write_text("".join(json.dumps({**e, "length_sec": 3}) + "\n" for e in lines))
-        prepared = prepare_dataset(root, chunks=True)
-        counts = [audio.n_frames // 3 for _, audio, _, _ in iter_synth_videos(CFG)]
-        assert prepared.chunk_maxes.shape == (40, max(counts), 128)
-        assert prepared.chunk_counts.tolist() == counts
-        for i, (_, audio, _, _) in enumerate(iter_synth_videos(CFG)):
-            for got, want in zip(prepared.chunk_pools(i), pool_chunks(audio.frames, 3)):
-                assert np.array_equal(got, want)
+        frames = lines[0]["length_sec"]
+        with pytest.raises(ValidationError, match=f"'mv00000': manifest says 3s but file holds {frames} frames"):
+            prepare_dataset(root, chunks=True)
 
     def test_dropping_the_pools_keeps_the_rest(self, prepared):
         bare = prepared.without_chunk_pools()
         assert bare.chunk_means is None and bare.chunk_maxes is None and bare.chunk_counts is None
         assert prepared.chunk_maxes is not None
-        for name in ("ids", "lengths", "audio_mean", "visual", "manifest_labels"):
+        for name in ("ids", "audio_mean", "visual", "manifest_labels"):
             assert getattr(bare, name) is getattr(prepared, name), name
 
     def test_pool_less_arrays_hold_only_video_level_features(self):
         bare = prepare_synthetic(CFG)
         arrays = [v for v in vars(bare).values() if isinstance(v, np.ndarray)]
-        vectors = bare.lengths.nbytes + bare.manifest_labels.nbytes
-        assert sum(a.nbytes for a in arrays) == len(bare) * (128 + 1024) * 8 + vectors
+        assert sum(a.nbytes for a in arrays) == len(bare) * (128 + 1024) * 8 + bare.manifest_labels.nbytes
 
     def test_chunk_mode_needs_the_pools(self):
         params = random_attention_params(128, seed=0)

@@ -158,17 +158,6 @@ class ChunkSelection:
     scores: np.ndarray
     distribution: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.selected_indices) <= self.chunk_count:
-            raise ValueError("selection size must be in [1, chunk_count]")
-        if any(b <= a for a, b in zip(self.selected_indices, self.selected_indices[1:])):
-            raise ValueError("selected_indices must be strictly increasing")
-        theta = np.asarray(self.distribution, dtype=np.float64)
-        if np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-9:
-            raise ValidationError("distribution is not a probability vector")
-        self.distribution = theta
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-
 
 def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
     """Run both directions from zero state over a (T, input_dim) sequence.

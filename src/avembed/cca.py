@@ -485,15 +485,7 @@ def decode(kind: str, header: dict, blocks: dict, where: str, field_prefix: str 
 
 def save_projection(model: LinearProjection, path: str | Path, extra: dict | None = None) -> None:
     fields, blocks = encode(model, "linear-cca")
-    header = {
-        "type": "linear-cca",
-        "dx": int(model.wx.shape[0]),
-        "dy": int(model.wy.shape[0]),
-        "r": int(model.r),
-        **fields,
-        "config": extra or {},
-    }
-    blockio.save(path, MODEL_MAGIC, header, blocks)
+    blockio.save(path, MODEL_MAGIC, {"type": "linear-cca", **fields, "config": extra or {}}, blocks)
 
 
 def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None = None) -> None:

@@ -133,8 +133,15 @@ def _int_tuple(text: str, option: str) -> tuple[int, ...]:
 
 
 def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
-    if cfg.get("attention_weights"):
-        return att.load_attention_params(cfg["attention_weights"])
+    path = cfg.get("attention_weights")
+    if path:
+        params = att.load_attention_params(path)
+        if params.forward_lstm.input_dim != input_dim:
+            raise ValidationError(
+                f"{path}: attention weights take {params.forward_lstm.input_dim}-d chunk features, "
+                f"the dataset's audio features are {input_dim}-d"
+            )
+        return params
     hidden = cfg["attention_hidden"]
     if hidden < 1:
         raise ValueError(f"attention_hidden must be >= 1, got {hidden}")
@@ -142,7 +149,7 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
 
 
 def _fit_kwargs(cfg: dict) -> dict:
-    """Keyword arguments of pipeline.train_method and make_trainer."""
+    """Keyword arguments of pipeline.train_method."""
     layers = {
         name: _int_tuple(cfg[name], "--" + name.replace("_", "-")) for name in ("audio_layers", "visual_layers")
     }
@@ -292,7 +299,7 @@ def cmd_train(cfg: dict) -> int:
     audio = _query_matrix_for(prepared, cfg, mode)
     prepared = prepared.without_chunk_pools()  # no fit reads them
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
-    model, _, _ = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
+    model = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
     null = int(np.sum(model.correlations <= 1e-10))
     if null:
@@ -315,7 +322,12 @@ def cmd_query(cfg: dict) -> int:
     mode = _query_mode(cfg)
     prepared = pl.prepare_dataset(cfg["dataset"], chunks=mode != "mean")
     index = rt.load_index(cfg["index"])
-    embed_audio, _ = pl.embedders(pl.load_model(cfg["model"]))
+    model = pl.load_model(cfg["model"])
+    if model.r != index.r:
+        raise ValidationError(
+            f"model {cfg['model']} embeds in {model.r} dimensions, index {cfg['index']} holds {index.r}"
+        )
+    embed_audio, _ = pl.embedders(model)
     vid = cfg["video_id"]
     if vid not in prepared.ids:
         raise ValidationError(f"video {vid!r} not in the dataset")
@@ -331,6 +343,9 @@ def cmd_eval(cfg: dict) -> int:
     unknown = [m for m in methods if m not in pl.METHODS]
     if unknown or not methods:
         raise ValidationError(f"--methods {cfg['methods']!r} must list methods among {pl.METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValidationError(f"--methods {cfg['methods']!r} lists {', '.join(repeated)} more than once")
     folds = cfg["folds"]
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -353,13 +368,12 @@ def cmd_eval(cfg: dict) -> int:
         for head, name, _ in pl.SWEEP_CONFIGS:
             cell_cfg = _config_echo(cfg, method=method, query_config=head, command="eval", folds=folds)
             try:
-                trainer = pl.make_trainer(method, queries[name], prepared.visual, labels, **fit_kwargs)
                 report = ev.cross_validate(
                     queries[name],
                     prepared.visual,
                     labels,
                     prepared.ids,
-                    trainer,
+                    lambda a, v, lab: pl.embedders(pl.train_method(method, a, v, lab, **fit_kwargs)),
                     folds=folds,
                     seed=cfg["seed"],
                     pr_stride=cfg["pr_stride"],

@@ -4,7 +4,9 @@ The objective is the sum of the top-r singular values of the whitened
 cross-covariance of the branch outputs, estimated per minibatch with ridge
 regularization. Its closed-form gradient flows back through tanh hidden
 layers and a logistic output layer; RMSProp performs the ascent. A linear
-CCA head fitted on the final eval-mode outputs defines the shared space.
+CCA head fitted on the final outputs, without dropout, defines the shared
+space. The dropout rate is a training setting (TrainConfig.dropout), not part
+of a branch: branch_forward takes it as an argument.
 
 Training holds the parameters, their squared-gradient means, one block of
 RMSProp scratch (2 x 32K float64, 512 KB) and one step: that step's batches,
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import blockio
 from .attention import _sigmoid
-from .cca import LinearProjection, _LINEAR_BLOCKS, _check_ridge, _covariances, _labelled_views, _paired_views
+from .cca import LinearProjection, _LINEAR_BLOCKS, _covariances, _labelled_views, _paired_views
 from .cca import _side, _whiten, decode, encode, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
@@ -38,15 +40,12 @@ _RMSPROP_BLOCK = 1 << 15
 
 @dataclass
 class BranchNetwork:
-    """One MLP branch: tanh hidden layers, logistic output, inverted dropout."""
+    """One MLP branch: tanh hidden layers, logistic output."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    dropout_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be non-empty and aligned")
         # layer i maps width i to width i + 1; names are those of the model file's blocks, less the side
@@ -94,15 +93,10 @@ class DeepModel:
     audio_branch: BranchNetwork
     visual_branch: BranchNetwork
     cca_head: LinearProjection
-    r: int
-    reg: float
     objective_history: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         head = self.cca_head
-        if self.r != head.r:
-            raise ValueError(f"r is {self.r} but the CCA head has {head.r} columns")
-        _check_ridge("reg", self.reg)
         # each side of the head reads what its branch's last layer outputs
         blockio.check_dims({
             "audio output layer": (self.audio_branch.weights[-1], "ia"), "head.wx": (head.wx, "ar"),
@@ -110,49 +104,52 @@ class DeepModel:
         })
 
     @property
+    def r(self) -> int:
+        return self.cca_head.r
+
+    @property
     def correlations(self) -> np.ndarray:
         return self.cca_head.correlations
 
 
-def init_branch(layer_dims: list[int], dropout_rate: float, rng: np.random.Generator) -> BranchNetwork:
+def init_branch(layer_dims: list[int], rng: np.random.Generator) -> BranchNetwork:
     """Glorot-uniform initialization."""
     weights, biases = [], []
     for d_in, d_out in zip(layer_dims, layer_dims[1:]):
         bound = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
-    return BranchNetwork(weights=weights, biases=biases, dropout_rate=dropout_rate)
+    return BranchNetwork(weights=weights, biases=biases)
 
 
 def branch_forward(
     net: BranchNetwork,
     batch: np.ndarray,
-    mode: str = "eval",
+    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
     """Forward pass; returns (outputs, per-layer caches for backprop).
 
-    Train mode applies inverted dropout to hidden activations, so eval mode
-    needs no rescaling.
+    A dropout rate above 0 applies inverted dropout to the hidden activations,
+    drawing the masks from rng, so a pass without dropout needs no rescaling.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {dropout}")
+    if dropout > 0.0 and rng is None:
+        raise ValueError("dropout needs an rng")
     a = np.asarray(batch, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.weights[0].shape[0]:
         raise ValueError(
             f"batch shape {a.shape} does not match branch input dim {net.weights[0].shape[0]}"
         )
-    use_dropout = mode == "train" and net.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("train-mode dropout needs an rng")
     caches: list[dict] = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w + b
         h = _sigmoid(z) if i == last else np.tanh(z)
         mask = None
-        if use_dropout and i < last:
-            mask = (rng.random(h.shape) >= net.dropout_rate) / (1.0 - net.dropout_rate)
+        if dropout > 0.0 and i < last:
+            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
         caches.append({"input": a, "activated": h, "mask": mask})
         a = h if mask is None else h * mask
     return a, caches
@@ -274,8 +271,8 @@ def _train_on_pairs(
         raise ValueError(f"need at least batch_size={cfg.batch_size} pairs, got {n}")
 
     rng = np.random.default_rng(cfg.seed)
-    audio = init_branch([x.shape[1], *audio_layers], cfg.dropout, rng)
-    visual = init_branch([y.shape[1], *visual_layers], cfg.dropout, rng)
+    audio = init_branch([x.shape[1], *audio_layers], rng)
+    visual = init_branch([y.shape[1], *visual_layers], rng)
     # RMSProp over both branches: parameters, squared-gradient means, one block of scratch
     params = audio.weights + audio.biases + visual.weights + visual.biases
     sq_means = [np.zeros_like(p) for p in params]
@@ -288,8 +285,8 @@ def _train_on_pairs(
         batch_objs = []
         for b in range(n_batches):
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            fa, cache_a = branch_forward(audio, x[a_idx[sel]], "train", rng)
-            fv, cache_v = branch_forward(visual, y[v_idx[sel]], "train", rng)
+            fa, cache_a = branch_forward(audio, x[a_idx[sel]], cfg.dropout, rng)
+            fv, cache_v = branch_forward(visual, y[v_idx[sel]], cfg.dropout, rng)
             obj, d_fa, d_fv = _objective_and_grad(fa, fv, cfg.r, cfg.reg)
             if not np.isfinite(obj):
                 raise DivergenceError(
@@ -303,18 +300,11 @@ def _train_on_pairs(
             batch_objs.append(obj)
         history.append(float(np.mean(batch_objs)))
 
-    # head fitted once, on eval-mode outputs over the full training pairing
-    out_a = branch_forward(audio, x, "eval")[0]
-    out_v = branch_forward(visual, y, "eval")[0]
+    # head fitted once, on outputs without dropout over the full training pairing
+    out_a = branch_forward(audio, x)[0]
+    out_v = branch_forward(visual, y)[0]
     head = fit_cca(out_a, out_v, cfg.r, cfg.reg, pairs=(a_idx, v_idx))
-    return DeepModel(
-        audio_branch=audio,
-        visual_branch=visual,
-        cca_head=head,
-        r=cfg.r,
-        reg=cfg.reg,
-        objective_history=history,
-    )
+    return DeepModel(audio_branch=audio, visual_branch=visual, cca_head=head, objective_history=history)
 
 
 def train_dcca(
@@ -328,7 +318,7 @@ def train_dcca(
 
     Deterministic for a given cfg.seed: initialization, shuffling, and
     dropout all draw from one seeded stream. The CCA head is fitted once, on
-    full-dataset eval-mode outputs after the last epoch.
+    full-dataset outputs without dropout after the last epoch.
     """
     x, y = _paired_views(x, y)
     idx = np.arange(x.shape[0])
@@ -354,10 +344,10 @@ def train_sdcca(
 
 
 def embed(model: DeepModel, features: np.ndarray, side: str) -> np.ndarray:
-    """Eval-mode branch forward, then the CCA head projection for that side."""
+    """Branch forward without dropout, then the CCA head projection for that side."""
     branch = model.audio_branch if _side(side) == "x" else model.visual_branch
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    out, _ = branch_forward(branch, features, "eval")
+    out, _ = branch_forward(branch, features)
     return project(model.cca_head, out, side)
 
 
@@ -365,11 +355,6 @@ def save_deep_model(model: DeepModel, path: str | Path, extra: dict | None = Non
     head_fields, head_blocks = encode(model.cca_head, "linear-cca", "head_", "head.")
     header = {
         "type": "dcca",
-        "audio_dims": model.audio_branch.layer_dims,
-        "visual_dims": model.visual_branch.layer_dims,
-        "dropout": model.audio_branch.dropout_rate,
-        "r": model.r,
-        "reg": model.reg,
         **head_fields,
         "objective_history": model.objective_history,
         "n_audio_layers": len(model.audio_branch.weights),
@@ -408,15 +393,13 @@ def load_deep_model(path: str | Path) -> DeepModel:
         try:
             weights = [blocks[f"{side}.w{i}"] for i in range(n)]
             biases = [blocks[f"{side}.b{i}"] for i in range(n)]
-            branches.append(BranchNetwork(weights=weights, biases=biases, dropout_rate=get("dropout", float)))
-        except ValueError as exc:  # blocks whose shapes disagree, or a dropout out of range
+            branches.append(BranchNetwork(weights=weights, biases=biases))
+        except ValueError as exc:  # blocks whose shapes disagree
             raise FormatError(f"{path}: invalid dcca model: {side}.{exc}") from exc
     try:
         return DeepModel(
             *branches,
             cca_head=decode("linear-cca", header, blocks, where, "head_", "head."),
-            r=get("r", int),
-            reg=get("reg", float),
             objective_history=[] if history is None else history.tolist(),
         )
     except (TypeError, ValueError) as exc:  # blocks whose shapes disagree

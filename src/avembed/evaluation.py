@@ -78,9 +78,10 @@ def mean_ap(aps: Sequence[float]) -> float:
     return float(np.mean(aps))
 
 
-# A trainer consumes the training row indices and returns the two embedding
-# maps (full feature matrix -> embedding matrix) for the audio and visual side.
-Trainer = Callable[[np.ndarray], tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]]
+EmbedFn = Callable[[np.ndarray], np.ndarray]
+# A fit consumes the training rows (audio, visual, labels) and returns the two embedding
+# maps (feature matrix -> embedding matrix) for the audio and visual side.
+Fit = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[EmbedFn, EmbedFn]]
 
 
 def partition_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -108,7 +109,7 @@ def cross_validate(
     visual: np.ndarray,
     labels: np.ndarray,
     ids: Sequence[str],
-    trainer: Trainer,
+    fit: Fit,
     folds: int = 5,
     seed: int = 0,
     pr_stride: int = 1,
@@ -135,7 +136,7 @@ def cross_validate(
     pr_sums: dict[int, list] = {}  # size -> [precision sum, recall sum, query count]
     for fold_no, held in enumerate(fold_indices):
         train_idx = np.sort(np.concatenate([f for j, f in enumerate(fold_indices) if j != fold_no]))
-        embed_audio, embed_visual = trainer(train_idx)
+        embed_audio, embed_visual = fit(audio[train_idx], visual[train_idx], labels[train_idx])
         held_ids = [ids[i] for i in held]
         index = build_index(embed_visual(visual[held]), labels[held], held_ids)
         relevant: dict[int, set[str]] = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .data import (
     video_level_visual,
 )
 from .errors import ValidationError
+from .evaluation import EmbedFn
 
 BASE_CHUNK_SEC = 3
 # the eval sweep's columns: (map_matrix.csv header, pr_*/report_* file stem, query mode)
@@ -277,9 +278,6 @@ def cluster_dataset(
     return seeded_kmeans(prepared.audio_mean, seed_vectors, max_iter=max_iter, tol=tol)
 
 
-EmbedFn = Callable[[np.ndarray], np.ndarray]
-
-
 def train_method(
     method: str,
     audio: np.ndarray,
@@ -295,8 +293,8 @@ def train_method(
     audio_layers: tuple[int, ...] = deep_mod.DEFAULT_AUDIO_LAYERS,
     visual_layers: tuple[int, ...] = deep_mod.DEFAULT_VISUAL_LAYERS,
     **train,
-) -> tuple[object, EmbedFn, EmbedFn]:
-    """Fit one method and return (model, audio embedder, visual embedder).
+) -> object:
+    """Fit one method and return its model; embedders(model) embeds with it.
 
     train holds the other TrainConfig fields (batch_size, epochs, learning_rate,
     rho, epsilon, dropout); only the deep methods read and check them.
@@ -327,7 +325,7 @@ def train_method(
                 audio, visual, labels, f=f, cfg=cfg, target_count=target_pairs,
                 audio_layers=audio_layers, visual_layers=visual_layers,
             )
-    return (model, *embedders(model))
+    return model
 
 
 # model class -> (its module, embed function, save function); the functions are looked up
@@ -363,18 +361,3 @@ def load_model(path: str | Path):
         return deep_mod.load_deep_model(path)
     return cca_mod.load_cca_model(path)
 
-
-def make_trainer(
-    method: str,
-    audio: np.ndarray,
-    visual: np.ndarray,
-    labels: np.ndarray | None,
-    **kwargs,
-):
-    """Adapter for evaluation.cross_validate: closes over the full matrices."""
-
-    def trainer(train_idx: np.ndarray):
-        sub_labels = labels[train_idx] if labels is not None else None
-        return train_method(method, audio[train_idx], visual[train_idx], sub_labels, **kwargs)[1:]
-
-    return trainer

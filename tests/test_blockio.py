@@ -54,11 +54,9 @@ def valid(tmp_path_factory) -> dict:
     save_projection(fit_cca(x, y, 2), root / "cca")
     save_kernel_model(fit_kcca(x, y, 2), root / "kcca")
     deep = DeepModel(
-        audio_branch=init_branch([3, 4, 2], 0.2, rng),
-        visual_branch=init_branch([2, 2], 0.2, rng),
+        audio_branch=init_branch([3, 4, 2], rng),
+        visual_branch=init_branch([2, 2], rng),
         cca_head=fit_cca(rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), 2),
-        r=2,
-        reg=1e-4,
         objective_history=[1.5],
     )
     save_deep_model(deep, root / "dcca", extra={"method": "dcca"})

@@ -191,6 +191,28 @@ class TestChunkSelect:
         assert got == want
 
 
+class TestAttentionWeightsWidth:
+    """A weights file whose LSTM input width is not the corpus's audio width exits 2 before scoring."""
+
+    @pytest.mark.parametrize("argv", [
+        ("chunk-select", "--chunks", 3),
+        ("train", "--method", "cca", "--r", 4, "--query-mode", "3,1", "--out", "{tmp}/m.model"),
+        ("eval", "--methods", "cca", "--folds", 2, "--r", 4, "--out-dir", "{tmp}/eval"),
+    ], ids=["chunk-select", "train-chunks", "eval"])
+    def test_rejected_naming_the_file(self, dataset, tmp_path, capsys, monkeypatch, argv):
+        weights = tmp_path / "weights.json"
+        save_attention_params(random_attention_params(8, 2, 2), weights)
+        scored, real = [], pipeline.chunk_selection_for
+        monkeypatch.setattr(pipeline, "chunk_selection_for", lambda *a, **kw: scored.append(a) or real(*a, **kw))
+        argv = [str(a).format(tmp=tmp_path) for a in argv]
+        assert run(*argv, "--dataset", dataset, "--attention-weights", weights) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"avembed: data error: {weights}: attention weights take 8-d chunk features, "
+                "the dataset's audio features are 128-d") in err
+        assert scored == []
+
+
 class TestCluster:
     def test_assignments_written(self, dataset, tmp_path, capsys):
         out = tmp_path / "assignments.jsonl"
@@ -288,6 +310,15 @@ class TestTrainIndexQuery:
                    "--model", artifacts["model"], "--video-id", "mv00007", "-n", 3) == 0
         top = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert top["video_id"] == "mv00007"
+
+    def test_model_and_index_of_different_widths_rejected(self, artifacts, deep_artifacts, dataset, capsys):
+        # an r=4 model against the r=8 index
+        model, index = deep_artifacts["model"], artifacts["index"]
+        assert run("query", "--dataset", dataset, "--index", index, "--model", model,
+                   "--video-id", "mv00003", "-n", 3) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"avembed: data error: model {model} embeds in 4 dimensions, index {index} holds 8" in err
 
     def test_chunk_mode_query_ranks_the_selected_chunks(self, artifacts, dataset, capsys):
         vid = "mv00003"
@@ -614,15 +645,9 @@ class TestCorruptArtifacts:
         (lambda obj: obj.update(n_audio_layers=obj["n_audio_layers"] + 1), ""),  # one block pair short
         (lambda obj: obj.update(n_audio_layers="two"), ""),
         (lambda obj: obj.update(n_audio_layers=2.0), "key 'n_audio_layers' must be int"),
-        (lambda obj: obj.update(r=True), "key 'r' must be int"),
-        (lambda obj: obj.update(dropout="0.2"), "key 'dropout' must be float"),
-        (lambda obj: obj.update(r=obj["r"] + 3), "but the CCA head has"),
-        (lambda obj: obj.update(reg=-3.0), "reg must be a finite number >= 0"),
-        (lambda obj: obj.update(reg=float("nan")), "reg must be a finite number >= 0"),
         (lambda obj: obj.update(head_reg_y=-1.0), "reg_y must be a finite number >= 0"),
     ], ids=["no-layer-count", "no-head-correlations", "layer-count-too-high", "layer-count-not-int",
-            "layer-count-float", "r-bool", "dropout-string", "r-not-head-width", "reg-negative", "reg-nan",
-            "head-reg-negative"])
+            "layer-count-float", "head-reg-negative"])
     def test_deep_model_header(self, deep_artifacts, dataset, tmp_path, capsys, change, message):
         model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model", _edit_json(change))
         assert message in self._query_fails_cleanly(dataset, capsys, deep_artifacts["index"], model)
@@ -933,6 +958,17 @@ class TestEval:
         assert run("eval", "--dataset", dataset, "--out-dir", out_dir, "--methods", ",") == 2
         assert "avembed: data error" in capsys.readouterr().err
         assert not (out_dir / "map_matrix.csv").exists()
+
+    def test_repeated_method_rejected_before_the_sweep(self, dataset, tmp_path, capsys, monkeypatch):
+        reads, real = [], pipeline.prepare_dataset
+        monkeypatch.setattr(pipeline, "prepare_dataset", lambda *a, **kw: reads.append(a) or real(*a, **kw))
+        out_dir = tmp_path / "e9"
+        assert run("eval", "--dataset", dataset, "--out-dir", out_dir, "--methods", "cca,ccca,cca",
+                   "--folds", 2, "--r", 4) == 2
+        err = capsys.readouterr().err
+        assert "avembed: data error: --methods 'cca,ccca,cca' lists cca more than once" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists() and reads == []
 
     def test_report_echoes_only_eval_settings(self, dataset, tmp_path):
         out_dir = tmp_path / "e6"

@@ -68,15 +68,15 @@ class TestBranchForward:
 
     def test_zero_dropout_train_equals_eval(self):
         rng = np.random.default_rng(1)
-        net = init_branch([6, 5, 4], 0.0, rng)
+        net = init_branch([6, 5, 4], rng)
         batch = rng.normal(size=(8, 6))
-        out_eval, _ = branch_forward(net, batch, "eval")
-        out_train, _ = branch_forward(net, batch, "train", np.random.default_rng(9))
+        out_eval, _ = branch_forward(net, batch)
+        out_train, _ = branch_forward(net, batch, 0.0, np.random.default_rng(9))
         np.testing.assert_array_equal(out_eval, out_train)
 
     def test_matches_second_transcription(self):
         rng = np.random.default_rng(2)
-        net = init_branch([3, 4, 3, 2], 0.0, rng)
+        net = init_branch([3, 4, 3, 2], rng)
         batch = rng.normal(size=(6, 3))
         out, _ = branch_forward(net, batch)
         for row in range(6):
@@ -91,22 +91,30 @@ class TestBranchForward:
 
     def test_dropout_masks_are_seeded(self):
         rng = np.random.default_rng(3)
-        net = init_branch([4, 8, 3], 0.5, rng)
+        net = init_branch([4, 8, 3], rng)
         batch = rng.normal(size=(16, 4))
-        o1, _ = branch_forward(net, batch, "train", np.random.default_rng(7))
-        o2, _ = branch_forward(net, batch, "train", np.random.default_rng(7))
-        o3, _ = branch_forward(net, batch, "train", np.random.default_rng(8))
+        o1, _ = branch_forward(net, batch, 0.5, np.random.default_rng(7))
+        o2, _ = branch_forward(net, batch, 0.5, np.random.default_rng(7))
+        o3, _ = branch_forward(net, batch, 0.5, np.random.default_rng(8))
         np.testing.assert_array_equal(o1, o2)
         assert not np.array_equal(o1, o3)
 
     def test_dimension_mismatch(self):
-        net = init_branch([4, 3], 0.0, np.random.default_rng(4))
+        net = init_branch([4, 3], np.random.default_rng(4))
         with pytest.raises(ValueError):
             branch_forward(net, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("dropout, rng", [
+        (-0.1, np.random.default_rng(0)), (1.0, np.random.default_rng(0)), (0.2, None),
+    ], ids=["negative", "one", "no-rng"])
+    def test_dropout_rate_checked(self, dropout, rng):
+        net = init_branch([4, 3, 2], np.random.default_rng(4))
+        with pytest.raises(ValueError, match="dropout"):
+            branch_forward(net, np.zeros((2, 4)), dropout, rng)
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        net = init_branch([3, 4, 2], 0.0, rng)
+        net = init_branch([3, 4, 2], rng)
         batch = rng.normal(size=(10, 3))
         target = rng.normal(size=(10, 2))
 
@@ -324,8 +332,8 @@ class TestSdcca:
         assert model.cca_head.wx.shape == (6, 4)
 
 
-def _oracle_forward(net, batch, rng=None):
-    """tanh hidden layers, logistic output; with an rng (train mode, dropout_rate > 0), an
+def _oracle_forward(net, batch, dropout=0.0, rng=None):
+    """tanh hidden layers, logistic output; with an rng (training, dropout > 0), an
     inverted-dropout mask per hidden layer, drawn layer by layer."""
     a = batch
     caches = []
@@ -333,7 +341,7 @@ def _oracle_forward(net, batch, rng=None):
         h = np.tanh(a @ w + b)
         mask = None
         if rng is not None:
-            mask = (rng.random(h.shape) >= net.dropout_rate) / (1.0 - net.dropout_rate)
+            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
         caches.append({"input": a, "activated": h, "mask": mask})
         a = h if mask is None else h * mask
     out = _sigmoid(a @ net.weights[-1] + net.biases[-1])
@@ -362,11 +370,11 @@ def _unpruned_backward(net, caches, d_out):
 
 
 def _oracle_train(x, y, a_idx, v_idx, cfg, audio_layers, visual_layers):
-    """The training loop from its own train-mode forward, the public objective and gradient,
+    """The training loop from its own forward with dropout, the public objective and gradient,
     one whitening each, the unpruned backward and RMSProp written out with temporaries."""
     rng = np.random.default_rng(cfg.seed)
-    nets = (init_branch([x.shape[1], *audio_layers], cfg.dropout, rng),
-            init_branch([y.shape[1], *visual_layers], cfg.dropout, rng))
+    nets = (init_branch([x.shape[1], *audio_layers], rng),
+            init_branch([y.shape[1], *visual_layers], rng))
     sq = [[np.zeros_like(p) for p in net.weights + net.biases] for net in nets]
     n = a_idx.shape[0]
     history = []
@@ -375,8 +383,8 @@ def _oracle_train(x, y, a_idx, v_idx, cfg, audio_layers, visual_layers):
         objs = []
         for b in range(n // cfg.batch_size):
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            fa, cache_a = _oracle_forward(nets[0], x[a_idx[sel]], rng)
-            fv, cache_v = _oracle_forward(nets[1], y[v_idx[sel]], rng)
+            fa, cache_a = _oracle_forward(nets[0], x[a_idx[sel]], cfg.dropout, rng)
+            fv, cache_v = _oracle_forward(nets[1], y[v_idx[sel]], cfg.dropout, rng)
             objs.append(total_correlation(fa, fv, cfg.r, cfg.reg))
             grads = corr_gradient(fa, fv, cfg.r, cfg.reg)
             for net, cache, d_out, cs in zip(nets, (cache_a, cache_v), grads, sq):
@@ -427,17 +435,17 @@ class TestWorkingSet:
     """Training keeps the parameters, their RMSProp means, one block of scratch and one step."""
 
     def test_step_output_dead_when_the_next_step_starts(self, monkeypatch):
-        last = {}  # id(branch) -> weakref to its latest train-mode output
+        last = {}  # id(branch) -> weakref to its latest training-step output
         alive_at_start = []
 
-        def watched(net, batch, mode="eval", rng=None):
-            if mode == "train":
+        def watched(net, batch, dropout=0.0, rng=None):
+            if rng is not None:  # a training step; the head's passes take no rng
                 if id(net) in last:
                     alive_at_start.append(last[id(net)]() is not None)
-                out, caches = branch_forward(net, batch, mode, rng)
+                out, caches = branch_forward(net, batch, dropout, rng)
                 last[id(net)] = weakref.ref(out)
                 return out, caches
-            return branch_forward(net, batch, mode, rng)
+            return branch_forward(net, batch, dropout, rng)
 
         monkeypatch.setattr(deep_mod, "branch_forward", watched)
         x, y, labels = TestSdcca()._clustered(n_per=40, k=3, seed=11)

@@ -152,15 +152,12 @@ def clustered_corpus(n=120, k=4, seed=0):
     return audio, visual, labels, ids
 
 
-def cca_trainer(audio, visual, r=3, reg=1e-4):
-    def trainer(train_idx):
-        model = fit_cca(audio[train_idx], visual[train_idx], r, reg)
-        return (
-            lambda m: project(model, np.atleast_2d(m), "x"),
-            lambda m: project(model, np.atleast_2d(m), "y"),
-        )
-
-    return trainer
+def cca_fit(audio, visual, labels, r=3, reg=1e-4):
+    model = fit_cca(audio, visual, r, reg)
+    return (
+        lambda m: project(model, np.atleast_2d(m), "x"),
+        lambda m: project(model, np.atleast_2d(m), "y"),
+    )
 
 
 class TestCrossValidate:
@@ -184,7 +181,7 @@ class TestCrossValidate:
     def test_aggregate_map_is_fold_mean(self):
         audio, visual, labels, ids = clustered_corpus(seed=5)
         report = cross_validate(
-            audio, visual, labels, ids, cca_trainer(audio, visual), folds=4, seed=1, pr_stride=5
+            audio, visual, labels, ids, cca_fit, folds=4, seed=1, pr_stride=5
         )
         assert report.map_score == pytest.approx(float(np.mean(report.per_fold_map)), abs=1e-12)
         assert 0.0 < report.map_score <= 1.0
@@ -196,12 +193,12 @@ class TestCrossValidate:
         labels[labels == 3] = 2
         labels[0] = 3  # cluster 3 has a single member: most folds miss it
         with pytest.raises(ValidationError, match="census"):
-            cross_validate(audio, visual, labels, ids, cca_trainer(audio, visual), folds=5, seed=2)
+            cross_validate(audio, visual, labels, ids, cca_fit, folds=5, seed=2)
 
     def test_pr_recall_monotone(self):
         audio, visual, labels, ids = clustered_corpus(seed=7)
         report = cross_validate(
-            audio, visual, labels, ids, cca_trainer(audio, visual), folds=3, seed=3
+            audio, visual, labels, ids, cca_fit, folds=3, seed=3
         )
         recalls = [r for _, _, r in report.pr_points]
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))
@@ -246,7 +243,7 @@ class TestPrCurveExport:
     def test_monotone_recall_on_synthetic_report(self, tmp_path):
         audio, visual, labels, ids = clustered_corpus(n=100, seed=9)
         report = cross_validate(
-            audio, visual, labels, ids, cca_trainer(audio, visual), folds=2, seed=4
+            audio, visual, labels, ids, cca_fit, folds=2, seed=4
         )
         path = tmp_path / "pr.csv"
         pr_curve_export(report, path)

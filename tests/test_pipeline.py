@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from avembed import blockio
 from avembed.attention import attention_distribution, random_attention_params, select_top_k
 from avembed.data import SynthConfig, iter_synth_videos, pool_chunks, write_dataset
 from avembed.errors import ValidationError
@@ -10,7 +11,6 @@ from avembed.pipeline import (
     cluster_dataset,
     embedders,
     load_model,
-    make_trainer,
     prepare_dataset,
     prepare_synthetic,
     query_matrix,
@@ -232,7 +232,7 @@ class TestTrainMethodDispatch:
     def test_all_methods_produce_embedders(self, prepared, tmp_path):
         labels = prepared.manifest_labels
         for method in ("cca", "kcca", "ccca", "dcca", "sdcca"):
-            model, ea, evs = train_method(
+            model = train_method(
                 method,
                 prepared.audio_mean,
                 prepared.visual,
@@ -246,6 +246,7 @@ class TestTrainMethodDispatch:
                 audio_layers=(16, 8),
                 visual_layers=(16, 8),
             )
+            ea, evs = embedders(model)
             qa = ea(prepared.audio_mean[:5])
             qv = evs(prepared.visual[:5])
             assert qa.shape == (5, 4) and qv.shape == (5, 4)
@@ -261,7 +262,7 @@ class TestTrainMethodDispatch:
 
     @pytest.mark.parametrize("method", ["cca", "kcca", "ccca", "dcca", "sdcca"])
     def test_resaving_a_loaded_model_writes_the_same_bytes(self, prepared, tmp_path, method):
-        model, _, _ = train_method(method, prepared.audio_mean, prepared.visual, prepared.manifest_labels, r=4,
+        model = train_method(method, prepared.audio_mean, prepared.visual, prepared.manifest_labels, r=4,
                                    reg=1e-3, f=0.5, batch_size=16, epochs=2, audio_layers=(16, 8),
                                    visual_layers=(16, 8))
         first, again = tmp_path / "first.model", tmp_path / "again.model"
@@ -283,13 +284,38 @@ class TestTrainMethodDispatch:
                       visual_layers=(12, 6))
         rep_d = cross_validate(
             prepared.audio_mean, prepared.visual, labels, prepared.ids,
-            make_trainer("dcca", prepared.audio_mean, prepared.visual, None, **kwargs),
+            lambda a, v, lab: embedders(train_method("dcca", a, v, None, **kwargs)),
             folds=2, seed=5, pr_stride=10,
         )
         rep_s = cross_validate(
             prepared.audio_mean, prepared.visual, labels, prepared.ids,
-            make_trainer("sdcca", prepared.audio_mean, prepared.visual, labels, f=0.0, **kwargs),
+            lambda a, v, lab: embedders(train_method("sdcca", a, v, lab, f=0.0, **kwargs)),
             folds=2, seed=5, pr_stride=10,
         )
         assert rep_d.map_score == rep_s.map_score
         assert rep_d.per_query_ap == rep_s.per_query_ap
+
+
+class TestParentFormatModels:
+    """Older model files also carry header keys that no loader reads (a deep model's layer widths,
+    dropout, r and reg; a linear model's dx, dy and r). They load and embed as the same blocks
+    without those keys, whatever values the keys hold."""
+
+    @pytest.mark.parametrize("method, magic, extra", [
+        ("dcca", b"AVDM", {"audio_dims": [128, 16, 8], "visual_dims": [1024, 16, 8], "dropout": "0.2",
+                           "r": 7, "reg": -3.0}),
+        ("cca", b"AVCM", {"dx": 128, "dy": 1024, "r": 7}),
+    ], ids=["dcca", "linear"])
+    def test_ignored_keys_load_and_embed_bit_identically(self, prepared, tmp_path, method, magic, extra):
+        model = train_method(method, prepared.audio_mean, prepared.visual, None, r=4, reg=1e-3,
+                             batch_size=16, epochs=1, audio_layers=(16, 8), visual_layers=(16, 8))
+        current, older = tmp_path / "current.model", tmp_path / "older.model"
+        save_model(model, current, extra={"method": method})
+        header, blocks = blockio.load(current, magic)
+        assert not set(extra) & set(header)
+        blockio.save(older, magic, {**header, **extra}, blocks)
+        embeds = [embedders(load_model(path)) for path in (current, older)]
+        for side, features in enumerate((prepared.audio_mean, prepared.visual)):
+            want = embeds[0][side](features)
+            assert np.array_equal(embeds[1][side](features), want)
+            assert np.array_equal(embedders(model)[side](features), want)

@@ -5,6 +5,9 @@ previous cell state, the output gate sees the current one. Both directions run
 as one recurrence over a joint state [h_forward | h_backward]: step t advances
 the forward LSTM on chunk t and the backward LSTM on chunk T-1-t. Per-chunk
 scores are squashed to a distribution and pooled to macro-chunk scores.
+
+A direction's weights are four arrays with the gates on the leading axis
+(LstmParams); the weights file holds them as one JSON key per gate and array.
 """
 
 from __future__ import annotations
@@ -23,54 +26,42 @@ _GATES = ("input", "forget", "cell", "output")
 _PEEPHOLE_GATES = ("input", "forget", "output")
 # The joint recurrence computes sigmoid(z) as 0.5 * tanh(z / 2) + 0.5, so the
 # rows of the sigmoid gates carry the factor 1/2, which is exact in floating point.
-_GATE_SCALE = {"input": 0.5, "forget": 0.5, "cell": 1.0, "output": 0.5}
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| only, so it never overflows; minimum(x, -x) keeps a NaN's sign, -abs would not
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
+# each array of a direction: its name, the gates on its leading axis, the axes of one gate's slice
+_LAYOUT = (("w_x", _GATES, "hd"), ("w_h", _GATES, "hh"), ("w_c", _PEEPHOLE_GATES, "hh"), ("b", _GATES, "h"))
 
 
 @dataclass
 class LstmParams:
-    """Weights of one LSTM direction.
+    """Weights of one LSTM direction, the gates stacked on the leading axis.
 
-    w_x: gate -> (hidden, input_dim); w_h: gate -> (hidden, hidden);
-    w_c: peephole gate -> (hidden, hidden); b: gate -> (hidden,).
+    w_x: (4, hidden, input_dim), w_h: (4, hidden, hidden) and b: (4, hidden),
+    gates in _GATES order; w_c: (3, hidden, hidden), peepholes in
+    _PEEPHOLE_GATES order. w_x.reshape(-1, input_dim) is the (4 hidden,
+    input_dim) input matrix.
     """
 
-    w_x: dict[str, np.ndarray]
-    w_h: dict[str, np.ndarray]
-    w_c: dict[str, np.ndarray]
-    b: dict[str, np.ndarray]
+    w_x: np.ndarray
+    w_h: np.ndarray
+    w_c: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        for g in _GATES:
-            if g not in self.w_x or g not in self.w_h or g not in self.b:
-                raise ValueError(f"missing parameters for gate {g!r}")
-        for g in _PEEPHOLE_GATES:
-            if g not in self.w_c:
-                raise ValueError(f"missing peephole weights for gate {g!r}")
-        # h hidden units, d inputs; names are the weights file's keys
-        blockio.check_dims({
-            **{f"w_x_{g}": (self.w_x[g], "hd") for g in _GATES},
-            **{f"w_h_{g}": (self.w_h[g], "hh") for g in _GATES},
-            **{f"w_c_{g}": (self.w_c[g], "hh") for g in _PEEPHOLE_GATES},
-            **{f"b_{g}": (self.b[g], "h") for g in _GATES},
-        })
-        for group in (self.w_x, self.w_h, self.w_c, self.b):
-            for arr in group.values():
-                if not np.all(np.isfinite(arr)):
-                    raise ValidationError("non-finite LSTM parameter")
+        # g gates, p peephole gates, h hidden units, d inputs
+        blockio.check_dims({"w_x": (self.w_x, "ghd"), "w_h": (self.w_h, "ghh"),
+                            "w_c": (self.w_c, "phh"), "b": (self.b, "gh")})
+        if (len(self.w_x), len(self.w_c)) != (len(_GATES), len(_PEEPHOLE_GATES)):
+            raise ValueError(f"an LSTM direction has 4 gates and 3 peepholes, got {len(self.w_x)} and {len(self.w_c)}")
+        if not all(np.all(np.isfinite(a)) for a in (self.w_x, self.w_h, self.w_c, self.b)):
+            raise ValidationError("non-finite LSTM parameter")
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_x["input"].shape[0]
+        return self.w_x.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_x["input"].shape[1]
+        return self.w_x.shape[2]
 
 
 @dataclass
@@ -127,23 +118,20 @@ class _JointBiLstm:
     @classmethod
     def from_params(cls, p: AttentionParams) -> "_JointBiLstm":
         dirs = (p.forward_lstm, p.backward_lstm)
-        widths = [d.hidden_dim for d in dirs]
-        n = sum(widths)
-        offsets = (0, widths[0])
-        w_s = np.zeros((4 * n, 2 * n))
+        n = sum(d.hidden_dim for d in dirs)
+        w_s = np.zeros((4, n, 2, n))  # gate, unit, [h | c], unit: the (4n, 2n) layout
         w_co = np.zeros((n, n))
-        for lstm, off, h in zip(dirs, offsets, widths):
-            units = slice(off, off + h)
-            for g_i, g in enumerate(_GATES):
-                rows = slice(g_i * n + off, g_i * n + off + h)
-                w_s[rows, units] = _GATE_SCALE[g] * lstm.w_h[g]
-                if g in ("input", "forget"):
-                    w_s[rows, n + off : n + off + h] = _GATE_SCALE[g] * lstm.w_c[g]
-            w_co[units, units] = _GATE_SCALE["output"] * lstm.w_c["output"]
+        off = 0
+        for d in dirs:
+            units = slice(off, off + d.hidden_dim)
+            w_s[:, units, 0, units] = _GATE_SCALE[:, None, None] * d.w_h
+            w_s[:2, units, 1, units] = _GATE_SCALE[:2, None, None] * d.w_c[:2]
+            w_co[units, units] = _GATE_SCALE[3] * d.w_c[2]
+            off += d.hidden_dim
         return cls(
-            w_x=tuple(np.vstack([_GATE_SCALE[g] * d.w_x[g] for g in _GATES]) for d in dirs),
-            b=tuple(np.concatenate([_GATE_SCALE[g] * d.b[g] for g in _GATES]) for d in dirs),
-            w_s=w_s,
+            w_x=tuple((_GATE_SCALE[:, None, None] * d.w_x).reshape(-1, d.input_dim) for d in dirs),
+            b=tuple((_GATE_SCALE[:, None] * d.b).ravel() for d in dirs),
+            w_s=w_s.reshape(4 * n, 2 * n),
             w_co=w_co,
             w_head=np.hstack([p.w_forward, p.w_backward]),
         )
@@ -228,25 +216,18 @@ def select_top_k(theta: np.ndarray, c: int, k: int) -> ChunkSelection:
 
 
 def _lstm_to_json(p: LstmParams) -> dict:
-    out: dict[str, list] = {}
-    for g in _GATES:
-        out[f"w_x_{g}"] = p.w_x[g].tolist()
-        out[f"w_h_{g}"] = p.w_h[g].tolist()
-        out[f"b_{g}"] = p.b[g].tolist()
-    for g in _PEEPHOLE_GATES:
-        out[f"w_c_{g}"] = p.w_c[g].tolist()
-    return out
+    """The weights file's keys of one direction: w_x_<gate>, w_h_<gate>, b_<gate> per gate, then w_c_<gate>."""
+    out = {f"{name}_{g}": getattr(p, name)[i].tolist() for i, g in enumerate(_GATES) for name in ("w_x", "w_h", "b")}
+    return out | {f"w_c_{g}": w.tolist() for g, w in zip(_PEEPHOLE_GATES, p.w_c)}
 
 
 def _lstm_from_json(obj: dict, key: str, where: str) -> LstmParams:
-    """The LSTM direction under obj[key]; each of its arrays must hold numbers only."""
+    """The LSTM direction under obj[key]; each per-gate array must hold finite numbers and is checked under its key."""
     lstm = blockio.field(obj, key, dict, where)
-
-    def arrays(prefix: str, gates: tuple[str, ...]) -> dict[str, np.ndarray]:
-        return {g: blockio.field(lstm, f"{prefix}_{g}", blockio.NUMBERS, f"{where} {key}") for g in gates}
-
-    return LstmParams(w_x=arrays("w_x", _GATES), w_h=arrays("w_h", _GATES),
-                      w_c=arrays("w_c", _PEEPHOLE_GATES), b=arrays("b", _GATES))
+    arrays = {f"{name}_{g}": (blockio.field(lstm, f"{name}_{g}", blockio.NUMBERS, f"{where} {key}"), axes)
+              for name, gates, axes in _LAYOUT for g in gates}
+    blockio.check_dims(arrays)
+    return LstmParams(**{name: np.stack([arrays[f"{name}_{g}"][0] for g in gates]) for name, gates, _ in _LAYOUT})
 
 
 def save_attention_params(p: AttentionParams, path: str | Path) -> None:
@@ -279,11 +260,9 @@ def load_attention_params(path: str | Path) -> AttentionParams:
 
 
 def random_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator, scale: float = 0.2) -> LstmParams:
-    w_x = {g: scale * rng.normal(size=(hidden_dim, input_dim)) for g in _GATES}
-    w_h = {g: scale * rng.normal(size=(hidden_dim, hidden_dim)) for g in _GATES}
-    w_c = {g: scale * rng.normal(size=(hidden_dim, hidden_dim)) for g in _PEEPHOLE_GATES}
-    b = {g: np.zeros(hidden_dim) for g in _GATES}
-    return LstmParams(w_x=w_x, w_h=w_h, w_c=w_c, b=b)
+    h = hidden_dim
+    return LstmParams(w_x=scale * rng.normal(size=(4, h, input_dim)), w_h=scale * rng.normal(size=(4, h, h)),
+                      w_c=scale * rng.normal(size=(3, h, h)), b=np.zeros((4, h)))
 
 
 def random_attention_params(

@@ -198,14 +198,18 @@ NUMBERS = "an array of numbers"
 
 
 def _float_array(value) -> np.ndarray | None:
-    """A JSON list of numbers, nested to any regular shape, as a float64 array; None for anything else."""
+    """A JSON list of finite numbers, nested to any regular shape, as a float64 array; None for anything else.
+
+    RFC 8259 has no NaN or Infinity, but json.loads reads them as floats.
+    """
     if type(value) is not list:
         return None
     try:
         array = np.array(value, dtype=object)
-    except ValueError:  # a ragged nesting numpy cannot hold
+        finite = all(type(v) in (int, float) and math.isfinite(v) for v in array.flat)
+    except (ValueError, OverflowError):  # a ragged nesting numpy cannot hold; an int beyond float64's range
         return None
-    return array.astype(np.float64) if all(type(v) in (int, float) for v in array.flat) else None
+    return array.astype(np.float64) if finite else None
 
 
 def field(obj: dict, key: str, kind, where: str, nullable: bool = False):

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import blockio
-from .attention import _sigmoid
 from .cca import LinearProjection, _LINEAR_BLOCKS, _covariances, _labelled_views, _paired_views
 from .cca import _side, _whiten, decode, encode, fit_cca, project
 from .clustering import expand_pairs
@@ -36,6 +35,12 @@ MODEL_MAGIC = b"AVDM"
 # elements of a parameter per RMSProp block: 2 x 32K float64 of scratch stay in L2 across the
 # update's passes (8K and 64K measured slower)
 _RMSPROP_BLOCK = 1 << 15
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp of -|x| only, so it never overflows; minimum(x, -x) keeps a NaN's sign, -abs would not
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

@@ -8,20 +8,13 @@ def planted_lstm(input_dim: int, hidden_dim: int = 4) -> LstmParams:
     """Memoryless LSTM: forget gate shut, input/output gates open, cell
     candidate reads coordinate 0 of the input. Makes the attention score a
     strictly increasing function of x_t[0]."""
-    zeros_x = np.zeros((hidden_dim, input_dim))
-    zeros_h = np.zeros((hidden_dim, hidden_dim))
-    w_xc = np.zeros((hidden_dim, input_dim))
-    w_xc[0, 0] = 0.5
+    w_x = np.zeros((4, hidden_dim, input_dim))
+    w_x[2, 0, 0] = 0.5  # gates by position: input, forget, cell, output
     return LstmParams(
-        w_x={"input": zeros_x, "forget": zeros_x, "cell": w_xc, "output": zeros_x},
-        w_h={g: zeros_h for g in ("input", "forget", "cell", "output")},
-        w_c={g: zeros_h for g in ("input", "forget", "output")},
-        b={
-            "input": np.full(hidden_dim, 10.0),
-            "forget": np.full(hidden_dim, -10.0),
-            "cell": np.zeros(hidden_dim),
-            "output": np.full(hidden_dim, 10.0),
-        },
+        w_x=w_x,
+        w_h=np.zeros((4, hidden_dim, hidden_dim)),
+        w_c=np.zeros((3, hidden_dim, hidden_dim)),
+        b=np.array([10.0, -10.0, 0.0, 10.0])[:, None] * np.ones(hidden_dim),
     )
 
 
@@ -41,12 +34,11 @@ def planted_attention() -> AttentionParams:
 
 
 def random_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
-    gates = ("input", "forget", "cell", "output")
     return LstmParams(
-        w_x={g: rng.normal(scale=0.5, size=(hidden_dim, input_dim)) for g in gates},
-        w_h={g: rng.normal(scale=0.5, size=(hidden_dim, hidden_dim)) for g in gates},
-        w_c={g: rng.normal(scale=0.5, size=(hidden_dim, hidden_dim)) for g in ("input", "forget", "output")},
-        b={g: rng.normal(scale=0.5, size=hidden_dim) for g in gates},
+        w_x=rng.normal(scale=0.5, size=(4, hidden_dim, input_dim)),
+        w_h=rng.normal(scale=0.5, size=(4, hidden_dim, hidden_dim)),
+        w_c=rng.normal(scale=0.5, size=(3, hidden_dim, hidden_dim)),
+        b=rng.normal(scale=0.5, size=(4, hidden_dim)),
     )
 
 

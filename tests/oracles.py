@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from avembed.attention import LstmParams, _sigmoid
+from avembed.attention import LstmParams
+from avembed.deep import _sigmoid
 from avembed.errors import UndefinedSimilarityError
 
 
@@ -15,10 +16,11 @@ def lstm_step(
             f"dimension mismatch: x {x_t.shape}, h {h_prev.shape}, c {c_prev.shape} "
             f"vs params ({p.hidden_dim}, {p.input_dim})"
         )
-    i_t = _sigmoid(p.b["input"] + p.w_x["input"] @ x_t + p.w_h["input"] @ h_prev + p.w_c["input"] @ c_prev)
-    f_t = _sigmoid(p.b["forget"] + p.w_x["forget"] @ x_t + p.w_h["forget"] @ h_prev + p.w_c["forget"] @ c_prev)
-    c_t = f_t * c_prev + i_t * np.tanh(p.w_x["cell"] @ x_t + p.w_h["cell"] @ h_prev + p.b["cell"])
-    o_t = _sigmoid(p.w_x["output"] @ x_t + p.w_h["output"] @ h_prev + p.w_c["output"] @ c_t + p.b["output"])
+    # gates by position: input, forget, cell, output; peepholes: input, forget, output
+    i_t = _sigmoid(p.b[0] + p.w_x[0] @ x_t + p.w_h[0] @ h_prev + p.w_c[0] @ c_prev)
+    f_t = _sigmoid(p.b[1] + p.w_x[1] @ x_t + p.w_h[1] @ h_prev + p.w_c[1] @ c_prev)
+    c_t = f_t * c_prev + i_t * np.tanh(p.w_x[2] @ x_t + p.w_h[2] @ h_prev + p.b[2])
+    o_t = _sigmoid(p.w_x[3] @ x_t + p.w_h[3] @ h_prev + p.w_c[2] @ c_t + p.b[3])
     h_t = o_t * np.tanh(c_t)
     return h_t, c_t
 

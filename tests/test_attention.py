@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from avembed.attention import (
     AttentionParams,
     LstmParams,
-    _sigmoid,
     attention_distribution,
     bilstm_states,
     load_attention_params,
@@ -19,6 +19,7 @@ from avembed.attention import (
     select_top_k,
 )
 from avembed.data import FeatureSequence, pool_chunks, video_level_audio
+from avembed.deep import _sigmoid
 from avembed.errors import FormatError, ValidationError
 from avembed.pipeline import _pool_video, representation_from_selection
 from conftest import planted_lstm, random_attention, random_lstm
@@ -26,18 +27,19 @@ from oracles import lstm_step
 
 
 def _zero_lstm(input_dim=3, hidden_dim=4):
-    z_x = np.zeros((hidden_dim, input_dim))
-    z_h = np.zeros((hidden_dim, hidden_dim))
     return LstmParams(
-        w_x={g: z_x for g in ("input", "forget", "cell", "output")},
-        w_h={g: z_h for g in ("input", "forget", "cell", "output")},
-        w_c={g: z_h for g in ("input", "forget", "output")},
-        b={g: np.zeros(hidden_dim) for g in ("input", "forget", "cell", "output")},
+        w_x=np.zeros((4, hidden_dim, input_dim)),
+        w_h=np.zeros((4, hidden_dim, hidden_dim)),
+        w_c=np.zeros((3, hidden_dim, hidden_dim)),
+        b=np.zeros((4, hidden_dim)),
     )
 
 
 def _oracle_lstm_step(x, h_prev, c_prev, p):
-    """Straight-line scalar transcription of the recurrence, one component at a time."""
+    """Straight-line scalar transcription of the recurrence, one component at a time.
+
+    Gates by position: input 0, forget 1, cell 2, output 3; peepholes: input 0, forget 1, output 2.
+    """
     hd = p.hidden_dim
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     i_t = np.zeros(hd)
@@ -47,29 +49,29 @@ def _oracle_lstm_step(x, h_prev, c_prev, p):
     h_t = np.zeros(hd)
     for a in range(hd):
         i_t[a] = sig(
-            p.b["input"][a]
-            + sum(p.w_x["input"][a, j] * x[j] for j in range(len(x)))
-            + sum(p.w_h["input"][a, j] * h_prev[j] for j in range(hd))
-            + sum(p.w_c["input"][a, j] * c_prev[j] for j in range(hd))
+            p.b[0][a]
+            + sum(p.w_x[0][a, j] * x[j] for j in range(len(x)))
+            + sum(p.w_h[0][a, j] * h_prev[j] for j in range(hd))
+            + sum(p.w_c[0][a, j] * c_prev[j] for j in range(hd))
         )
         f_t[a] = sig(
-            p.b["forget"][a]
-            + sum(p.w_x["forget"][a, j] * x[j] for j in range(len(x)))
-            + sum(p.w_h["forget"][a, j] * h_prev[j] for j in range(hd))
-            + sum(p.w_c["forget"][a, j] * c_prev[j] for j in range(hd))
+            p.b[1][a]
+            + sum(p.w_x[1][a, j] * x[j] for j in range(len(x)))
+            + sum(p.w_h[1][a, j] * h_prev[j] for j in range(hd))
+            + sum(p.w_c[1][a, j] * c_prev[j] for j in range(hd))
         )
         cand = math.tanh(
-            sum(p.w_x["cell"][a, j] * x[j] for j in range(len(x)))
-            + sum(p.w_h["cell"][a, j] * h_prev[j] for j in range(hd))
-            + p.b["cell"][a]
+            sum(p.w_x[2][a, j] * x[j] for j in range(len(x)))
+            + sum(p.w_h[2][a, j] * h_prev[j] for j in range(hd))
+            + p.b[2][a]
         )
         c_t[a] = f_t[a] * c_prev[a] + i_t[a] * cand
     for a in range(hd):
         o_t[a] = sig(
-            sum(p.w_x["output"][a, j] * x[j] for j in range(len(x)))
-            + sum(p.w_h["output"][a, j] * h_prev[j] for j in range(hd))
-            + sum(p.w_c["output"][a, j] * c_t[j] for j in range(hd))
-            + p.b["output"][a]
+            sum(p.w_x[3][a, j] * x[j] for j in range(len(x)))
+            + sum(p.w_h[3][a, j] * h_prev[j] for j in range(hd))
+            + sum(p.w_c[2][a, j] * c_t[j] for j in range(hd))
+            + p.b[3][a]
         )
         h_t[a] = o_t[a] * math.tanh(c_t[a])
     return h_t, c_t
@@ -133,6 +135,11 @@ class TestLstmStep:
         p = _zero_lstm(3, 4)
         with pytest.raises(ValueError):
             lstm_step(np.zeros(5), np.zeros(4), np.zeros(4), p)
+
+    def test_gate_count_checked(self):
+        p = _zero_lstm()
+        with pytest.raises(ValueError, match="4 gates and 3 peepholes, got 3 and 3"):
+            LstmParams(w_x=p.w_x[:3], w_h=p.w_h[:3], w_c=p.w_c, b=p.b[:3])
 
 
 def _chained_steps(feats, p):
@@ -412,22 +419,63 @@ class TestWeightsFile:
         path = tmp_path / "attention.json"
         save_attention_params(p, path)
         loaded = load_attention_params(path)
+        for name in ("w_x", "w_h", "w_c", "b"):
+            for lstm, back in ((p.forward_lstm, loaded.forward_lstm), (p.backward_lstm, loaded.backward_lstm)):
+                np.testing.assert_array_equal(getattr(back, name), getattr(lstm, name))
         seq = rng.normal(size=(5, 8))
         u1 = score_states(bilstm_states(seq, p), p)
         u2 = score_states(bilstm_states(seq, loaded), loaded)
-        np.testing.assert_allclose(u1, u2, atol=1e-12)
+        np.testing.assert_array_equal(u1, u2)
+        again = tmp_path / "again.json"
+        save_attention_params(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_per_gate_keys_load_into_stacked_arrays(self, tmp_path):
+        """A file keyed the way the format has always been keyed: per gate, in this key order."""
+        rng = np.random.default_rng(18)
+        gates, peepholes, h, d = ("input", "forget", "cell", "output"), ("input", "forget", "output"), 3, 5
+        direction = {}
+        for g in gates:
+            direction[f"w_x_{g}"] = rng.normal(size=(h, d))
+            direction[f"w_h_{g}"] = rng.normal(size=(h, h))
+            direction[f"b_{g}"] = rng.normal(size=h)
+        for g in peepholes:
+            direction[f"w_c_{g}"] = rng.normal(size=(h, h))
+        obj = {"version": 1, "forward_lstm": direction, "backward_lstm": direction,
+               "w_forward": rng.normal(size=(2, h)), "w_backward": rng.normal(size=(2, h)),
+               "w_out": rng.normal(size=2), "bias": rng.normal(size=2)}
+        path = tmp_path / "attention.json"
+        path.write_text(json.dumps(obj, default=np.ndarray.tolist))
+        p = load_attention_params(path)
+        for lstm in (p.forward_lstm, p.backward_lstm):
+            for i, g in enumerate(gates):
+                np.testing.assert_array_equal(lstm.w_x[i], direction[f"w_x_{g}"])
+                np.testing.assert_array_equal(lstm.w_h[i], direction[f"w_h_{g}"])
+                np.testing.assert_array_equal(lstm.b[i], direction[f"b_{g}"])
+            for i, g in enumerate(peepholes):
+                np.testing.assert_array_equal(lstm.w_c[i], direction[f"w_c_{g}"])
+        again = tmp_path / "again.json"
+        save_attention_params(p, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_shape_validation_on_load(self, tmp_path):
         rng = np.random.default_rng(14)
         p = random_attention(8, 4, 3, rng)
         path = tmp_path / "attention.json"
         save_attention_params(p, path)
-        import json
-
         obj = json.loads(path.read_text())
         obj["forward_lstm"]["w_x_input"] = [[0.0] * 3] * 4  # wrong input dim
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError):
+            load_attention_params(path)
+
+    def test_misshaped_gate_named(self, tmp_path):
+        path = tmp_path / "attention.json"
+        save_attention_params(random_attention_params(128, 16, 16, seed=0), path)
+        obj = json.loads(path.read_text())
+        obj["forward_lstm"]["w_x_forget"] = [[0.0] * 128] * 15  # one hidden unit short
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=r"w_x_forget of shape \(15, 128\) does not fit the other arrays"):
             load_attention_params(path)
 
     def test_not_json(self, tmp_path):

@@ -862,6 +862,23 @@ class TestJsonTypesAndFileSlots:
         weights.write_text(json.dumps(obj))
         assert message in self._fails_cleanly(capsys, *argv)
 
+    @pytest.mark.parametrize("lstm, key, value", [
+        (None, "bias", float("inf")), (None, "w_out", float("nan")), ("forward_lstm", "b_forget", float("nan")),
+        (None, "bias", 10**400),
+    ], ids=["bias-infinity", "w-out-nan", "gate-bias-nan", "bias-int-beyond-float64"])
+    def test_attention_weights_non_finite(self, dataset, tmp_path, capsys, lstm, key, value):
+        # json.dumps writes Infinity and NaN, and json.loads reads them back, though RFC 8259 has neither;
+        # 10**400 is a JSON number that no float64 holds
+        weights = tmp_path / "weights.json"
+        save_attention_params(random_attention_params(128, 16, 16, seed=0), weights)
+        obj = json.loads(weights.read_text())
+        (obj if lstm is None else obj[lstm])[key][0] = value
+        weights.write_text(json.dumps(obj))
+        err = self._fails_cleanly(capsys, "chunk-select", "--dataset", dataset, "--video-id", "mv00000",
+                                  "--attention-weights", weights)
+        where = f"{weights}: attention weights" + ("" if lstm is None else f" {lstm}")
+        assert f"{where} key {key!r} must be an array of numbers, got [" in err
+
     def test_sequence_file_with_trailing_bytes(self, dataset, tmp_path, capsys):
         audio = tmp_path / "audio.fvsq"
         audio.write_bytes((dataset / "audio" / "mv00000.fvsq").read_bytes() + b"junk")

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from avembed import deep as deep_mod
-from avembed.attention import _sigmoid
 from avembed.cca import fit_cca
 from avembed.clustering import expand_pairs
 from avembed.deep import (
     BranchNetwork,
     TrainConfig,
     _objective_and_grad,
+    _sigmoid,
     _whitened_svd,
     branch_backward,
     branch_forward,

@@ -222,11 +222,15 @@ def _lstm_to_json(p: LstmParams) -> dict:
 
 
 def _lstm_from_json(obj: dict, key: str, where: str) -> LstmParams:
-    """The LSTM direction under obj[key]; each per-gate array must hold finite numbers and is checked under its key."""
+    """The LSTM direction under obj[key]; each per-gate array must hold finite numbers and is
+    checked under its key, a shape error prefixed by the direction's."""
     lstm = blockio.field(obj, key, dict, where)
     arrays = {f"{name}_{g}": (blockio.field(lstm, f"{name}_{g}", blockio.NUMBERS, f"{where} {key}"), axes)
               for name, gates, axes in _LAYOUT for g in gates}
-    blockio.check_dims(arrays)
+    try:
+        blockio.check_dims(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
     return LstmParams(**{name: np.stack([arrays[f"{name}_{g}"][0] for g in gates]) for name, gates, _ in _LAYOUT})
 
 

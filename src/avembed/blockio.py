@@ -239,9 +239,19 @@ def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
 
 
 def check_dims(arrays: dict[str, tuple]) -> None:
-    """ValueError unless each named (array, axes) has one dimension per axis label, each label one size."""
-    size: dict = {}
+    """ValueError unless each named (array, axes) has one dimension per axis label, each label one size.
+
+    The message names the first array that disagrees and, for a size, the array before it
+    that set that axis.
+    """
+    size: dict = {}  # axis label -> (its size, the array that set it)
     for name, (array, axes) in arrays.items():
         shape = np.shape(array)
-        if len(shape) != len(axes) or any(size.setdefault(a, n) != n for a, n in zip(axes, shape)):
-            raise ValueError(f"{name} of shape {shape} does not fit the other arrays")
+        if len(shape) != len(axes):
+            raise ValueError(f"{name} of shape {shape} does not fit the other arrays: it needs {len(axes)} axes")
+        for a, n in zip(axes, shape):
+            want, setter = size.setdefault(a, (n, name))
+            if want != n:
+                raise ValueError(
+                    f"{name} of shape {shape} does not fit the other arrays: {setter} set axis {a} to {want}"
+                )

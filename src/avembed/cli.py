@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,12 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
     return att.random_attention_params(input_dim, hidden, hidden, seed=cfg["attention_seed"])
 
 
+def _prepare(cfg: dict, modes: list[tuple[int, int]], ids: list[str] | None = None) -> pl.PreparedDataset:
+    """The dataset (or its videos named by ids), each chunk mode of modes scored by the
+    --attention-* scorer."""
+    return pl.prepare_dataset(cfg["dataset"], ids=ids, modes=modes, scorer=partial(_attention_params, cfg))
+
+
 def _fit_kwargs(cfg: dict) -> dict:
     """Keyword arguments of pipeline.train_method."""
     layers = {
@@ -226,21 +233,13 @@ def cmd_ingest(cfg: dict) -> int:
 
 def cmd_chunk_select(cfg: dict) -> int:
     ids = [cfg["video_id"]] if cfg.get("video_id") else None
-    prepared = pl.prepare_dataset(cfg["dataset"], chunks=True, ids=ids)
     c, k = cfg["chunks"], cfg["top_k"]
-    params = _attention_params(cfg, prepared.audio_mean.shape[1])
-    results = []
-    for i, vid in enumerate(prepared.ids):
-        sel = pl.chunk_selection_for(prepared.chunk_pools(i)[1], params, c, k)
-        results.append(
-            {
-                "video_id": vid,
-                "chunks": c,
-                "top_k": k,
-                "selected": sel.selected_indices,
-                "scores": [float(s) for s in sel.scores],
-            }
-        )
+    prepared = _prepare(cfg, [(c, k)], ids)
+    rows = prepared.chunk_queries[c, k]
+    results = [
+        {"video_id": vid, "chunks": c, "top_k": k, "selected": selected.tolist(), "scores": scores.tolist()}
+        for vid, selected, scores in zip(prepared.ids, rows.selected, rows.scores)
+    ]
     text = "\n".join(json.dumps(r) for r in results)
     if cfg.get("out"):
         Path(cfg["out"]).write_text(text + "\n", encoding="utf-8")
@@ -284,20 +283,11 @@ def _query_mode(cfg: dict) -> tuple[int, int] | str:
     return ck
 
 
-def _query_matrix_for(
-    prepared: pl.PreparedDataset, cfg: dict, mode: tuple[int, int] | str, rows: list[int] | None = None
-) -> np.ndarray:
-    params = None if mode == "mean" else _attention_params(cfg, prepared.audio_mean.shape[1])
-    return pl.query_matrix(prepared, mode, params, rows)
-
-
 def cmd_train(cfg: dict) -> int:
     mode = _query_mode(cfg)
-    # only a chunk-selection mode reads the chunk pools
-    prepared = pl.prepare_dataset(cfg["dataset"], chunks=mode != "mean")
+    prepared = _prepare(cfg, [] if mode == "mean" else [mode])
     method = cfg["method"]
-    audio = _query_matrix_for(prepared, cfg, mode)
-    prepared = prepared.without_chunk_pools()  # no fit reads them
+    audio = pl.query_matrix(prepared, mode)
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
@@ -320,7 +310,7 @@ def cmd_index(cfg: dict) -> int:
 
 def cmd_query(cfg: dict) -> int:
     mode = _query_mode(cfg)
-    prepared = pl.prepare_dataset(cfg["dataset"], chunks=mode != "mean")
+    prepared = pl.prepare_dataset(cfg["dataset"])
     index = rt.load_index(cfg["index"])
     model = pl.load_model(cfg["model"])
     if model.r != index.r:
@@ -331,7 +321,9 @@ def cmd_query(cfg: dict) -> int:
     vid = cfg["video_id"]
     if vid not in prepared.ids:
         raise ValidationError(f"video {vid!r} not in the dataset")
-    query_vec = embed_audio(_query_matrix_for(prepared, cfg, mode, [prepared.ids.index(vid)]))[0]
+    # a chunk mode scores only the queried video, in a second pass over its files
+    scored = prepared if mode == "mean" else _prepare(cfg, [mode], [vid])
+    query_vec = embed_audio(pl.query_matrix(scored, mode)[[scored.ids.index(vid)]])[0]
     ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:
         print(json.dumps({"video_id": video_id, "similarity": sim}))
@@ -353,13 +345,12 @@ def cmd_eval(cfg: dict) -> int:
         raise ValueError("pr_stride must be >= 1")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    prepared = pl.prepare_dataset(cfg["dataset"], chunks=True)
+    chunk_modes = [mode for _, _, mode in pl.SWEEP_CONFIGS if mode != "mean"]
+    prepared = _prepare(cfg, chunk_modes)
     labels = _labels_for(prepared, cfg)
-    params = _attention_params(cfg, prepared.audio_mean.shape[1])
     fit_kwargs = _fit_kwargs(cfg)
 
-    queries = {name: pl.query_matrix(prepared, mode, params) for _, name, mode in pl.SWEEP_CONFIGS}
-    prepared = prepared.without_chunk_pools()  # no fit reads them
+    queries = {name: pl.query_matrix(prepared, mode) for _, name, mode in pl.SWEEP_CONFIGS}
 
     matrix_rows = []
     failures = []

@@ -1,26 +1,25 @@
 """Wiring between the dataset, chunk scorer, clustering, models, and eval.
 
-Per-video representations are pooled in one streaming pass (frame matrices
-are not kept): full-frame audio means for mean-mode queries and max-pooled
-video-level visual features, always; per-base-chunk means and maxes for
-attention-based queries only with chunks=True. The chunk pools are two padded
-(n, T, 128) arrays, means in float64 and maxes in float32, where T is the
-longest video's frames // 3: 12·T·128 bytes per video, about 110 KB at
-T = 72. The callers that never score chunks leave them out, and the ones that
-do drop them once their query vectors exist.
+Per-video representations are built in one streaming pass that keeps no frame
+matrix: full-frame audio means for mean-mode queries and max-pooled
+video-level visual features, always; for each (c, k) chunk mode asked for, the
+video's query vector, kept macro-chunks and macro-chunk scores. A video's
+base-chunk pools exist only while its frames are in hand: they are scored in
+every mode and dropped before the next video is read. Working memory is
+therefore O(n·d) for the corpus plus one video's frames and pools, whatever
+the spread of lengths.
 
 load_video is the one check of a video against its manifest line: both files
 hold the named modality, as many frames as each other and as `length_sec`
 says. Every command reads its videos through it, so each one rejects what
-`ingest` rejects, and the pools are sized only once the longest entry's files
-have confirmed its length.
+`ingest` rejects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,39 +49,30 @@ SWEEP_CONFIGS = (
 METHODS = ("cca", "kcca", "ccca", "dcca", "sdcca")
 # the methods that train on cluster labels
 SUPERVISED = ("ccca", "sdcca")
+# the scorer of the chunk modes, built from the corpus's audio feature dim
+Scorer = Callable[[int], att.AttentionParams]
+
+
+@dataclass
+class ChunkQueries:
+    """One (c, k) chunk mode over the corpus, row i for video i."""
+
+    vectors: np.ndarray   # (n, d) mean audio feature over the frames of the kept macro-chunks
+    selected: np.ndarray  # (n, k) the kept macro-chunks, ascending
+    scores: np.ndarray    # (n, c) the macro-chunk scores
 
 
 @dataclass
 class PreparedDataset:
     ids: list[str]
     audio_mean: np.ndarray       # (n, 128) mean over all frames
-    # (n, T, 128) per-base-chunk frame means (float64) and maxes (float32): row i holds
-    # chunk_counts[i] = frames // 3 chunks, then padding that nothing reads; all three
-    # are None unless prepared with chunks=True
-    chunk_means: np.ndarray | None
-    chunk_maxes: np.ndarray | None
-    chunk_counts: np.ndarray | None
     visual: np.ndarray           # (n, 1024) max-pooled video-level features
     manifest_labels: np.ndarray | None = None
+    # (c, k) -> that chunk mode's rows, for each mode the dataset was prepared with
+    chunk_queries: dict[tuple[int, int], ChunkQueries] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def chunk_pools(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Video i's (chunk means, chunk maxes): the unpadded prefix of its rows."""
-        m = self.chunk_counts[i]
-        return self.chunk_means[i, :m], self.chunk_maxes[i, :m]
-
-    def without_chunk_pools(self) -> PreparedDataset:
-        """This dataset with the chunk pools dropped, for callers done scoring chunks."""
-        return replace(self, chunk_means=None, chunk_maxes=None, chunk_counts=None)
-
-
-def _pool_video(audio_seq: FeatureSequence, visual_seq: FeatureSequence, chunks: bool = False):
-    """(audio mean, chunk means, chunk maxes, visual max) of one video; the chunk pools are None
-    unless chunks."""
-    pools = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC) if chunks else (None, None)
-    return video_level_audio(audio_seq), *pools, video_level_visual(visual_seq)
 
 
 def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, FeatureSequence]:
@@ -118,11 +108,15 @@ def _check_feature_dims(
 
 
 def prepare_dataset(
-    dataset_dir: str | Path, chunks: bool = False, ids: Sequence[str] | None = None
+    dataset_dir: str | Path,
+    ids: Sequence[str] | None = None,
+    modes: Sequence[tuple[int, int]] = (),
+    scorer: Scorer | None = None,
 ) -> PreparedDataset:
     """The videos of the dataset's manifest named by ids (default: all), pooled in manifest
-    order; chunks=True also keeps the chunk pools. Only their files are read, and an id the
-    manifest lacks raises ValidationError before any of them is."""
+    order, with the rows of each (c, k) chunk mode in modes scored by scorer(audio dim).
+    Only their files are read, and an id the manifest lacks raises ValidationError before
+    any of them is."""
     root = Path(dataset_dir)
     entries = load_manifest(root / "manifest.jsonl").entries
     if ids is not None:
@@ -132,63 +126,64 @@ def prepare_dataset(
                 raise ValidationError(f"video {vid!r} not in the dataset")
         wanted = set(ids)
         entries = [e for e in entries if e.video_id in wanted]
-    held, chunk_rows = {}, None
-    if chunks:  # the longest entry's files confirm its length before the pools are sized by it
-        longest = max(entries, key=lambda e: e.length_sec)
-        held[longest.video_id] = load_video(root, longest)
-        chunk_rows = longest.length_sec // BASE_CHUNK_SEC
     return _prepare_from_pairs(
-        ((e, *(held.pop(e.video_id, None) or load_video(root, e)), e.label) for e in entries),
+        ((e, *load_video(root, e), e.label) for e in entries),
         n=len(entries),
         has_labels=all(e.label is not None for e in entries),
-        chunk_rows=chunk_rows,
+        modes=modes,
+        scorer=scorer,
     )
 
 
-def prepare_synthetic(cfg: SynthConfig, chunks: bool = False) -> PreparedDataset:
-    """The generator's videos, pooled as prepare_dataset pools them."""
-    return _prepare_from_pairs(
-        iter_synth_videos(cfg),
-        n=cfg.n_videos,
-        has_labels=True,
-        chunk_rows=cfg.length_range[1] // BASE_CHUNK_SEC if chunks else None,
-    )
+def prepare_synthetic(
+    cfg: SynthConfig, modes: Sequence[tuple[int, int]] = (), scorer: Scorer | None = None
+) -> PreparedDataset:
+    """The generator's videos, pooled and scored as prepare_dataset pools and scores them."""
+    return _prepare_from_pairs(iter_synth_videos(cfg), n=cfg.n_videos, has_labels=True, modes=modes, scorer=scorer)
 
 
-def _prepare_from_pairs(pairs, n: int, has_labels: bool, chunk_rows: int | None) -> PreparedDataset:
-    """Pool the n videos of pairs in one pass.
+def _prepare_from_pairs(
+    pairs, n: int, has_labels: bool, modes: Sequence[tuple[int, int]], scorer: Scorer | None
+) -> PreparedDataset:
+    """Pool the n videos of pairs in one pass, scoring each chunk mode of modes while the
+    video's frames are in hand; the scorer is built at the first video, before any scoring.
 
-    chunk_rows is the largest chunk count T, or None to keep no chunk pools. The pools
-    are filled in place as the videos stream by; the small video-level features are
-    stacked at the end instead: preallocating them as well measured about 5000 more
-    minor page faults and 10 % more time per 150-video mean-mode prepare.
+    The chunk-mode rows are filled in place as the videos stream by; the small video-level
+    features are stacked at the end instead: preallocating them as well measured about
+    5000 more minor page faults and 10 % more time per 150-video mean-mode prepare.
     """
+    for c, k in modes:
+        check_chunk_config(c, k)
+    if modes and scorer is None:
+        raise ValueError("chunk-selection modes need an attention scorer")
     ids, means, visuals, labels = [], [], [], []
-    chunk_means = chunk_maxes = chunk_counts = None
+    queries: dict[tuple[int, int], ChunkQueries] = {}
     for i, (entry, audio_seq, visual_seq, label) in enumerate(pairs):
         if i == 0:
             dims = audio_seq.dim, visual_seq.dim
-            if chunk_rows is not None:
-                chunk_means = np.zeros((n, chunk_rows, dims[0]))
-                chunk_maxes = np.zeros((n, chunk_rows, dims[0]), dtype=audio_seq.frames.dtype)
-                chunk_counts = np.zeros(n, dtype=np.int64)
+            if modes:
+                params = scorer(dims[0])
+                queries = {
+                    (c, k): ChunkQueries(np.empty((n, dims[0])), np.empty((n, k), dtype=np.int64), np.empty((n, c)))
+                    for c, k in modes
+                }
         _check_feature_dims(dims, entry.video_id, audio_seq, visual_seq)
-        a_mean, ch_means, ch_maxes, v_max = _pool_video(audio_seq, visual_seq, chunk_rows is not None)
         ids.append(entry.video_id)
-        means.append(a_mean)
-        visuals.append(v_max)
+        means.append(video_level_audio(audio_seq))
+        visuals.append(video_level_visual(visual_seq))
         labels.append(label)
-        if chunk_rows is not None:
-            m = chunk_counts[i] = ch_means.shape[0]
-            chunk_means[i, :m], chunk_maxes[i, :m] = ch_means, ch_maxes
+        if queries:
+            chunk_means, chunk_maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
+            for (c, k), q in queries.items():
+                sel = chunk_selection_for(chunk_maxes, params, c, k)
+                q.vectors[i] = representation_from_selection(chunk_means, sel)
+                q.selected[i], q.scores[i] = sel.selected_indices, sel.scores
     return PreparedDataset(
         ids=ids,
         audio_mean=np.stack(means),
-        chunk_means=chunk_means,
-        chunk_maxes=chunk_maxes,
-        chunk_counts=chunk_counts,
         visual=np.stack(visuals),
         manifest_labels=np.asarray(labels) if has_labels else None,
+        chunk_queries=queries,
     )
 
 
@@ -227,27 +222,14 @@ def representation_from_selection(chunk_means: np.ndarray, selection: att.ChunkS
     return macros[selection.selected_indices].reshape(-1, d).mean(axis=0)
 
 
-def query_matrix(
-    prepared: PreparedDataset,
-    mode: tuple[int, int] | str,
-    params: att.AttentionParams | None = None,
-    rows: list[int] | None = None,
-) -> np.ndarray:
-    """Audio query vectors of the given rows (default: every video), one per row:
-    'mean' or a (c, k) chunk-selection config."""
+def query_matrix(prepared: PreparedDataset, mode: tuple[int, int] | str) -> np.ndarray:
+    """Audio query vectors, one per video: 'mean', or a (c, k) chunk mode the dataset was
+    prepared with."""
     if mode == "mean":
-        return prepared.audio_mean if rows is None else prepared.audio_mean[rows]
-    c, k = mode
-    if params is None:
-        raise ValueError("chunk-selection query mode needs attention parameters")
-    if prepared.chunk_maxes is None:
-        raise ValueError("chunk-selection query mode needs the chunk pools: prepare with chunks=True")
-    rows = range(len(prepared)) if rows is None else rows
-    out = np.empty((len(rows), prepared.audio_mean.shape[1]))
-    for j, i in enumerate(rows):
-        means, maxes = prepared.chunk_pools(i)
-        out[j] = representation_from_selection(means, chunk_selection_for(maxes, params, c, k))
-    return out
+        return prepared.audio_mean
+    if mode not in prepared.chunk_queries:
+        raise ValueError(f"chunk mode {mode} was not prepared: pass it in modes")
+    return prepared.chunk_queries[mode].vectors
 
 
 def seed_sets_from_labels(

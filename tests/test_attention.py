@@ -21,7 +21,7 @@ from avembed.attention import (
 from avembed.data import FeatureSequence, pool_chunks, video_level_audio
 from avembed.deep import _sigmoid
 from avembed.errors import FormatError, ValidationError
-from avembed.pipeline import _pool_video, representation_from_selection
+from avembed.pipeline import representation_from_selection
 from conftest import planted_lstm, random_attention, random_lstm
 from oracles import lstm_step
 
@@ -409,7 +409,7 @@ class TestQueryRepresentation:
     def test_visual_rejected(self):
         seq = FeatureSequence("v", "visual", np.ones((4, 4), dtype=np.float32))
         with pytest.raises(ValueError):
-            _pool_video(seq, seq)
+            video_level_audio(seq)
 
 
 class TestWeightsFile:
@@ -477,6 +477,23 @@ class TestWeightsFile:
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match=r"w_x_forget of shape \(15, 128\) does not fit the other arrays"):
             load_attention_params(path)
+
+    @pytest.mark.parametrize("key, gate, shape, message", [
+        ("forward_lstm", "w_x_input", (16, 3),
+         "forward_lstm: w_x_forget of shape (16, 128) does not fit the other arrays: w_x_input set axis d to 3"),
+        ("backward_lstm", "w_h_cell", (15, 16),
+         "backward_lstm: w_h_cell of shape (15, 16) does not fit the other arrays: w_x_input set axis h to 16"),
+    ], ids=["forward-input-width", "backward-cell-rows"])
+    def test_shape_error_names_the_direction_and_the_array_that_set_the_axis(self, tmp_path, key, gate, shape,
+                                                                            message):
+        path = tmp_path / "attention.json"
+        save_attention_params(random_attention_params(128, 16, 16, seed=0), path)
+        obj = json.loads(path.read_text())
+        obj[key][gate] = np.zeros(shape).tolist()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError) as info:
+            load_attention_params(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "attention.json"

@@ -1,10 +1,8 @@
 import argparse
-import gc
 import hashlib
 import json
 import shutil
 import struct
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +12,7 @@ from avembed import blockio, data, evaluation, pipeline
 from avembed.attention import random_attention_params, save_attention_params
 from avembed.cli import main
 from avembed.data import load_manifest, filter_manifest
-from avembed.pipeline import embedders, load_model, prepare_dataset, query_matrix
+from avembed.pipeline import embedders, load_model
 from avembed.retrieval import load_index, rank
 
 
@@ -166,29 +164,22 @@ class TestChunkSelect:
         assert "avembed: data error" in err and "Traceback" not in err
         assert not (tmp_path / "m.model").exists()
 
-    def test_padding_is_never_read(self, dataset, monkeypatch, capsys):
-        real = pipeline.prepare_dataset
-
-        def poisoned(*args, **kwargs):
-            prepared = real(*args, **kwargs)
-            for i, m in enumerate(prepared.chunk_counts):
-                prepared.chunk_means[i, m:] = np.nan
-                prepared.chunk_maxes[i, m:] = np.nan
-            assert np.isnan(prepared.chunk_maxes).any()  # 213..219 s: the shorter videos are padded
-            return prepared
-
-        monkeypatch.setattr(pipeline, "prepare_dataset", poisoned)
-        assert run("chunk-select", "--dataset", dataset, "--chunks", 6, "--top-k", 2) == 0
-        got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        # each video on its own, from its own float64 maxes; the default stand-in scorer
+    def test_lines_match_a_per_video_oracle(self, dataset, capsys):
+        # each video on its own, from its own pool_chunks; the default stand-in scorer
         params = random_attention_params(128, 16, 16, seed=0)
-        want = []
+        want = {}
         for e in load_manifest(dataset / "manifest.jsonl").entries:
             _, maxes = data.pool_chunks(data.load_sequence(dataset / e.audio_path).frames, 3)
-            sel = pipeline.chunk_selection_for(maxes.astype(np.float64), params, 6, 2)
-            want.append({"video_id": e.video_id, "chunks": 6, "top_k": 2, "selected": sel.selected_indices,
-                         "scores": [float(v) for v in sel.scores]})
-        assert got == want
+            sel = pipeline.chunk_selection_for(maxes, params, 6, 2)
+            want[e.video_id] = json.dumps({"video_id": e.video_id, "chunks": 6, "top_k": 2,
+                                           "selected": sel.selected_indices,
+                                           "scores": [float(v) for v in sel.scores]}) + "\n"
+        argv = ("chunk-select", "--dataset", dataset, "--chunks", 6, "--top-k", 2)
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == "".join(want.values())
+        for vid in ("mv00000", "mv00017", "mv00035"):
+            assert run(*argv, "--video-id", vid) == 0
+            assert capsys.readouterr().out == want[vid]
 
 
 class TestAttentionWeightsWidth:
@@ -320,19 +311,40 @@ class TestTrainIndexQuery:
         assert "Traceback" not in err
         assert f"avembed: data error: model {model} embeds in 4 dimensions, index {index} holds 8" in err
 
-    def test_chunk_mode_query_ranks_the_selected_chunks(self, artifacts, dataset, capsys):
+    def test_chunk_mode_query_ranks_the_selected_chunks(self, artifacts, dataset, capsys, monkeypatch):
         vid = "mv00003"
+        scored, real = [], pipeline.chunk_selection_for
+        monkeypatch.setattr(pipeline, "chunk_selection_for", lambda *a, **kw: scored.append(a) or real(*a, **kw))
         assert run("query", "--dataset", dataset, "--index", artifacts["index"], "--model", artifacts["model"],
                    "--video-id", vid, "-n", 5, "--query-mode", "3,1") == 0
         got = [(o["video_id"], o["similarity"]) for o in map(json.loads, capsys.readouterr().out.splitlines())]
-        # the default stand-in scorer: --attention-seed 0, --attention-hidden 16
-        prepared = prepare_dataset(dataset, chunks=True)
-        row = prepared.ids.index(vid)
-        query = query_matrix(prepared, (3, 1), random_attention_params(128, 16, 16, seed=0))[row]
-        assert not np.allclose(query, prepared.audio_mean[row])  # the mean-mode query would not pass
+        assert len(scored) == 1  # only the queried video is scored
+        # the oracle: its own pool_chunks and the default stand-in scorer (--attention-seed 0,
+        # --attention-hidden 16)
+        frames = data.load_sequence(dataset / "audio" / f"{vid}.fvsq").frames
+        means, maxes = data.pool_chunks(frames, 3)
+        sel = real(maxes, random_attention_params(128, 16, 16, seed=0), 3, 1)
+        query = pipeline.representation_from_selection(means, sel)
+        assert not np.allclose(query, frames.mean(axis=0, dtype=np.float64))  # the mean-mode query would not pass
         embed_audio, _ = embedders(load_model(artifacts["model"]))
         want = rank(load_index(artifacts["index"]), embed_audio(query[None])[0], n=5, query_id=vid)
         assert got == want.items
+
+    def test_chunk_mode_train_fits_the_selected_chunks(self, dataset, tmp_path):
+        out = tmp_path / "m.model"
+        assert run("train", "--dataset", dataset, "--method", "cca", "--r", 4, "--query-mode", "6,2",
+                   "--out", out) == 0
+        # the oracle: each video's own pool_chunks and the default stand-in scorer
+        params = random_attention_params(128, 16, 16, seed=0)
+        audio = []
+        for e in load_manifest(dataset / "manifest.jsonl").entries:
+            means, maxes = data.pool_chunks(data.load_sequence(dataset / e.audio_path).frames, 3)
+            sel = pipeline.chunk_selection_for(maxes, params, 6, 2)
+            audio.append(pipeline.representation_from_selection(means, sel))
+        visual = pipeline.prepare_dataset(dataset).visual
+        want, got = pipeline.train_method("cca", np.stack(audio), visual, None, r=4, reg=None), load_model(out)
+        for name in ("wx", "wy", "mean_x", "mean_y", "correlations"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_kcca_and_deep_train_roundtrip(self, dataset, tmp_path):
         kmodel = tmp_path / "kcca.model"
@@ -416,7 +428,8 @@ class TestTrainIndexQuery:
 
 
 class TestChunkPoolsPerCommand:
-    """Only the commands that score chunks pool them: once per video of the 36."""
+    """Only the commands that score chunks pool them: once per video of the 36 they score, and a
+    chunk-mode query only its own video."""
 
     @pytest.fixture
     def pool_calls(self, monkeypatch):
@@ -437,7 +450,7 @@ class TestChunkPoolsPerCommand:
         ("index --model {model} --labels {labels} --out {out}/videos.index", 0),
         ("query --index {index} --model {model} --video-id mv00003 -n 3", 0),
         ("train --method cca --r 4 --query-mode 3,1 --out {out}/m.model", 36),
-        ("query --index {index} --model {model} --video-id mv00003 -n 3 --query-mode 3,1", 36),
+        ("query --index {index} --model {model} --video-id mv00003 -n 3 --query-mode 3,1", 1),
         ("chunk-select --chunks 3 --top-k 1", 36),
         ("eval --out-dir {out}/eval --methods cca --folds 2 --r 4 --pr-stride 6", 36),
     ], ids=["cluster", "train-mean", "index", "query-mean", "train-chunks", "query-chunks", "chunk-select",
@@ -447,35 +460,6 @@ class TestChunkPoolsPerCommand:
                                      labels=artifacts["assignments"], index=artifacts["index"]).split()
         assert run(command, "--dataset", dataset, *rest) == 0
         assert len(pool_calls) == pooled
-
-
-class TestChunkPoolsDropped:
-    """eval and a chunk-mode train drop the chunk pools once their query vectors exist, so no
-    fit can reach them."""
-
-    @pytest.mark.parametrize("argv, fit", [
-        ("eval --out-dir {out}/eval --methods cca --folds 2 --r 4 --pr-stride 6", (evaluation, "cross_validate")),
-        ("train --method cca --r 4 --query-mode 3,1 --out {out}/m.model", (pipeline, "train_method")),
-    ], ids=["eval", "train-chunks"])
-    def test_no_fit_reaches_the_pools(self, dataset, tmp_path, monkeypatch, argv, fit):
-        pools, alive_at_fit = [], []
-        real_query, (module, name) = pipeline.query_matrix, fit
-        real_fit = getattr(module, name)
-
-        def query(prepared, *args, **kwargs):
-            pools.extend(weakref.ref(a) for a in (prepared.chunk_means, prepared.chunk_maxes))
-            return real_query(prepared, *args, **kwargs)
-
-        def fit_once(*args, **kwargs):
-            gc.collect()
-            alive_at_fit.append(any(ref() is not None for ref in pools))
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "query_matrix", query)
-        monkeypatch.setattr(module, name, fit_once)
-        command, *rest = argv.format(out=tmp_path).split()
-        assert run(command, "--dataset", dataset, *rest) == 0
-        assert pools and alive_at_fit and not any(alive_at_fit)
 
 
 class TestFeatureDims:

@@ -1,9 +1,23 @@
+import json
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from avembed import blockio
 from avembed.attention import attention_distribution, random_attention_params, select_top_k
-from avembed.data import SynthConfig, iter_synth_videos, pool_chunks, write_dataset
+from avembed.data import (
+    FeatureSequence,
+    Manifest,
+    ManifestEntry,
+    SynthConfig,
+    iter_synth_videos,
+    pool_chunks,
+    write_dataset,
+    write_manifest,
+    write_sequence,
+)
 from avembed.errors import ValidationError
 from avembed.evaluation import cross_validate
 from avembed.pipeline import (
@@ -22,24 +36,43 @@ from avembed.pipeline import (
 from oracles import lstm_step
 
 CFG = SynthConfig(n_videos=40, n_clusters=4, latent_dim=6, noise_std=0.1, seed=0)
+# the eval sweep's chunk modes
+CHUNK_MODES = ((3, 1), (6, 2), (9, 3))
+
+
+def stand_in(seed: int):
+    """A scorer: the seeded stand-in attention weights of the corpus's audio dim."""
+    return lambda dim: random_attention_params(dim, seed=seed)
+
+
+def oracle(frames: np.ndarray, params, c: int, k: int):
+    """(query vector, selection) of one video's audio frames, from its own pool_chunks."""
+    means, maxes = pool_chunks(frames, 3)
+    sel = chunk_selection_for(maxes, params, c, k)
+    return representation_from_selection(means, sel), sel
 
 
 @pytest.fixture(scope="module")
 def prepared():
-    return prepare_synthetic(CFG, chunks=True)
+    return prepare_synthetic(CFG)
+
+
+@pytest.fixture(scope="module")
+def scored():
+    return prepare_synthetic(CFG, modes=CHUNK_MODES, scorer=stand_in(1))
 
 
 class TestPrepare:
-    def test_shapes(self, prepared):
+    def test_shapes(self, prepared, scored):
         assert len(prepared) == 40
         assert prepared.audio_mean.shape == (40, 128)
         assert prepared.visual.shape == (40, 1024)
         assert prepared.manifest_labels is not None
-        # padded to the generator's longest length, 219 s
-        assert prepared.chunk_means.shape == prepared.chunk_maxes.shape == (40, 73, 128)
-        for i, (entry, _, _, _) in enumerate(iter_synth_videos(CFG)):
-            length = entry.length_sec
-            assert [p.shape for p in prepared.chunk_pools(i)] == [(length // 3, 128)] * 2
+        assert prepared.chunk_queries == {}
+        for c, k in CHUNK_MODES:
+            rows = scored.chunk_queries[c, k]
+            assert rows.vectors.shape == (40, 128) and rows.vectors.dtype == np.float64
+            assert rows.selected.shape == (40, k) and rows.scores.shape == (40, c)
 
     def test_matches_disk_roundtrip(self, prepared, tmp_path):
         write_dataset(CFG, tmp_path / "ds")
@@ -49,8 +82,6 @@ class TestPrepare:
         np.testing.assert_allclose(from_disk.visual, prepared.visual, atol=1e-12)
 
     def test_mismatched_lengths_flagged(self, tmp_path):
-        import json
-
         root = tmp_path / "ds"
         write_dataset(SynthConfig(n_videos=4, n_clusters=2, latent_dim=3, seed=1), root)
         lines = (root / "manifest.jsonl").read_text().strip().splitlines()
@@ -69,7 +100,8 @@ class TestPrepare:
 
 
 class TestChunkPools:
-    """The per-base-chunk pools are built only with chunks=True; nothing else changes."""
+    """Each video's base chunks are pooled and scored in the pass, only for the chunk modes
+    asked for; nothing else changes and no pool outlives its video."""
 
     @pytest.fixture(scope="class")
     def on_disk(self, tmp_path_factory):
@@ -79,66 +111,69 @@ class TestChunkPools:
 
     @pytest.mark.parametrize("source", ["synthetic", "disk"])
     def test_flag_changes_only_the_pools(self, on_disk, source):
-        def prepare(chunks):
+        def prepare(modes):
             if source == "synthetic":
-                return prepare_synthetic(CFG, chunks=chunks)
-            return prepare_dataset(on_disk, chunks=chunks)
+                return prepare_synthetic(CFG, modes=modes, scorer=stand_in(1))
+            return prepare_dataset(on_disk, modes=modes, scorer=stand_in(1))
 
-        bare, pooled = prepare(False), prepare(True)
+        bare, pooled = prepare(()), prepare(CHUNK_MODES)
         assert bare.ids == pooled.ids
         for name in ("manifest_labels", "audio_mean", "visual"):
             assert np.array_equal(getattr(bare, name), getattr(pooled, name)), name
-        assert bare.chunk_means is None and bare.chunk_maxes is None and bare.chunk_counts is None
-        assert len(pooled.chunk_means) == len(pooled.chunk_maxes) == len(pooled.chunk_counts) == len(pooled)
+        assert bare.chunk_queries == {}
+        assert list(pooled.chunk_queries) == list(CHUNK_MODES)
+        for rows in pooled.chunk_queries.values():
+            assert len(rows.vectors) == len(rows.selected) == len(rows.scores) == len(pooled)
 
-    def test_pools_equal_pool_chunks_of_each_audio(self, prepared):
+    def test_pools_equal_pool_chunks_of_each_audio(self, scored):
+        # every row of every mode equals the one scored from that video's own pool_chunks
+        params = random_attention_params(128, seed=1)
         videos = list(iter_synth_videos(CFG))
-        assert len(videos) == len(prepared)
-        assert prepared.chunk_means.dtype == np.float64 and prepared.chunk_maxes.dtype == np.float32
+        assert len(videos) == len(scored)
         for i, (_, audio, _, _) in enumerate(videos):
-            assert prepared.chunk_counts[i] == audio.n_frames // 3
-            means, maxes = pool_chunks(audio.frames, 3)
-            got_means, got_maxes = prepared.chunk_pools(i)
-            assert np.array_equal(got_means, means) and np.array_equal(got_maxes, maxes)
+            for c, k in CHUNK_MODES:
+                vector, sel = oracle(audio.frames, params, c, k)
+                rows = scored.chunk_queries[c, k]
+                assert np.array_equal(rows.vectors[i], vector)
+                assert rows.selected[i].tolist() == sel.selected_indices
+                assert np.array_equal(rows.scores[i], sel.scores)
 
-    def test_padding_is_never_read(self):
-        # lengths 60..219 s: most rows end in padding; NaN there would reach any query that read it
-        cfg = SynthConfig(n_videos=12, n_clusters=3, latent_dim=4, length_range=(60, 219), seed=2)
-        poisoned = prepare_synthetic(cfg, chunks=True)
-        for i, m in enumerate(poisoned.chunk_counts):
-            poisoned.chunk_means[i, m:] = np.nan
-            poisoned.chunk_maxes[i, m:] = np.nan
-        assert np.isnan(poisoned.chunk_maxes).any()
-        params = random_attention_params(128, seed=4)
-        frames = [audio.frames for _, audio, _, _ in iter_synth_videos(cfg)]
-        for c, k in ((3, 1), (6, 2), (9, 3)):
-            # each video on its own, from its own float64 pools
-            want = []
-            for f in frames:
-                means, maxes = pool_chunks(f, 3)
-                sel = chunk_selection_for(maxes.astype(np.float64), params, c, k)
-                want.append(representation_from_selection(means, sel))
-            assert np.array_equal(query_matrix(poisoned, (c, k), params), np.stack(want))
+    def test_working_set_is_bounded_by_one_video(self, tmp_path):
+        # 60 clips of 30 s and one 10-minute video: chunk pools padded to the longest video's
+        # T = 200 base chunks would take n * T * d * 12 bytes; the pass holds one video's
+        root = tmp_path / "ds"
+        clips = write_dataset(SynthConfig(n_videos=60, n_clusters=3, latent_dim=4, length_range=(30, 30),
+                                          seed=6), root)
+        long_cfg = SynthConfig(n_videos=1, n_clusters=1, latent_dim=4, length_range=(600, 600), seed=7)
+        _, audio, visual, _ = next(iter_synth_videos(long_cfg))
+        entry = ManifestEntry("long", 600, "audio/long.fvsq", "visual/long.fvsq", label=0)
+        write_sequence(audio, root / entry.audio_path)
+        write_sequence(visual, root / entry.visual_path)
+        write_manifest(Manifest(clips.entries + [entry]), root / "manifest.jsonl")
+        n, t_max, d = 61, 600 // 3, 128
+        tracemalloc.start()
+        try:
+            got = prepare_dataset(root, modes=CHUNK_MODES, scorer=stand_in(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == n and got.ids[-1] == "long"
+        assert peak < n * t_max * d * 12
+        # and the long video's rows are the ones its own pools give
+        for c, k in CHUNK_MODES:
+            vector, sel = oracle(audio.frames, random_attention_params(128, seed=0), c, k)
+            assert np.array_equal(got.chunk_queries[c, k].vectors[-1], vector)
+            assert got.chunk_queries[c, k].selected[-1].tolist() == sel.selected_indices
 
     def test_video_longer_than_its_manifest_line_is_rejected(self, on_disk, tmp_path):
-        import json
-        import shutil
-
-        # every line says 3 s, so pools sized by the manifest would be one chunk wide
+        # every line says 3 s: each video's files contradict it
         root = tmp_path / "ds"
         shutil.copytree(on_disk, root)
         lines = [json.loads(line) for line in (root / "manifest.jsonl").read_text().splitlines()]
         (root / "manifest.jsonl").write_text("".join(json.dumps({**e, "length_sec": 3}) + "\n" for e in lines))
         frames = lines[0]["length_sec"]
         with pytest.raises(ValidationError, match=f"'mv00000': manifest says 3s but file holds {frames} frames"):
-            prepare_dataset(root, chunks=True)
-
-    def test_dropping_the_pools_keeps_the_rest(self, prepared):
-        bare = prepared.without_chunk_pools()
-        assert bare.chunk_means is None and bare.chunk_maxes is None and bare.chunk_counts is None
-        assert prepared.chunk_maxes is not None
-        for name in ("ids", "audio_mean", "visual", "manifest_labels"):
-            assert getattr(bare, name) is getattr(prepared, name), name
+            prepare_dataset(root, modes=CHUNK_MODES, scorer=stand_in(0))
 
     def test_pool_less_arrays_hold_only_video_level_features(self):
         bare = prepare_synthetic(CFG)
@@ -146,42 +181,40 @@ class TestChunkPools:
         assert sum(a.nbytes for a in arrays) == len(bare) * (128 + 1024) * 8 + bare.manifest_labels.nbytes
 
     def test_chunk_mode_needs_the_pools(self):
-        params = random_attention_params(128, seed=0)
-        with pytest.raises(ValueError, match="chunks=True"):
-            query_matrix(prepare_synthetic(CFG), (3, 1), params)
+        with pytest.raises(ValueError, match=r"chunk mode \(3, 1\) was not prepared"):
+            query_matrix(prepare_synthetic(CFG), (3, 1))
 
 
 class TestQueryMatrix:
     def test_mean_mode(self, prepared):
         np.testing.assert_array_equal(query_matrix(prepared, "mean"), prepared.audio_mean)
 
-    def test_chunk_modes_shapes(self, prepared):
-        params = random_attention_params(128, seed=1)
-        for c, k in ((3, 1), (6, 2), (9, 3)):
-            got = query_matrix(prepared, (c, k), params)
+    def test_chunk_modes_shapes(self, scored):
+        for c, k in CHUNK_MODES:
+            got = query_matrix(scored, (c, k))
+            assert got is scored.chunk_queries[c, k].vectors
             assert got.shape == (40, 128)
             assert np.all(np.isfinite(got))
 
     def test_non_divisible_base_chunks_truncated(self):
         # 213 s -> 71 base chunks; c=3 keeps the first 69
         params = random_attention_params(128, seed=2)
-        prepared = prepare_synthetic(
-            SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3),
-            chunks=True,
-        )
-        means, maxes = prepared.chunk_pools(0)
-        sel = chunk_selection_for(maxes, params, 3, 2)
+        cfg = SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3)
+        _, audio, _, _ = next(iter_synth_videos(cfg))
+        rep, sel = oracle(audio.frames, params, 3, 2)
         assert sel.distribution.shape == (69,)
-        rep = representation_from_selection(means, sel)
         assert rep.shape == (128,)
+        got = prepare_synthetic(cfg, modes=[(3, 2)], scorer=lambda dim: params)
+        assert np.array_equal(query_matrix(got, (3, 2))[0], rep)
 
     def test_selections_match_per_step_oracle(self):
         # the eval-sweep corpus and stand-in scorer: every selection of the
         # joint recurrence equals the one of chained per-direction lstm_steps
-        corpus = prepare_synthetic(SynthConfig(n_videos=150, n_clusters=10, noise_std=0.5, seed=0), chunks=True)
+        cfg = SynthConfig(n_videos=150, n_clusters=10, noise_std=0.5, seed=0)
         params = random_attention_params(128, seed=0)
+        corpus = prepare_synthetic(cfg, modes=CHUNK_MODES, scorer=lambda dim: params)
 
-        def oracle(feats, c, k):
+        def per_step(feats, c, k):
             def run(seq, lstm):
                 h, cell, out = np.zeros(lstm.hidden_dim), np.zeros(lstm.hidden_dim), []
                 for x in seq:
@@ -197,23 +230,28 @@ class TestQueryMatrix:
             ]
             return select_top_k(attention_distribution(np.array(u)), c, k)
 
-        for i in range(len(corpus)):
-            _, maxes = corpus.chunk_pools(i)
-            for c, k in ((3, 1), (6, 2), (9, 3)):
+        for i, (_, audio, _, _) in enumerate(iter_synth_videos(cfg)):
+            _, maxes = pool_chunks(audio.frames, 3)
+            for c, k in CHUNK_MODES:
                 got = chunk_selection_for(maxes, params, c, k)
-                ref = oracle(maxes[: (maxes.shape[0] // c) * c], c, k)
+                ref = per_step(maxes[: (maxes.shape[0] // c) * c], c, k)
                 assert got.selected_indices == ref.selected_indices
+                assert corpus.chunk_queries[c, k].selected[i].tolist() == ref.selected_indices
                 np.testing.assert_allclose(got.distribution, ref.distribution, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c, k", [(0, 0), (3, 0), (3, 4)])
-    def test_top_k_outside_one_to_c_rejected(self, prepared, c, k):
+    def test_top_k_outside_one_to_c_rejected(self, c, k):
         params = random_attention_params(128, seed=0)
+        _, audio, _, _ = next(iter_synth_videos(CFG))
         with pytest.raises(ValidationError, match="top-k"):
-            chunk_selection_for(prepared.chunk_pools(0)[1], params, c, k)
+            chunk_selection_for(pool_chunks(audio.frames, 3)[1], params, c, k)
+        # the pass rejects the mode before it reads a video or builds the scorer
+        with pytest.raises(ValidationError, match="top-k"):
+            prepare_synthetic(CFG, modes=[(c, k)], scorer=None)
 
-    def test_selection_requires_params(self, prepared):
-        with pytest.raises(ValueError):
-            query_matrix(prepared, (3, 1), None)
+    def test_selection_requires_params(self):
+        with pytest.raises(ValueError, match="need an attention scorer"):
+            prepare_synthetic(CFG, modes=[(3, 1)])
 
 
 class TestClusterDataset:

@@ -50,6 +50,7 @@ from .evaluation import (
     mean_ap,
     pr_curve_export,
     precision_recall,
+    score_held_out,
 )
 from .retrieval import EmbeddingIndex, RankedList, build_index, rank
 

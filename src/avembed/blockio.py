@@ -13,7 +13,8 @@ A model file is a file header and then named blocks up to the end of the file;
 an index file is a file header, one block and an id table: the JSON-lines
 {video_id, label} table that is an assignments file on its own, each video_id
 once.
-dtype codes: 0 = float32, 1 = float64, 2 = int64. Payloads are row-major.
+dtype codes: 0 = float32, 1 = float64, 2 = int64. Payloads are row-major, and a
+float payload holding NaN or Inf is corrupt.
 
 JSON artifacts are UTF-8 and hold one object per file (read_json_object) or
 one per non-blank line (iter_json_lines); field() types a value of one.
@@ -92,7 +93,10 @@ def read_array_block(reader: Reader) -> tuple[str, np.ndarray]:
     if code not in _DTYPE_CODES:
         raise FormatError(f"{reader.path}: unknown dtype code {code} in block {name!r}")
     shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim, f"shape of block {name!r}"))
-    return name, reader.array(_DTYPE_CODES[code], shape, f"payload of block {name!r}").copy()
+    array = reader.array(_DTYPE_CODES[code], shape, f"payload of block {name!r}").copy()
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise CorruptFileError(f"{reader.path}: block {name!r} holds NaN or Inf")
+    return name, array
 
 
 def write_header(fh: BinaryIO, magic: bytes, header: dict) -> None:

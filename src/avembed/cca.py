@@ -37,12 +37,9 @@ KCCA_N_CAP = 2000
 
 MODEL_MAGIC = b"AVCM"
 _SIDES = {"audio": "x", "x": "x", "visual": "y", "y": "y"}
-# block order and header fields (with the kind blockio.field reads each as) of the two model files
-_LINEAR_BLOCKS = ("wx", "wy", "mean_x", "mean_y")
+# header fields (with the kind blockio.field reads each as) of the two model files; every
+# other array of the class's AXES is a block, stored in AXES order
 _LINEAR_FIELDS = {"correlations": blockio.NUMBERS, "reg_x": float, "reg_y": float}
-_KERNEL_BLOCKS = (
-    "train_x", "train_y", "dual_x", "dual_y", "col_means_x", "col_means_y", "offset_x", "offset_y",
-)
 _KERNEL_FIELDS = {
     "correlations": blockio.NUMBERS, "beta": float, "kappa": float, "kernel": ("gaussian", "linear"),
     "grand_mean_x": float, "grand_mean_y": float,
@@ -453,26 +450,29 @@ def fit_cluster_cca(
     return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
 
 
-# model type -> (class, blocks, header fields); a deep model file stores its head as a linear-cca
-_MODEL_TYPES = {
-    "linear-cca": (LinearProjection, _LINEAR_BLOCKS, _LINEAR_FIELDS),
-    "kcca": (KernelModel, _KERNEL_BLOCKS, _KERNEL_FIELDS),
-}
+# model type -> (class, header fields); a deep model file stores its head as a linear-cca
+_MODEL_TYPES = {"linear-cca": (LinearProjection, _LINEAR_FIELDS), "kcca": (KernelModel, _KERNEL_FIELDS)}
+
+
+def block_names(kind: str) -> list[str]:
+    """The blocks of a model of type kind, in file order: its class's AXES minus the header fields."""
+    cls, fields = _MODEL_TYPES[kind]
+    return [name for name in cls.AXES if name not in fields]
 
 
 def encode(model, kind: str, field_prefix: str = "", block_prefix: str = "") -> tuple[dict, dict]:
     """The header fields (JSON values) and blocks (in file order) of a model of type kind, names prefixed."""
-    _, blocks, fields = _MODEL_TYPES[kind]
     header = {}
-    for name, field_kind in fields.items():
+    for name, field_kind in _MODEL_TYPES[kind][1].items():
         value = getattr(model, name)
         header[field_prefix + name] = [float(v) for v in value] if field_kind is blockio.NUMBERS else value
-    return header, {block_prefix + name: getattr(model, name) for name in blocks}
+    return header, {block_prefix + name: getattr(model, name) for name in block_names(kind)}
 
 
 def decode(kind: str, header: dict, blocks: dict, where: str, field_prefix: str = "", block_prefix: str = ""):
     """The model that encode stored under these prefixes; ValueError if its blocks' shapes disagree."""
-    cls, names, fields = _MODEL_TYPES[kind]
+    cls, fields = _MODEL_TYPES[kind]
+    names = block_names(kind)
     values = {
         **{name: blocks[block_prefix + name] for name in names},
         **{name: blockio.field(header, field_prefix + name, f, where) for name, f in fields.items()},
@@ -483,20 +483,16 @@ def decode(kind: str, header: dict, blocks: dict, where: str, field_prefix: str 
     return cls(**values)
 
 
-def save_projection(model: LinearProjection, path: str | Path, extra: dict | None = None) -> None:
-    fields, blocks = encode(model, "linear-cca")
-    blockio.save(path, MODEL_MAGIC, {"type": "linear-cca", **fields, "config": extra or {}}, blocks)
-
-
-def save_kernel_model(model: KernelModel, path: str | Path, extra: dict | None = None) -> None:
-    fields, blocks = encode(model, "kcca")
-    blockio.save(path, MODEL_MAGIC, {"type": "kcca", **fields, "config": extra or {}}, blocks)
+def save_cca_model(model: LinearProjection | KernelModel, path: str | Path, extra: dict | None = None) -> None:
+    kind = next(kind for kind, (cls, _) in _MODEL_TYPES.items() if type(model) is cls)
+    fields, blocks = encode(model, kind)
+    blockio.save(path, MODEL_MAGIC, {"type": kind, **fields, "config": extra or {}}, blocks)
 
 
 def load_cca_model(path: str | Path) -> LinearProjection | KernelModel:
     header, blocks = blockio.load(path, MODEL_MAGIC)
     kind = blockio.field(header, "type", tuple(_MODEL_TYPES), f"{path}: model header")
-    blockio.expect(path, blocks, _MODEL_TYPES[kind][1])
+    blockio.expect(path, blocks, block_names(kind))
     try:
         return decode(kind, header, blocks, f"{path}: {kind} model header")
     except (TypeError, ValueError) as exc:  # blocks whose shapes disagree

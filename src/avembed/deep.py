@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import blockio
-from .cca import LinearProjection, _LINEAR_BLOCKS, _covariances, _labelled_views, _paired_views
-from .cca import _side, _whiten, decode, encode, fit_cca, project
+from .cca import LinearProjection, _covariances, _labelled_views, _paired_views
+from .cca import _side, _whiten, block_names, decode, encode, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
@@ -381,7 +381,7 @@ def _block_names(n_audio: int, n_visual: int) -> list[str]:
         for i in range(n)
         for kind in "wb"
     ]
-    return layers + [f"head.{name}" for name in _LINEAR_BLOCKS]
+    return layers + [f"head.{name}" for name in block_names("linear-cca")]
 
 
 def load_deep_model(path: str | Path) -> DeepModel:

@@ -1,8 +1,10 @@
 """Precision/recall sweeps, average precision, MAP, and k-fold cross-validation.
 
 A result video is relevant iff it shares the query audio's cluster label.
-Precision-recall curves are computed per query at each output size, then
-averaged across queries.
+score_held_out is the one held-out protocol: it indexes the held-out videos,
+ranks each held-out audio against them, and returns each query's AP and its
+precision-recall points. cross_validate runs it once per fold, averages the
+APs per fold and the PR points over all held-out queries at each output size.
 """
 
 from __future__ import annotations
@@ -84,6 +86,32 @@ EmbedFn = Callable[[np.ndarray], np.ndarray]
 Fit = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[EmbedFn, EmbedFn]]
 
 
+def score_held_out(
+    embed_audio: EmbedFn, embed_visual: EmbedFn, audio: np.ndarray, visual: np.ndarray, labels: np.ndarray,
+    ids: Sequence[str], pr_sizes: Sequence[int] = (),
+) -> tuple[list[float], list[list[tuple[int, float, float]]]]:
+    """Rank each held-out audio row against an index of the held-out videos.
+
+    Row i's relevant set is every held-out video sharing labels[i]. Returns, per
+    row in order, its AP over the full ranking and its PR points at pr_sizes.
+    """
+    if not len(audio) == len(visual) == len(labels) == len(ids):
+        raise ValueError("audio, visual, labels, and ids must align")
+    labels = np.asarray(labels).tolist()
+    index = build_index(embed_visual(visual), labels, ids)
+    queries = embed_audio(audio)
+    relevant: dict[int, set[str]] = {}
+    for vid, label in zip(ids, labels):
+        relevant.setdefault(label, set()).add(vid)
+    aps, pr = [], []
+    for row, (vid, label) in enumerate(zip(ids, labels)):
+        judgment = RelevanceJudgment(query_id=vid, relevant_set=relevant[label])
+        ranked = rank(index, queries[row], n=len(ids), query_id=vid)
+        aps.append(average_precision(ranked, judgment))
+        pr.append(precision_recall(ranked, judgment, pr_sizes))
+    return aps, pr
+
+
 def partition_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Seeded disjoint partition covering all n rows."""
     if folds < 2:
@@ -126,6 +154,8 @@ def cross_validate(
     n = audio.shape[0]
     if visual.shape[0] != n or labels.shape[0] != n or len(ids) != n:
         raise ValueError("audio, visual, labels, and ids must align")
+    if pr_stride < 1:
+        raise ValueError("pr_stride must be >= 1")
     fold_indices = partition_folds(n, folds, seed)
     all_clusters = np.unique(labels)
     for fold_no, held in enumerate(fold_indices):
@@ -138,20 +168,13 @@ def cross_validate(
         train_idx = np.sort(np.concatenate([f for j, f in enumerate(fold_indices) if j != fold_no]))
         embed_audio, embed_visual = fit(audio[train_idx], visual[train_idx], labels[train_idx])
         held_ids = [ids[i] for i in held]
-        index = build_index(embed_visual(visual[held]), labels[held], held_ids)
-        relevant: dict[int, set[str]] = {}
-        for vid, label in zip(held_ids, labels[held].tolist()):
-            relevant.setdefault(label, set()).add(vid)
-        query_embs = embed_audio(audio[held])
-        sizes = list(range(1, len(held) + 1, pr_stride))
-        fold_aps = []
-        for row, i in enumerate(held):
-            judgment = RelevanceJudgment(query_id=ids[i], relevant_set=relevant[int(labels[i])])
-            ranked = rank(index, query_embs[row], n=len(held), query_id=ids[i])
-            ap = average_precision(ranked, judgment)
-            per_query_ap[ids[i]] = ap
-            fold_aps.append(ap)
-            for s, p, r in precision_recall(ranked, judgment, sizes):
+        fold_aps, fold_pr = score_held_out(
+            embed_audio, embed_visual, audio[held], visual[held], labels[held], held_ids,
+            range(1, len(held) + 1, pr_stride),
+        )
+        per_query_ap.update(zip(held_ids, fold_aps))
+        for points in fold_pr:
+            for s, p, r in points:
                 acc = pr_sums.setdefault(s, [0.0, 0.0, 0])
                 acc[0] += p
                 acc[1] += r

@@ -314,8 +314,8 @@ def train_method(
 # through the module on every call, so a function rebound there later is the one that runs
 _MODEL_KINDS = {
     deep_mod.DeepModel: (deep_mod, "embed", "save_deep_model"),
-    cca_mod.KernelModel: (cca_mod, "kernel_project", "save_kernel_model"),
-    cca_mod.LinearProjection: (cca_mod, "project", "save_projection"),
+    cca_mod.KernelModel: (cca_mod, "kernel_project", "save_cca_model"),
+    cca_mod.LinearProjection: (cca_mod, "project", "save_cca_model"),
 }
 
 

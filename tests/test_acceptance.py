@@ -6,7 +6,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from avembed.attention import (
     attention_distribution,
@@ -14,19 +13,13 @@ from avembed.attention import (
     score_states,
     select_top_k,
 )
-from avembed.cca import fit_cca, fit_cluster_cca, fit_kcca, project
+from avembed.cca import fit_cca, fit_cluster_cca, fit_kcca
 from avembed.clustering import seeded_kmeans
 from avembed.data import SynthConfig
-from avembed.deep import TrainConfig, corr_gradient, embed, total_correlation, train_dcca, train_sdcca
-from avembed.evaluation import (
-    RelevanceJudgment,
-    average_precision,
-    cross_validate,
-    mean_ap,
-    precision_recall,
-)
-from avembed.pipeline import prepare_synthetic, seed_sets_from_labels
-from avembed.retrieval import build_index, rank
+from avembed.deep import TrainConfig, corr_gradient, total_correlation, train_dcca, train_sdcca
+from avembed.evaluation import average_precision, mean_ap, score_held_out
+from avembed.pipeline import embedders, prepare_synthetic, seed_sets_from_labels
+from oracles import oracle_ap, ranked_from_pattern
 
 
 def report(n, name, detail):
@@ -142,26 +135,11 @@ class TestCriterion5KccaLinearDegeneracy:
 
 class TestCriterion6ApExactness:
     def test_all_placements(self):
-        def brute(pattern):
-            big_r = sum(pattern)
-            hits = 0
-            total = 0.0
-            for i, rel in enumerate(pattern, start=1):
-                if rel:
-                    hits += 1
-                    total += hits / i
-            return total / big_r
-
+        # the brute-force evaluator is oracles.oracle_ap, a literal transcription of the formula
         checked = 0
         for positions in itertools.combinations(range(8), 3):
             pattern = [1 if i in positions else 0 for i in range(8)]
-            ids = [f"v{i}" for i in range(8)]
-            ranked_items = [(vid, 1.0 - i * 0.01) for i, vid in enumerate(ids)]
-            from avembed.retrieval import RankedList
-
-            ranked = RankedList("q", ranked_items)
-            judgment = RelevanceJudgment("q", {v for v, r in zip(ids, pattern) if r})
-            assert average_precision(ranked, judgment) == brute(pattern)
+            assert average_precision(*ranked_from_pattern(pattern)) == oracle_ap(pattern)
             checked += 1
         assert checked == 56
         report(6, "AP equals brute-force evaluator on all C(8,3) placements", "56/56 exact")
@@ -244,37 +222,26 @@ class TestCriterion9QualitativeOrdering:
             dropout=0.2, r=self.R, reg=self.REG, seed=seed,
         )
 
-        def map_for(embed_audio, embed_visual):
-            index = build_index(
-                embed_visual(visual[test_idx]), labels[test_idx], [ids[i] for i in test_idx]
-            )
-            queries = embed_audio(audio[test_idx])
-            aps = []
-            for row, i in enumerate(test_idx):
-                relevant = {ids[j] for j in test_idx if labels[j] == labels[i]}
-                ranked = rank(index, queries[row], n=len(test_idx), query_id=ids[i])
-                aps.append(average_precision(ranked, RelevanceJudgment(ids[i], relevant)))
+        def map_for(model):
+            aps, _ = score_held_out(*embedders(model), audio[test_idx], visual[test_idx], labels[test_idx],
+                                    [ids[i] for i in test_idx])
             return mean_ap(aps)
 
-        scores = {}
-        m = fit_cca(audio[train_idx], visual[train_idx], self.R, self.REG)
-        scores["cca"] = map_for(lambda q: project(m, q, "x"), lambda v: project(m, v, "y"))
-        mc = fit_cluster_cca(
-            audio[train_idx], visual[train_idx], labels[train_idx],
-            f=1.0, r=self.R, reg=self.REG, seed=seed,
-        )
-        scores["ccca"] = map_for(lambda q: project(mc, q, "x"), lambda v: project(mc, v, "y"))
-        md = train_dcca(
-            audio[train_idx], visual[train_idx], tc,
-            audio_layers=self.AUDIO_LAYERS, visual_layers=self.VISUAL_LAYERS,
-        )
-        scores["dcca"] = map_for(lambda q: embed(md, q, "audio"), lambda v: embed(md, v, "visual"))
-        ms = train_sdcca(
-            audio[train_idx], visual[train_idx], labels[train_idx], f=1.0, cfg=tc,
-            audio_layers=self.AUDIO_LAYERS, visual_layers=self.VISUAL_LAYERS,
-        )
-        scores["sdcca"] = map_for(lambda q: embed(ms, q, "audio"), lambda v: embed(ms, v, "visual"))
-        return scores
+        return {
+            "cca": map_for(fit_cca(audio[train_idx], visual[train_idx], self.R, self.REG)),
+            "ccca": map_for(fit_cluster_cca(
+                audio[train_idx], visual[train_idx], labels[train_idx],
+                f=1.0, r=self.R, reg=self.REG, seed=seed,
+            )),
+            "dcca": map_for(train_dcca(
+                audio[train_idx], visual[train_idx], tc,
+                audio_layers=self.AUDIO_LAYERS, visual_layers=self.VISUAL_LAYERS,
+            )),
+            "sdcca": map_for(train_sdcca(
+                audio[train_idx], visual[train_idx], labels[train_idx], f=1.0, cfg=tc,
+                audio_layers=self.AUDIO_LAYERS, visual_layers=self.VISUAL_LAYERS,
+            )),
+        }
 
     def test_method_ordering(self):
         t0 = time.monotonic()
@@ -334,16 +301,9 @@ class TestCriterion11PrMonotonicity:
         visual = z @ rng.normal(size=(6, 14)) + 0.3 * rng.normal(size=(n, 14))
         ids = [f"mv{i:05d}" for i in range(n)]
         model = fit_cca(audio, visual, 4, 1e-3)
-        index = build_index(project(model, visual, "y"), labels, ids)
-        queries = project(model, audio, "x")
-        sizes = list(range(1, n + 1))
-        checked = 0
-        for i in range(n):
-            judgment = RelevanceJudgment(ids[i], {ids[j] for j in range(n) if labels[j] == labels[i]})
-            ranked = rank(index, queries[i], n=n, query_id=ids[i])
-            points = precision_recall(ranked, judgment, sizes)
+        _, pr = score_held_out(*embedders(model), audio, visual, labels, ids, range(1, n + 1))
+        for points in pr:
             recalls = [r for _, _, r in points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
-            checked += 1
-        assert checked == 50
+        assert len(pr) == 50
         report(11, "recall non-decreasing in output size for every query", "50/50 queries")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from avembed import cli
 from avembed.attention import load_attention_params, random_attention_params, save_attention_params
-from avembed.cca import fit_cca, fit_kcca, load_cca_model, save_kernel_model, save_projection
+from avembed.cca import fit_cca, fit_kcca, load_cca_model, save_cca_model
 from avembed.clustering import load_assignments, load_seed_sets, save_assignments, save_seed_sets
 from avembed.data import (
     FeatureSequence, Manifest, ManifestEntry, load_manifest, load_sequence, write_manifest, write_sequence,
@@ -51,8 +51,8 @@ def valid(tmp_path_factory) -> dict:
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
     write_sequence(FeatureSequence("v", "audio", rng.normal(size=(3, 2)).astype(np.float32)), root / "fvsq")
-    save_projection(fit_cca(x, y, 2), root / "cca")
-    save_kernel_model(fit_kcca(x, y, 2), root / "kcca")
+    save_cca_model(fit_cca(x, y, 2), root / "cca")
+    save_cca_model(fit_kcca(x, y, 2), root / "kcca")
     deep = DeepModel(
         audio_branch=init_branch([3, 4, 2], rng),
         visual_branch=init_branch([2, 2], rng),

@@ -7,17 +7,17 @@ import pytest
 from avembed.cca import (
     EIG_FLOOR,
     KernelModel,
+    _kernel_features,
     fit_cca,
     fit_cluster_cca,
     fit_kcca,
     kernel_project,
     load_cca_model,
     project,
-    save_kernel_model,
-    save_projection,
+    save_cca_model,
 )
 from avembed.clustering import expand_pairs
-from avembed.errors import ResourceLimitError, SingularityError
+from avembed.errors import NumericalError, ResourceLimitError, SingularityError
 
 
 def shared_latent_views(n, seed, noise_var=0.25, extra_dims=3):
@@ -34,6 +34,12 @@ def shared_latent_views(n, seed, noise_var=0.25, extra_dims=3):
 def empirical_regularized_cov(m, reg):
     c = m - m.mean(axis=0)
     return c.T @ c / (m.shape[0] - 1) + reg * np.eye(m.shape[1])
+
+
+def assert_whitened(model, x, y, atol, **kw):
+    """Eq. 10's constraints: wx' Sxx wx = wy' Syy wy = I, each S with the model's own ridge."""
+    for view, w, reg in ((x, model.wx, model.reg_x), (y, model.wy, model.reg_y)):
+        np.testing.assert_allclose(w.T @ empirical_regularized_cov(view, reg) @ w, np.eye(model.r), atol=atol, **kw)
 
 
 class TestFitCca:
@@ -72,11 +78,7 @@ class TestFitCca:
             x = rng.normal(size=(n, dx)) @ rng.normal(size=(dx, dx))
             y = rng.normal(size=(n, dy))
             r = min(dx, dy)
-            model = fit_cca(x, y, r)
-            sxx = empirical_regularized_cov(x, model.reg_x)
-            syy = empirical_regularized_cov(y, model.reg_y)
-            np.testing.assert_allclose(model.wx.T @ sxx @ model.wx, np.eye(r), atol=1e-6)
-            np.testing.assert_allclose(model.wy.T @ syy @ model.wy, np.eye(r), atol=1e-6)
+            assert_whitened(fit_cca(x, y, r), x, y, atol=1e-6)
 
     def test_singularity_with_zero_reg(self):
         rng = np.random.default_rng(3)
@@ -122,10 +124,7 @@ class TestFitCca:
         model = fit_cca(x, y, r, reg=0.1)
         assert model.wx.shape == (30, r) and model.wy.shape == (20, r)
         np.testing.assert_allclose(model.correlations[n - 1 :], 0.0, atol=1e-10)
-        sxx = empirical_regularized_cov(x, model.reg_x)
-        syy = empirical_regularized_cov(y, model.reg_y)
-        np.testing.assert_allclose(model.wx.T @ sxx @ model.wx, np.eye(r), atol=1e-8)
-        np.testing.assert_allclose(model.wy.T @ syy @ model.wy, np.eye(r), atol=1e-8)
+        assert_whitened(model, x, y, atol=1e-8)
 
     def test_rank_above_rows_builds_no_square_complement(self):
         # the complement of the rows' span needs r - k columns, not a d x d basis (72 MB here)
@@ -246,13 +245,10 @@ class TestKcca:
 
     def test_cap_guard(self):
         x = np.zeros((2001, 2))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap of 2000. Subsample the training pairs"):
             fit_kcca(x, x, 1)
 
     def test_non_psd_kernel_rejected(self):
-        from avembed.cca import _kernel_features
-        from avembed.errors import NumericalError
-
         broken = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericalError):
             _kernel_features(broken)
@@ -365,13 +361,8 @@ class TestClusterCca:
             np.testing.assert_allclose(got.correlations, ref.correlations, rtol=0, atol=1e-10, err_msg=msg)
             np.testing.assert_allclose([got.reg_x, got.reg_y], [ref.reg_x, ref.reg_y], rtol=1e-12, err_msg=msg)
             np.testing.assert_allclose(got.mean_x, ref.mean_x, rtol=0, atol=1e-12, err_msg=msg)
-            xc = x[a] - x[a].mean(axis=0)
-            yc = y[v] - y[v].mean(axis=0)
-            sxx = empirical_regularized_cov(x[a], got.reg_x)
-            syy = empirical_regularized_cov(y[v], got.reg_y)
-            sxy = xc.T @ yc / (a.size - 1)
-            np.testing.assert_allclose(got.wx.T @ sxx @ got.wx, np.eye(r), atol=1e-8, err_msg=msg)
-            np.testing.assert_allclose(got.wy.T @ syy @ got.wy, np.eye(r), atol=1e-8, err_msg=msg)
+            assert_whitened(got, x[a], y[v], atol=1e-8, err_msg=msg)
+            sxy = (x[a] - x[a].mean(axis=0)).T @ (y[v] - y[v].mean(axis=0)) / (a.size - 1)
             np.testing.assert_allclose(got.wx.T @ sxy @ got.wy, np.diag(got.correlations), atol=1e-8, err_msg=msg)
 
     @pytest.mark.parametrize("expansion", [None, (0.5, None), (0.5, 200)], ids=["identity", "f-half", "target-count"])
@@ -394,10 +385,7 @@ class TestClusterCca:
             got = fit_cca(x, y, r, reg, pairs=(a, v))
         ref = fit_cca(x[a], y[v], r, reg)
         np.testing.assert_allclose(got.correlations, ref.correlations, rtol=0, atol=1e-10)
-        sxx = empirical_regularized_cov(x[a], got.reg_x)
-        syy = empirical_regularized_cov(y[v], got.reg_y)
-        np.testing.assert_allclose(got.wx.T @ sxx @ got.wx, np.eye(r), atol=1e-8)
-        np.testing.assert_allclose(got.wy.T @ syy @ got.wy, np.eye(r), atol=1e-8)
+        assert_whitened(got, x[a], y[v], atol=1e-8)
 
     def test_pair_count_consistency(self):
         labels = np.repeat(np.arange(10), 800)
@@ -414,7 +402,7 @@ class TestModelFiles:
         y = rng.normal(size=(80, 5))
         model = fit_cca(x, y, 3)
         path = tmp_path / "model.avcm"
-        save_projection(model, path, extra={"method": "cca"})
+        save_cca_model(model, path, extra={"method": "cca"})
         loaded = load_cca_model(path)
         np.testing.assert_array_equal(loaded.wx, model.wx)
         np.testing.assert_array_equal(loaded.wy, model.wy)
@@ -427,7 +415,7 @@ class TestModelFiles:
         y = rng.normal(size=(60, 4))
         model = fit_kcca(x, y, 2)
         path = tmp_path / "model.kcca"
-        save_kernel_model(model, path)
+        save_cca_model(model, path)
         loaded = load_cca_model(path)
         assert isinstance(loaded, KernelModel)
         probe = rng.normal(size=(7, 3))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from avembed import evaluation
 from avembed.cca import fit_cca, project
 from avembed.errors import ValidationError
 from avembed.evaluation import (
@@ -14,28 +15,9 @@ from avembed.evaluation import (
     partition_folds,
     pr_curve_export,
     precision_recall,
+    score_held_out,
 )
-from avembed.retrieval import RankedList
-
-
-def ranked_from_pattern(rel_pattern):
-    """RankedList + judgment realizing a given binary relevance pattern."""
-    ids = [f"v{i}" for i in range(len(rel_pattern))]
-    items = [(vid, 1.0 - i * 0.01) for i, vid in enumerate(ids)]
-    relevant = {vid for vid, r in zip(ids, rel_pattern) if r}
-    return RankedList("q", items), RelevanceJudgment("q", relevant)
-
-
-def oracle_ap(rel_pattern, n_relevant=None):
-    """Literal transcription of the AP formula with running counters."""
-    big_r = n_relevant if n_relevant is not None else sum(rel_pattern)
-    hits = 0
-    total = 0.0
-    for i, rel in enumerate(rel_pattern, start=1):
-        if rel:
-            hits += 1
-            total += hits / i
-    return total / big_r
+from oracles import cross_validate_folds, oracle_ap, ranked_from_pattern
 
 
 class TestPrecisionRecall:
@@ -194,6 +176,40 @@ class TestCrossValidate:
         labels[0] = 3  # cluster 3 has a single member: most folds miss it
         with pytest.raises(ValidationError, match="census"):
             cross_validate(audio, visual, labels, ids, cca_fit, folds=5, seed=2)
+
+    @pytest.mark.parametrize("pr_stride", [0, -1])
+    def test_pr_stride_below_one_rejected(self, pr_stride):
+        audio, visual, labels, ids = clustered_corpus(seed=5)
+        with pytest.raises(ValueError, match="pr_stride must be >= 1"):
+            cross_validate(audio, visual, labels, ids, cca_fit, folds=4, seed=1, pr_stride=pr_stride)
+
+    @pytest.mark.parametrize("pr_stride", [1, 5])
+    def test_equals_the_query_by_query_oracle(self, pr_stride):
+        audio, visual, labels, ids = clustered_corpus(seed=10)
+        audio = audio + 4.0 * np.random.default_rng(10).normal(size=audio.shape)  # so the APs differ
+        folds = partition_folds(len(ids), 7, seed=2)
+        assert {len(f) for f in folds} == {17, 18}
+        report = cross_validate(audio, visual, labels, ids, cca_fit, folds=7, seed=2, pr_stride=pr_stride)
+        assert len(set(report.per_query_ap.values())) > 30
+        got = (report.per_query_ap, report.per_fold_map, report.pr_points, report.map_score)
+        assert got == cross_validate_folds(audio, visual, labels, ids, cca_fit, folds, pr_stride)
+
+    def test_ranks_and_scores_each_row_once_in_order(self, monkeypatch):
+        audio, visual, labels, ids = clustered_corpus(n=40, seed=11)
+        seen = []
+        for name in ("rank", "average_precision", "precision_recall"):
+            def counted(*args, _name=name, _real=getattr(evaluation, name), **kwargs):
+                seen.append((_name, kwargs["query_id"] if _name == "rank" else args[1].query_id))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        aps, pr = score_held_out(*cca_fit(audio, visual, labels), audio, visual, labels, ids, [1, 5])
+        per_row = [(name, vid) for vid in ids for name in ("rank", "average_precision", "precision_recall")]
+        assert seen == per_row
+        assert len(aps) == len(pr) == 40 and all(len(points) == 2 for points in pr)
+        seen.clear()
+        cross_validate(audio, visual, labels, ids, cca_fit, folds=4, seed=3)
+        assert sorted(seen) == sorted(per_row)
 
     def test_pr_recall_monotone(self):
         audio, visual, labels, ids = clustered_corpus(seed=7)

@@ -8,7 +8,6 @@ import pytest
 from avembed import blockio
 from avembed.attention import attention_distribution, random_attention_params, select_top_k
 from avembed.data import (
-    FeatureSequence,
     Manifest,
     ManifestEntry,
     SynthConfig,
@@ -28,12 +27,11 @@ from avembed.pipeline import (
     prepare_dataset,
     prepare_synthetic,
     query_matrix,
-    representation_from_selection,
     save_model,
     seed_sets_from_labels,
     train_method,
 )
-from oracles import lstm_step
+from oracles import chunk_query, lstm_step
 
 CFG = SynthConfig(n_videos=40, n_clusters=4, latent_dim=6, noise_std=0.1, seed=0)
 # the eval sweep's chunk modes
@@ -43,13 +41,6 @@ CHUNK_MODES = ((3, 1), (6, 2), (9, 3))
 def stand_in(seed: int):
     """A scorer: the seeded stand-in attention weights of the corpus's audio dim."""
     return lambda dim: random_attention_params(dim, seed=seed)
-
-
-def oracle(frames: np.ndarray, params, c: int, k: int):
-    """(query vector, selection) of one video's audio frames, from its own pool_chunks."""
-    means, maxes = pool_chunks(frames, 3)
-    sel = chunk_selection_for(maxes, params, c, k)
-    return representation_from_selection(means, sel), sel
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +123,7 @@ class TestChunkPools:
         assert len(videos) == len(scored)
         for i, (_, audio, _, _) in enumerate(videos):
             for c, k in CHUNK_MODES:
-                vector, sel = oracle(audio.frames, params, c, k)
+                vector, sel = chunk_query(audio.frames, params, c, k)
                 rows = scored.chunk_queries[c, k]
                 assert np.array_equal(rows.vectors[i], vector)
                 assert rows.selected[i].tolist() == sel.selected_indices
@@ -161,7 +152,7 @@ class TestChunkPools:
         assert peak < n * t_max * d * 12
         # and the long video's rows are the ones its own pools give
         for c, k in CHUNK_MODES:
-            vector, sel = oracle(audio.frames, random_attention_params(128, seed=0), c, k)
+            vector, sel = chunk_query(audio.frames, random_attention_params(128, seed=0), c, k)
             assert np.array_equal(got.chunk_queries[c, k].vectors[-1], vector)
             assert got.chunk_queries[c, k].selected[-1].tolist() == sel.selected_indices
 
@@ -201,7 +192,7 @@ class TestQueryMatrix:
         params = random_attention_params(128, seed=2)
         cfg = SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3)
         _, audio, _, _ = next(iter_synth_videos(cfg))
-        rep, sel = oracle(audio.frames, params, 3, 2)
+        rep, sel = chunk_query(audio.frames, params, 3, 2)
         assert sel.distribution.shape == (69,)
         assert rep.shape == (128,)
         got = prepare_synthetic(cfg, modes=[(3, 2)], scorer=lambda dim: params)
@@ -266,24 +257,15 @@ class TestClusterDataset:
         assert np.array_equal(model.labels, prepared.manifest_labels)
 
 
+# every method's settings in the dispatch tests, less the epochs
+SMALL_FIT = dict(r=4, reg=1e-3, seed=0, f=0.5, batch_size=16, audio_layers=(16, 8), visual_layers=(16, 8))
+
+
 class TestTrainMethodDispatch:
     def test_all_methods_produce_embedders(self, prepared, tmp_path):
         labels = prepared.manifest_labels
         for method in ("cca", "kcca", "ccca", "dcca", "sdcca"):
-            model = train_method(
-                method,
-                prepared.audio_mean,
-                prepared.visual,
-                labels,
-                r=4,
-                reg=1e-3,
-                seed=0,
-                f=0.5,
-                batch_size=16,
-                epochs=1,
-                audio_layers=(16, 8),
-                visual_layers=(16, 8),
-            )
+            model = train_method(method, prepared.audio_mean, prepared.visual, labels, epochs=1, **SMALL_FIT)
             ea, evs = embedders(model)
             qa = ea(prepared.audio_mean[:5])
             qv = evs(prepared.visual[:5])
@@ -300,9 +282,8 @@ class TestTrainMethodDispatch:
 
     @pytest.mark.parametrize("method", ["cca", "kcca", "ccca", "dcca", "sdcca"])
     def test_resaving_a_loaded_model_writes_the_same_bytes(self, prepared, tmp_path, method):
-        model = train_method(method, prepared.audio_mean, prepared.visual, prepared.manifest_labels, r=4,
-                                   reg=1e-3, f=0.5, batch_size=16, epochs=2, audio_layers=(16, 8),
-                                   visual_layers=(16, 8))
+        model = train_method(method, prepared.audio_mean, prepared.visual, prepared.manifest_labels, epochs=2,
+                             **SMALL_FIT)
         first, again = tmp_path / "first.model", tmp_path / "again.model"
         save_model(model, first, extra={"method": method})
         save_model(load_model(first), again, extra={"method": method})

@@ -11,3 +11,4 @@ def test_library_example_runs_as_written():
     namespace: dict = {}
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
     assert namespace["queries"].shape == (50, 8)
+    assert 0 < namespace["held_out_map"] <= 1

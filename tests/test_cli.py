@@ -403,6 +403,14 @@ class TestTrainIndexQuery:
         assert run(*argv, "--r", 3, "--out", tmp_path / "r3.model") == 0
         assert capsys.readouterr().err == ""
 
+    def test_kcca_cap_guard_advice(self):
+        big = np.zeros((3000, 2))
+        from avembed.cca import fit_kcca
+        from avembed.errors import ResourceLimitError
+
+        with pytest.raises(ResourceLimitError, match="cap of 2000. Subsample the training pairs"):
+            fit_kcca(big, big, 1)
+
 
 class TestChunkPoolsPerCommand:
     """Only the commands that score chunks pool them: once per video of the 36 they score, and a

@@ -149,10 +149,14 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
     return att.random_attention_params(input_dim, hidden, hidden, seed=cfg["attention_seed"])
 
 
-def _prepare(cfg: dict, modes: list[tuple[int, int]], ids: list[str] | None = None) -> pl.PreparedDataset:
+def _prepare(
+    cfg: dict, modes: list[tuple[int, int]], ids: list[str] | None = None, check_all: bool = False
+) -> pl.PreparedDataset:
     """The dataset (or its videos named by ids), each chunk mode of modes scored by the
-    --attention-* scorer."""
-    return pl.prepare_dataset(cfg["dataset"], ids=ids, modes=modes, scorer=partial(_attention_params, cfg))
+    --attention-* scorer; see pipeline.prepare_dataset for check_all."""
+    return pl.prepare_dataset(
+        cfg["dataset"], ids=ids, modes=modes, scorer=partial(_attention_params, cfg), check_all=check_all
+    )
 
 
 def _fit_kwargs(cfg: dict) -> dict:
@@ -291,6 +295,14 @@ def cmd_train(cfg: dict) -> int:
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
+    dims = {"audio": audio.shape[1], "visual": prepared.visual.shape[1]}
+    wide = [f"{side} ({dim})" for side, dim in dims.items() if dim >= len(audio)]
+    if method in ("cca", "ccca") and wide:
+        print(
+            f"note: {len(audio)} training rows, no more than the {' and '.join(wide)} feature dims: linear CCA can "
+            "match them perfectly, so its canonical correlations say nothing about the features",
+            file=sys.stderr,
+        )
     null = int(np.sum(model.correlations <= 1e-10))
     if null:
         print(f"note: {null} of the r={model.r} canonical correlations are <= 1e-10", file=sys.stderr)
@@ -310,7 +322,9 @@ def cmd_index(cfg: dict) -> int:
 
 def cmd_query(cfg: dict) -> int:
     mode = _query_mode(cfg)
-    prepared = pl.prepare_dataset(cfg["dataset"])
+    vid = cfg["video_id"]
+    # every video is read and checked, and only the queried one pooled and scored
+    prepared = _prepare(cfg, [] if mode == "mean" else [mode], [vid], check_all=True)
     index = rt.load_index(cfg["index"])
     model = pl.load_model(cfg["model"])
     if model.r != index.r:
@@ -318,12 +332,7 @@ def cmd_query(cfg: dict) -> int:
             f"model {cfg['model']} embeds in {model.r} dimensions, index {cfg['index']} holds {index.r}"
         )
     embed_audio, _ = pl.embedders(model)
-    vid = cfg["video_id"]
-    if vid not in prepared.ids:
-        raise ValidationError(f"video {vid!r} not in the dataset")
-    # a chunk mode scores only the queried video, in a second pass over its files
-    scored = prepared if mode == "mean" else _prepare(cfg, [mode], [vid])
-    query_vec = embed_audio(pl.query_matrix(scored, mode)[[scored.ids.index(vid)]])[0]
+    query_vec = embed_audio(pl.query_matrix(prepared, mode))[0]
     ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:
         print(json.dumps({"video_id": video_id, "similarity": sim}))

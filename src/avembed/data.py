@@ -101,8 +101,9 @@ def write_sequence(seq: FeatureSequence, path: str | Path) -> None:
         fh.write(memoryview(payload))
 
 
-def load_sequence(path: str | Path) -> FeatureSequence:
-    """Read an FVSQ file; write_sequence . load_sequence is the identity."""
+def load_sequence(path: str | Path, into: blockio.Buffer | None = None) -> FeatureSequence:
+    """Read an FVSQ file; write_sequence . load_sequence is the identity. The frames own their
+    memory, or with into they are a read-only view of into's, valid until its next read."""
     path = Path(path)
     with blockio.Reader(path) as reader:
         magic = reader.take(len(_FVSQ_MAGIC), "magic")
@@ -114,7 +115,7 @@ def load_sequence(path: str | Path) -> FeatureSequence:
         if modality_code not in _MODALITY_NAMES:
             raise FormatError(f"{path}: unknown modality code {modality_code}")
         shape = reader.unpack("<II", "header")
-        frames = reader.array("<f4", shape, "payload")
+        frames = reader.array("<f4", shape, "payload", into)
     # FeatureSequence rejects non-finite frames
     return FeatureSequence(video_id=path.stem, modality=_MODALITY_NAMES[modality_code], frames=frames)
 

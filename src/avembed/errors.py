@@ -40,7 +40,7 @@ class DivergenceError(NumericalError):
 
 
 class UndefinedSimilarityError(NumericalError):
-    """Cosine similarity requested against a zero-norm vector."""
+    """Cosine similarity requested against a vector whose norm is zero or not finite."""
 
 
 class ResourceLimitError(Exception):

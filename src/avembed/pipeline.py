@@ -5,14 +5,16 @@ matrix: full-frame audio means for mean-mode queries and max-pooled
 video-level visual features, always; for each (c, k) chunk mode asked for, the
 video's query vector, kept macro-chunks and macro-chunk scores. A video's
 base-chunk pools exist only while its frames are in hand: they are scored in
-every mode and dropped before the next video is read. Working memory is
-therefore O(n·d) for the corpus plus one video's frames and pools, whatever
-the spread of lengths.
+every mode and dropped before the next video is read. The frames themselves
+are read into one buffer per modality that the pass owns and reuses. Working
+memory is therefore O(n·d) for the corpus plus one video's frames and pools,
+whatever the spread of lengths.
 
 load_video is the one check of a video against its manifest line: both files
 hold the named modality, as many frames as each other and as `length_sec`
 says. Every command reads its videos through it, so each one rejects what
-`ingest` rejects.
+`ingest` rejects. A pass may read and check videos that it does not pool:
+`query` checks the whole corpus and pools only the queried video.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import attention as att
+from . import blockio
 from . import cca as cca_mod
 from . import deep as deep_mod
 from .clustering import seeded_kmeans
@@ -75,10 +78,14 @@ class PreparedDataset:
         return len(self.ids)
 
 
-def load_video(root: Path, entry: ManifestEntry) -> tuple[FeatureSequence, FeatureSequence]:
-    """The entry's (audio, visual) sequences; ValidationError if a file holds the other
-    modality, the two hold different frame counts or not the entry's length_sec."""
-    audio, visual = load_sequence(root / entry.audio_path), load_sequence(root / entry.visual_path)
+def load_video(
+    root: Path, entry: ManifestEntry, into: tuple[blockio.Buffer, blockio.Buffer]
+) -> tuple[FeatureSequence, FeatureSequence]:
+    """The entry's (audio, visual) sequences, read into the (audio, visual) buffers of into;
+    ValidationError if a file holds the other modality, the two hold different frame counts or
+    not the entry's length_sec."""
+    audio = load_sequence(root / entry.audio_path, into=into[0])
+    visual = load_sequence(root / entry.visual_path, into=into[1])
     for seq, side in ((audio, "audio"), (visual, "visual")):
         if seq.modality != side:
             raise ValidationError(f"{entry.video_id!r}: its {side}_path holds a {seq.modality} sequence")
@@ -112,27 +119,47 @@ def prepare_dataset(
     ids: Sequence[str] | None = None,
     modes: Sequence[tuple[int, int]] = (),
     scorer: Scorer | None = None,
+    check_all: bool = False,
 ) -> PreparedDataset:
     """The videos of the dataset's manifest named by ids (default: all), pooled in manifest
     order, with the rows of each (c, k) chunk mode in modes scored by scorer(audio dim).
-    Only their files are read, and an id the manifest lacks raises ValidationError before
-    any of them is."""
+    An id the manifest lacks raises ValidationError before any video is read. Only the named
+    videos are read, unless check_all: then every video of the manifest is read and checked in
+    the same pass, and only the named ones are pooled."""
     root = Path(dataset_dir)
     entries = load_manifest(root / "manifest.jsonl").entries
+    wanted = None
     if ids is not None:
         known = {e.video_id for e in entries}
         for vid in ids:
             if vid not in known:
                 raise ValidationError(f"video {vid!r} not in the dataset")
         wanted = set(ids)
-        entries = [e for e in entries if e.video_id in wanted]
+    chosen = entries if wanted is None else [e for e in entries if e.video_id in wanted]
     return _prepare_from_pairs(
-        ((e, *load_video(root, e), e.label) for e in entries),
-        n=len(entries),
-        has_labels=all(e.label is not None for e in entries),
+        _read_videos(root, entries if check_all else chosen, wanted),
+        n=len(chosen),
+        has_labels=all(e.label is not None for e in chosen),
         modes=modes,
         scorer=scorer,
     )
+
+
+def _read_videos(root: Path, entries: Sequence[ManifestEntry], wanted: set[str] | None):
+    """(entry, audio, visual, label) for each of the entries in wanted (None: all), in order,
+    after every entry is read through load_video and checked for the first one's feature dims.
+
+    Frames are read into one buffer per modality that this pass owns, so a video's frames hold
+    only until the next video is read, and no payload gets memory of its own.
+    """
+    into = blockio.Buffer(), blockio.Buffer()
+    for i, entry in enumerate(entries):
+        audio, visual = load_video(root, entry, into)
+        if i == 0:
+            dims = audio.dim, visual.dim
+        _check_feature_dims(dims, entry.video_id, audio, visual)
+        if wanted is None or entry.video_id in wanted:
+            yield entry, audio, visual, entry.label
 
 
 def prepare_synthetic(
@@ -159,15 +186,13 @@ def _prepare_from_pairs(
     ids, means, visuals, labels = [], [], [], []
     queries: dict[tuple[int, int], ChunkQueries] = {}
     for i, (entry, audio_seq, visual_seq, label) in enumerate(pairs):
-        if i == 0:
-            dims = audio_seq.dim, visual_seq.dim
-            if modes:
-                params = scorer(dims[0])
-                queries = {
-                    (c, k): ChunkQueries(np.empty((n, dims[0])), np.empty((n, k), dtype=np.int64), np.empty((n, c)))
-                    for c, k in modes
-                }
-        _check_feature_dims(dims, entry.video_id, audio_seq, visual_seq)
+        if i == 0 and modes:
+            d = audio_seq.dim
+            params = scorer(d)
+            queries = {
+                (c, k): ChunkQueries(np.empty((n, d)), np.empty((n, k), dtype=np.int64), np.empty((n, c)))
+                for c, k in modes
+            }
         ids.append(entry.video_id)
         means.append(video_level_audio(audio_seq))
         visuals.append(video_level_visual(visual_seq))

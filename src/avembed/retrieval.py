@@ -58,11 +58,18 @@ def build_index(embeddings: np.ndarray, labels: np.ndarray, ids: list[str]) -> E
     order = np.argsort(np.asarray(ids, dtype=object), kind="stable")
     ids_sorted = [ids[i] for i in order]
     emb = embeddings[order]
-    norms = np.linalg.norm(emb, axis=1)
-    if np.any(norms == 0.0):
-        zero = [ids_sorted[i] for i in np.flatnonzero(norms == 0.0)[:5]]
-        raise ValidationError(f"zero-norm embeddings cannot be indexed: {zero}")
+    norms = _norm(emb, axis=1)
+    for bad, what in ((norms == 0.0, "zero-norm"), (~np.isfinite(norms), "non-finite-norm")):
+        if np.any(bad):
+            named = [ids_sorted[i] for i in np.flatnonzero(bad)[:5]]
+            raise ValidationError(f"{what} embeddings cannot be indexed: {named}")
     return EmbeddingIndex(ids=ids_sorted, embeddings=emb, labels=labels[order], norms=norms)
+
+
+def _norm(vectors: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """np.linalg.norm, giving inf without a warning where the norm of finite values overflows."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(vectors, axis=axis)
 
 
 def rank(index: EmbeddingIndex, query: np.ndarray, n: int, query_id: str = "") -> RankedList:
@@ -74,9 +81,9 @@ def rank(index: EmbeddingIndex, query: np.ndarray, n: int, query_id: str = "") -
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.r,):
         raise ValueError(f"query width {query.shape} does not match index width {index.r}")
-    qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        raise UndefinedSimilarityError("cosine similarity is undefined for a zero-norm query")
+    qnorm = float(_norm(query))
+    if qnorm == 0.0 or not np.isfinite(qnorm):
+        raise UndefinedSimilarityError(f"cosine similarity is undefined for a query of norm {qnorm}")
     sims = np.clip((index.embeddings @ query) / (index.norms * qnorm), -1.0, 1.0)
     # ids are stored ascending, so a stable descending-similarity sort breaks ties by id
     order = np.argsort(-sims, kind="stable")[: min(n, len(index))]
@@ -106,5 +113,8 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     ids, labels = list(table), np.fromiter(table.values(), np.int64, len(table))
     if len(ids) != count or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
-    norms = np.linalg.norm(embeddings, axis=1)
+    norms = _norm(embeddings, axis=1)
+    if not np.isfinite(norms).all():
+        named = [ids[i] for i in np.flatnonzero(~np.isfinite(norms))[:5]]
+        raise CorruptFileError(f"{path}: the embeddings of {named} have a norm beyond float64's range")
     return EmbeddingIndex(ids=ids, embeddings=embeddings, labels=labels, norms=norms)

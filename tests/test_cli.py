@@ -285,6 +285,11 @@ def kcca_artifacts(dataset, tmp_path_factory):
     return _trained(dataset, tmp_path_factory.mktemp("kcca_artifacts"), "kcca", "--r", 4)
 
 
+# train's note for cca and ccca on the 36-video corpus, whose rows are fewer than either view's dims
+_WIDE_NOTE = ("note: 36 training rows, no more than the audio (128) and visual (1024) feature dims: linear CCA "
+              "can match them perfectly, so its canonical correlations say nothing about the features\n")
+
+
 class TestTrainIndexQuery:
     def test_model_loadable_with_sorted_correlations(self, artifacts):
         model = load_cca_model(artifacts["model"])
@@ -397,11 +402,36 @@ class TestTrainIndexQuery:
         argv = ("train", "--dataset", dataset, "--method", "ccca", "--f", 1.0, "--seed", 2)
         assert run(*argv, "--r", 6, "--out", tmp_path / "r6.model") == 0
         out, err = capsys.readouterr()
-        assert err == "note: 3 of the r=6 canonical correlations are <= 1e-10\n"
+        assert err == _WIDE_NOTE + "note: 3 of the r=6 canonical correlations are <= 1e-10\n"
         assert out.startswith("trained ccca (r=6, top correlation")
         assert np.count_nonzero(load_cca_model(tmp_path / "r6.model").correlations <= 1e-10) == 3
         assert run(*argv, "--r", 3, "--out", tmp_path / "r3.model") == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == _WIDE_NOTE
+
+    @pytest.mark.parametrize("method, noted", [("cca", True), ("ccca", True), ("kcca", False)])
+    def test_rows_within_the_feature_dims_noted_for_linear_cca(self, dataset, tmp_path, capsys, method, noted):
+        assert run("train", "--dataset", dataset, "--method", method, "--r", 4, "--out", tmp_path / "m.model") == 0
+        assert capsys.readouterr().err == (_WIDE_NOTE if noted else "")
+
+    @pytest.mark.parametrize("videos, err", [
+        (10, "note: 10 training rows, no more than the visual (12) feature dims: linear CCA can match them "
+             "perfectly, so its canonical correlations say nothing about the features\n"),
+        (40, ""),
+    ])
+    def test_note_names_only_the_views_the_rows_do_not_exceed(self, tmp_path, capsys, videos, err):
+        # 8-d audio and 12-d visual features: 10 rows exceed only the audio dims, 40 rows both
+        rng = np.random.default_rng(videos)
+        entries = []
+        for i in range(videos):
+            vid = f"v{i:02d}"
+            for side, dim in (("audio", 8), ("visual", 12)):
+                (tmp_path / side).mkdir(exist_ok=True)
+                frames = rng.normal(size=(6, dim)).astype(np.float32)
+                data.write_sequence(data.FeatureSequence(vid, side, frames), tmp_path / side / f"{vid}.fvsq")
+            entries.append(data.ManifestEntry(vid, 6, f"audio/{vid}.fvsq", f"visual/{vid}.fvsq", i % 2))
+        data.write_manifest(data.Manifest(entries), tmp_path / "manifest.jsonl")
+        assert run("train", "--dataset", tmp_path, "--method", "cca", "--r", 2, "--out", tmp_path / "m.model") == 0
+        assert capsys.readouterr().err == err
 
     def test_kcca_cap_guard_advice(self):
         big = np.zeros((3000, 2))
@@ -436,6 +466,65 @@ class TestChunkPoolsPerCommand:
                                      labels=artifacts["assignments"], index=artifacts["index"]).split()
         assert run(command, "--dataset", dataset, *rest) == 0
         assert len(pool_calls) == pooled
+
+
+class TestQueryReadsEveryVideoPoolsOne:
+    """query reads and checks all 36 videos of the corpus in manifest order, in either mode, and
+    pools (and in a chunk mode scores) only the asked one."""
+
+    @pytest.fixture
+    def calls(self, spy):
+        names = ("load_sequence", "video_level_audio", "video_level_visual", "pool_chunks")
+        return {name: spy(name, pipeline) for name in names}
+
+    @staticmethod
+    def _query(dataset, artifacts, vid, mode, **paths):
+        paths = {**artifacts, **paths}
+        return ("query", "--dataset", dataset, "--index", paths["index"], "--model", paths["model"],
+                "--video-id", vid, "-n", 5, "--query-mode", mode)
+
+    @pytest.mark.parametrize("mode, pooled_chunks", [("mean", 0), ("3,1", 1)])
+    def test_reads_every_video_and_pools_the_asked_one(self, artifacts, dataset, capsys, calls, mode,
+                                                       pooled_chunks):
+        vid = "mv00020"
+        assert run(*self._query(dataset, artifacts, vid, mode)) == 0
+        got = [(o["video_id"], o["similarity"]) for o in map(json.loads, capsys.readouterr().out.splitlines())]
+        entries = load_manifest(dataset / "manifest.jsonl").entries
+        assert [Path(p).name for p, in calls["load_sequence"]] == [
+            f"{e.video_id}.fvsq" for e in entries for _ in ("audio", "visual")
+        ]
+        assert [seq.video_id for seq, in calls["video_level_audio"]] == [vid]
+        assert [seq.video_id for seq, in calls["video_level_visual"]] == [vid]
+        assert len(calls["pool_chunks"]) == pooled_chunks
+        if mode == "mean":  # the chunk mode's oracle is test_chunk_mode_query_ranks_the_selected_chunks
+            frames = data.load_sequence(dataset / "audio" / f"{vid}.fvsq").frames
+            embed_audio, _ = embedders(load_model(artifacts["model"]))
+            query = embed_audio(frames.mean(axis=0, dtype=np.float64)[None])[0]
+            assert got == rank(load_index(artifacts["index"]), query, n=5, query_id=vid).items
+
+    @pytest.mark.parametrize("mode", ["mean", "3,1"])
+    @pytest.mark.parametrize("fault", ["nan", "fewer-audio-frames"])
+    def test_fault_in_another_video_exits_2_naming_it(self, artifacts, dataset, tmp_path, capsys, mode, fault):
+        # mv00020's audio is read from a copy with a NaN in its last frame, or with one frame fewer
+        seq = data.load_sequence(dataset / "audio" / "mv00020.fvsq")
+        bad = tmp_path / "mv00020.fvsq"
+        if fault == "nan":
+            data.write_sequence(seq, bad)
+            bad.write_bytes(bad.read_bytes()[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+            message = "sequence 'mv00020' contains non-finite values"
+        else:
+            data.write_sequence(data.FeatureSequence("mv00020", "audio", seq.frames[:-1]), bad)
+            message = f"'mv00020': audio has {seq.n_frames - 1} frames but visual has {seq.n_frames}"
+        root = _manifest_dir(dataset, tmp_path, lambda e: e.update(audio_path=str(bad)), row=20)
+        for vid in ("mv00003", "mv00030"):
+            assert message in fails(capsys, 2, *self._query(root, artifacts, vid, mode))
+
+    @pytest.mark.parametrize("mode", ["mean", "3,1"])
+    def test_unknown_video_exits_2_before_any_file_is_read(self, dataset, tmp_path, capsys, calls, mode):
+        # the index and model do not exist: the unknown id is named before either is opened
+        argv = self._query(dataset, {}, "nope", mode, index=tmp_path / "no.index", model=tmp_path / "no.model")
+        assert "video 'nope' not in the dataset" in fails(capsys, 2, *argv)
+        assert calls["load_sequence"] == []
 
 
 class TestFeatureDims:
@@ -639,6 +728,14 @@ class TestCorruptArtifacts:
         save_index(index, tmp_path / "bad.index")
         err = self._query_fails_cleanly(dataset, capsys, tmp_path / "bad.index", artifacts["model"])
         assert "block 'embeddings' holds NaN or Inf" in err
+
+    def test_index_embedding_norm_overflows(self, artifacts, dataset, tmp_path, capsys):
+        index = load_index(artifacts["index"])
+        index.embeddings[5, 0] = 1e300
+        save_index(index, tmp_path / "bad.index")
+        err = self._query_fails_cleanly(dataset, capsys, tmp_path / "bad.index", artifacts["model"])
+        assert f"{tmp_path / 'bad.index'}: the embeddings of ['{index.ids[5]}'] have a norm beyond" in err
+        assert "Warning" not in err
 
     def test_model_block_name_not_utf8(self, artifacts, dataset, tmp_path, capsys):
         raw = bytearray(artifacts["model"].read_bytes())

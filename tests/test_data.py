@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avembed import blockio
 from avembed.data import (
     AUDIO_DIM,
     VISUAL_DIM,
@@ -92,6 +93,32 @@ class TestSequenceRoundTrip:
                 assert np.array_equal(loaded.frames, seq.frames)
                 count += 1
         assert count == 100
+
+
+class TestLoadIntoBuffer:
+    """Without a buffer each load has frames of its own; with one, every load reuses its memory."""
+
+    def test_without_a_buffer_frames_own_their_memory(self, tmp_path):
+        seq = _seq(216, 128, seed=4)
+        path = tmp_path / "v0.fvsq"
+        write_sequence(seq, path)
+        first, second = load_sequence(path), load_sequence(path)
+        assert np.array_equal(first.frames, seq.frames)
+        assert first.frames.flags.owndata and first.frames.flags.writeable
+        assert not np.shares_memory(first.frames, second.frames)
+
+    def test_into_a_buffer_frames_are_read_only_views_of_it(self, tmp_path):
+        buffer = blockio.Buffer()
+        seqs = [_seq(n, 16, seed=n, vid=f"v{n}") for n in (5, 9, 3)]
+        loaded = []
+        for seq in seqs:
+            write_sequence(seq, tmp_path / f"{seq.video_id}.fvsq")
+            got = load_sequence(tmp_path / f"{seq.video_id}.fvsq", into=buffer)
+            assert got.video_id == seq.video_id and np.array_equal(got.frames, seq.frames)
+            assert not got.frames.flags.writeable
+            loaded.append(got.frames)
+        # 9 frames outgrow the first load's memory; 3 fit in what 9 took
+        assert not np.shares_memory(loaded[0], loaded[1]) and np.shares_memory(loaded[1], loaded[2])
 
 
 class TestManifest:

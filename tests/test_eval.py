@@ -124,12 +124,15 @@ class TestMeanAp:
 
 
 def clustered_corpus(n=120, k=4, seed=0):
+    """Clusters far apart, with audio noisy enough that the held-out APs differ from query to
+    query, so an AP credited to the wrong query shows."""
     rng = np.random.default_rng(seed)
     centroids = 4.0 * rng.normal(size=(k, 4))
     labels = np.repeat(np.arange(k), n // k)
     z = centroids[labels] + 0.5 * rng.normal(size=(n, 4))
     audio = z @ rng.normal(size=(4, 8)) + 0.2 * rng.normal(size=(n, 8))
     visual = z @ rng.normal(size=(4, 12)) + 0.2 * rng.normal(size=(n, 12))
+    audio += 4.0 * rng.normal(size=audio.shape)
     ids = [f"mv{i:05d}" for i in range(n)]
     return audio, visual, labels, ids
 
@@ -168,6 +171,11 @@ class TestCrossValidate:
         assert report.map_score == pytest.approx(float(np.mean(report.per_fold_map)), abs=1e-12)
         assert 0.0 < report.map_score <= 1.0
         assert len(report.per_query_ap) == len(ids)
+        want_ap, want_fold_map, _, _ = cross_validate_folds(
+            audio, visual, labels, ids, cca_fit, partition_folds(len(ids), 4, seed=1), 5
+        )
+        assert len(set(want_ap.values())) > 20
+        assert (report.per_query_ap, report.per_fold_map) == (want_ap, want_fold_map)
 
     def test_missing_cluster_in_fold_reports_census(self):
         audio, visual, labels, ids = clustered_corpus(n=40, k=4, seed=6)
@@ -218,6 +226,10 @@ class TestCrossValidate:
         )
         recalls = [r for _, _, r in report.pr_points]
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))
+        want_ap, _, want_pr, _ = cross_validate_folds(
+            audio, visual, labels, ids, cca_fit, partition_folds(len(ids), 3, seed=3), 1
+        )
+        assert (report.per_query_ap, report.pr_points) == (want_ap, want_pr)
 
 
 def read_pr_csv(path):

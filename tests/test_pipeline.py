@@ -166,6 +166,30 @@ class TestChunkPools:
         with pytest.raises(ValidationError, match=f"'mv00000': manifest says 3s but file holds {frames} frames"):
             prepare_dataset(root, modes=CHUNK_MODES, scorer=stand_in(0))
 
+    def test_check_all_pools_only_the_named_videos(self, on_disk):
+        full = prepare_dataset(on_disk, modes=CHUNK_MODES, scorer=stand_in(1))
+        got = prepare_dataset(on_disk, ids=["mv00031", "mv00002"], modes=CHUNK_MODES, scorer=stand_in(1),
+                              check_all=True)
+        assert got.ids == ["mv00002", "mv00031"]  # manifest order
+        rows = [2, 31]
+        for name in ("manifest_labels", "audio_mean", "visual"):
+            assert np.array_equal(getattr(got, name), getattr(full, name)[rows]), name
+        for mode, want in full.chunk_queries.items():
+            for name in ("vectors", "selected", "scores"):
+                assert np.array_equal(getattr(got.chunk_queries[mode], name), getattr(want, name)[rows]), name
+
+    def test_check_all_reads_the_videos_it_does_not_pool(self, on_disk, tmp_path):
+        # the manifest's line 5 says 3 s, which its files contradict
+        lines = [json.loads(line) for line in (on_disk / "manifest.jsonl").read_text().splitlines()]
+        for i, e in enumerate(lines):
+            e.update(audio_path=str(on_disk / e["audio_path"]), visual_path=str(on_disk / e["visual_path"]))
+            if i == 5:
+                e["length_sec"] = 3
+        (tmp_path / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in lines))
+        assert prepare_dataset(tmp_path, ids=["mv00001"]).ids == ["mv00001"]
+        with pytest.raises(ValidationError, match="'mv00005': manifest says 3s"):
+            prepare_dataset(tmp_path, ids=["mv00001"], check_all=True)
+
     def test_pool_less_arrays_hold_only_video_level_features(self):
         bare = prepare_synthetic(CFG)
         arrays = [v for v in vars(bare).values() if isinstance(v, np.ndarray)]

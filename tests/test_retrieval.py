@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avembed.errors import UndefinedSimilarityError, ValidationError
+from avembed.errors import CorruptFileError, UndefinedSimilarityError, ValidationError
 from avembed.retrieval import build_index, load_index, rank, save_index
 from oracles import cosine
 
@@ -79,6 +79,21 @@ class TestBuildIndex:
         with pytest.raises(ValidationError):
             build_index(emb, np.zeros(2, dtype=int), ["a", "b"])
 
+    # finite, but its norm overflows float64; pytest turns numpy's overflow warning into an error
+    def test_finite_row_of_overflowing_norm_rejected(self):
+        emb = np.ones((3, 4))
+        emb[1, 2] = 1e300
+        with pytest.raises(ValidationError, match=r"non-finite-norm embeddings cannot be indexed: \['b'\]"):
+            build_index(emb, np.zeros(3, dtype=int), ["a", "b", "c"])
+
+    def test_loaded_row_of_overflowing_norm_names_the_file(self, tmp_path):
+        index, _, ids = _random_index(n=10, seed=5)
+        index.embeddings[4, 0] = 1e300
+        path = tmp_path / "index.avix"
+        save_index(index, path)
+        with pytest.raises(CorruptFileError, match=f"{path}: the embeddings of \\['{index.ids[4]}'\\]"):
+            load_index(path)
+
 
 class TestRank:
     def test_stored_embedding_ranks_itself_first(self):
@@ -138,3 +153,11 @@ class TestRank:
         index, _, _ = _random_index(seed=16)
         with pytest.raises(UndefinedSimilarityError):
             rank(index, np.zeros(8), 5)
+
+    @pytest.mark.parametrize("value", [1e300, np.inf, np.nan])
+    def test_query_of_non_finite_norm_is_error(self, value):
+        index, _, _ = _random_index(seed=17)
+        query = np.ones(8)
+        query[3] = value
+        with pytest.raises(UndefinedSimilarityError, match="query of norm"):
+            rank(index, query, 5)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +439,7 @@ _COMMANDS = {
 }
 
 
+@cache  # one parser per process: a parse reads it and changes nothing in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="avembed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

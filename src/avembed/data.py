@@ -51,7 +51,7 @@ class FeatureSequence:
         frames = np.asarray(self.frames, dtype=np.float32)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise ValidationError(f"frames must be a non-empty 2-d matrix, got shape {frames.shape}")
-        if not np.all(np.isfinite(frames)):
+        if not blockio.all_finite(frames):
             raise ValidationError(f"sequence {self.video_id!r} contains non-finite values")
         self.frames = frames
 
@@ -101,10 +101,28 @@ def write_sequence(seq: FeatureSequence, path: str | Path) -> None:
         fh.write(memoryview(payload))
 
 
+def _path_str(path: str | Path) -> str:
+    """str(Path(path)), the form every message names a file in; a str already in that form (no
+    empty or '.' part, no trailing '/') is returned as it is, without building a Path."""
+    if (
+        type(path) is str and path and "//" not in path and "/./" not in path
+        and not path.startswith("./") and not path.endswith(("/", "/."))
+    ):
+        return path
+    return str(Path(path))
+
+
+def _stem(path: str) -> str:
+    """Path(path).stem of a path in str(Path(...)) form: its last part without its last suffix."""
+    name = path.rpartition("/")[2]
+    i = name.rfind(".")
+    return name[:i] if 0 < i < len(name) - 1 else name
+
+
 def load_sequence(path: str | Path, into: blockio.Buffer | None = None) -> FeatureSequence:
     """Read an FVSQ file; write_sequence . load_sequence is the identity. The frames own their
     memory, or with into they are a read-only view of into's, valid until its next read."""
-    path = Path(path)
+    path = _path_str(path)
     with blockio.Reader(path) as reader:
         magic = reader.take(len(_FVSQ_MAGIC), "magic")
         if magic != _FVSQ_MAGIC:
@@ -117,7 +135,7 @@ def load_sequence(path: str | Path, into: blockio.Buffer | None = None) -> Featu
         shape = reader.unpack("<II", "header")
         frames = reader.array("<f4", shape, "payload", into)
     # FeatureSequence rejects non-finite frames
-    return FeatureSequence(video_id=path.stem, modality=_MODALITY_NAMES[modality_code], frames=frames)
+    return FeatureSequence(video_id=_stem(path), modality=_MODALITY_NAMES[modality_code], frames=frames)
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:

@@ -19,6 +19,7 @@ says. Every command reads its videos through it, so each one rejects what
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -79,13 +80,13 @@ class PreparedDataset:
 
 
 def load_video(
-    root: Path, entry: ManifestEntry, into: tuple[blockio.Buffer, blockio.Buffer]
+    root: str, entry: ManifestEntry, into: tuple[blockio.Buffer, blockio.Buffer]
 ) -> tuple[FeatureSequence, FeatureSequence]:
-    """The entry's (audio, visual) sequences, read into the (audio, visual) buffers of into;
-    ValidationError if a file holds the other modality, the two hold different frame counts or
-    not the entry's length_sec."""
-    audio = load_sequence(root / entry.audio_path, into=into[0])
-    visual = load_sequence(root / entry.visual_path, into=into[1])
+    """The entry's (audio, visual) sequences, read from its paths under root into the (audio,
+    visual) buffers of into; ValidationError if a file holds the other modality, the two hold
+    different frame counts or not the entry's length_sec."""
+    audio = load_sequence(os.path.join(root, entry.audio_path), into=into[0])
+    visual = load_sequence(os.path.join(root, entry.visual_path), into=into[1])
     for seq, side in ((audio, "audio"), (visual, "visual")):
         if seq.modality != side:
             raise ValidationError(f"{entry.video_id!r}: its {side}_path holds a {seq.modality} sequence")
@@ -126,8 +127,10 @@ def prepare_dataset(
     An id the manifest lacks raises ValidationError before any video is read. Only the named
     videos are read, unless check_all: then every video of the manifest is read and checked in
     the same pass, and only the named ones are pooled."""
-    root = Path(dataset_dir)
-    entries = load_manifest(root / "manifest.jsonl").entries
+    # str paths, as Path(dataset_dir) / name would print them: os.path.join("", name) is name
+    root = str(Path(dataset_dir))
+    root = "" if root == "." else root
+    entries = load_manifest(os.path.join(root, "manifest.jsonl")).entries
     wanted = None
     if ids is not None:
         known = {e.video_id for e in entries}
@@ -145,7 +148,7 @@ def prepare_dataset(
     )
 
 
-def _read_videos(root: Path, entries: Sequence[ManifestEntry], wanted: set[str] | None):
+def _read_videos(root: str, entries: Sequence[ManifestEntry], wanted: set[str] | None):
     """(entry, audio, visual, label) for each of the entries in wanted (None: all), in order,
     after every entry is read through load_video and checked for the first one's feature dims.
 

@@ -4,13 +4,14 @@ and no length field makes it allocate more than the file holds."""
 import argparse
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avembed import cli
+from avembed import blockio, cli
 from avembed.attention import load_attention_params, random_attention_params, save_attention_params
 from avembed.cca import fit_cca, fit_kcca, load_cca_model, save_cca_model
 from avembed.clustering import load_assignments, load_seed_sets, save_assignments, save_seed_sets
@@ -18,7 +19,7 @@ from avembed.data import (
     FeatureSequence, Manifest, ManifestEntry, load_manifest, load_sequence, write_manifest, write_sequence,
 )
 from avembed.deep import DeepModel, init_branch, load_deep_model, save_deep_model
-from avembed.errors import CorruptFileError, DataError
+from avembed.errors import CorruptFileError, DataError, ValidationError
 from avembed.retrieval import build_index, load_index, save_index
 
 
@@ -148,3 +149,59 @@ def test_bytes_after_the_payload_are_corrupt(valid, tmp_path, edit):
     path.write_bytes(edit(valid["fvsq"].read_bytes()))
     with pytest.raises(CorruptFileError, match="trailing bytes"):
         load_sequence(path)
+
+
+class TestOneFiniteCheck:
+    """blockio.all_finite, the finite check of FVSQ frames and of float blocks, finds a NaN or an
+    infinity anywhere in a 1001-value payload (odd, so a SIMD loop's tail holds the last value),
+    passes finite values whose squares overflow, and raises no numpy warning on either path."""
+
+    @pytest.fixture(autouse=True)
+    def _runtime_warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @staticmethod
+    def _values(dtype, at=None, bad=None) -> np.ndarray:
+        values = np.random.default_rng(7).normal(size=1001).astype(dtype)
+        if at is not None:
+            values[at] = bad
+        return values
+
+    @staticmethod
+    def _fvsq(path, values) -> None:
+        """An FVSQ audio file of the 1001 values as 7 frames of 143, written without the check."""
+        path.write_bytes(b"FVSQ" + struct.pack("<BBII", 1, 0, 7, 143) + values.astype("<f4").tobytes())
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    @pytest.mark.parametrize("at", [0, 500, 1000], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_one_non_finite_value_is_found(self, dtype, at, bad):
+        values = self._values(dtype, at, bad)
+        assert not blockio.all_finite(values) and not blockio.all_finite(values.reshape(7, 143))
+        assert blockio.all_finite(self._values(dtype))
+
+    def test_both_infinities_together_are_found(self):
+        values = self._values("<f4")
+        values[[3, 997]] = np.inf, -np.inf
+        assert not blockio.all_finite(values)
+
+    @pytest.mark.parametrize("at", [0, 500, 1000], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_fvsq_payload_and_float_block_are_rejected(self, tmp_path, at, bad):
+        self._fvsq(tmp_path / "v.fvsq", self._values("<f4", at, bad))
+        with pytest.raises(ValidationError, match="sequence 'v' contains non-finite values"):
+            load_sequence(tmp_path / "v.fvsq")
+        blockio.save(tmp_path / "m", b"TEST", {}, {"w": self._values("<f8", at, bad).reshape(7, 143)})
+        with pytest.raises(CorruptFileError, match="block 'w' holds NaN or Inf"):
+            blockio.load(tmp_path / "m", b"TEST")
+
+    def test_finite_values_whose_squares_overflow_load(self, tmp_path):
+        # 1e30 squared overflows float32 and 1e200 squared float64: the dot is inf, the values finite
+        frames = np.where(np.arange(1001) % 2, 1e30, -1e30).astype(np.float32)
+        self._fvsq(tmp_path / "v.fvsq", frames)
+        assert np.array_equal(load_sequence(tmp_path / "v.fvsq").frames, frames.reshape(7, 143))
+        block = np.where(np.arange(1001) % 2, 1e200, -1e200).reshape(7, 143)
+        blockio.save(tmp_path / "m", b"TEST", {}, {"w": block})
+        assert np.array_equal(blockio.load(tmp_path / "m", b"TEST")[1]["w"], block)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avembed import blockio, data, pipeline
+from avembed import blockio, cli, data, pipeline
 from avembed.attention import random_attention_params, save_attention_params
 from avembed.cca import load_cca_model
 from avembed.cli import _DEFAULTS, build_parser, main
@@ -519,12 +519,91 @@ class TestQueryReadsEveryVideoPoolsOne:
         for vid in ("mv00003", "mv00030"):
             assert message in fails(capsys, 2, *self._query(root, artifacts, vid, mode))
 
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_nan_anywhere_in_another_payload_exits_2_naming_it(self, artifacts, dataset, tmp_path, capsys, at):
+        seq = data.load_sequence(dataset / "audio" / "mv00020.fvsq")
+        frames = seq.frames.copy().reshape(-1)
+        frames[{"first": 0, "middle": frames.size // 2, "last": -1}[at]] = np.nan
+        header = (dataset / "audio" / "mv00020.fvsq").read_bytes()[:14]
+        bad = tmp_path / "mv00020.fvsq"
+        bad.write_bytes(header + frames.astype("<f4").tobytes())
+        root = _manifest_dir(dataset, tmp_path, lambda e: e.update(audio_path=str(bad)), row=20)
+        err = fails(capsys, 2, *self._query(root, artifacts, "mv00003", "mean"))
+        assert err == "avembed: data error: sequence 'mv00020' contains non-finite values\n"
+
     @pytest.mark.parametrize("mode", ["mean", "3,1"])
     def test_unknown_video_exits_2_before_any_file_is_read(self, dataset, tmp_path, capsys, calls, mode):
         # the index and model do not exist: the unknown id is named before either is opened
         argv = self._query(dataset, {}, "nope", mode, index=tmp_path / "no.index", model=tmp_path / "no.model")
         assert "video 'nope' not in the dataset" in fails(capsys, 2, *argv)
         assert calls["load_sequence"] == []
+
+
+class TestPathsNamedAsPathlibNamesThem:
+    """A manifest path written './audio/mv00001.fvsq', under a dataset directory spelled with a
+    trailing '/', a '.' part or as '.', is named in every message as Path(dataset) / audio_path
+    prints it: 'audio/mv00001.fvsq' under the directory, with no './'."""
+
+    @pytest.mark.parametrize("spelling", ["plain", "trailing-slash", "dot-part", "cwd"])
+    @pytest.mark.parametrize("fault", ["truncated", "trailing-bytes", "bad-magic", "nan", "missing"])
+    def test_error_text(self, dataset, artifacts, tmp_path, monkeypatch, capsys, spelling, fault):
+        root = tmp_path / "data"
+        (root / "audio").mkdir(parents=True)
+        _manifest_dir(dataset, root, lambda e: e.update(audio_path="./audio/mv00001.fvsq"), row=1)
+        raw = (dataset / "audio" / "mv00001.fvsq").read_bytes()
+        nan = np.array([np.nan], dtype="<f4").tobytes()
+        edited = {"truncated": raw[:-5], "trailing-bytes": raw + bytes(4), "bad-magic": b"FVSX" + raw[4:],
+                  "nan": raw[:-4] + nan, "missing": None}[fault]
+        if edited is not None:
+            (root / "audio" / "mv00001.fvsq").write_bytes(edited)
+        if spelling == "cwd":
+            monkeypatch.chdir(root)
+        arg = {"plain": f"{root}", "trailing-slash": f"{root}/", "dot-part": f"{root}/./", "cwd": "."}[spelling]
+        shown = str(Path(arg) / "./audio/mv00001.fvsq")
+        assert shown == ("audio/mv00001.fvsq" if spelling == "cwd" else f"{root}/audio/mv00001.fvsq")
+        message = {
+            "truncated": f"{shown}: truncated payload",
+            "trailing-bytes": f"{shown}: 4 trailing bytes",
+            "bad-magic": f"{shown}: bad magic b'FVSX'",
+            "nan": "sequence 'mv00001' contains non-finite values",
+            "missing": f"[Errno 2] No such file or directory: '{shown}'",
+        }[fault]
+        argv = ("query", "--dataset", arg, "--index", artifacts["index"], "--model", artifacts["model"],
+                "--video-id", "mv00003")
+        assert fails(capsys, 2, *argv) == f"avembed: data error: {message}\n"
+
+    def test_missing_manifest_under_cwd(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        err = fails(capsys, 2, "ingest", "--dataset", ".")
+        assert err == "avembed: data error: [Errno 2] No such file or directory: 'manifest.jsonl'\n"
+
+
+class TestParserBuiltOnce:
+    """main parses every command line of a process with one parser, and answers each as a parser
+    built afresh for it would: a usage error, then two different commands, then help and another
+    usage error."""
+
+    def test_cached_parser_answers_as_a_fresh_one(self, dataset, tmp_path, capsys, monkeypatch):
+        assert build_parser() is build_parser()
+        argvs = [
+            ("synth", "--videos", 4),  # no --out: usage error
+            ("synth", "--out", tmp_path / "small", "--videos", 4, "--clusters", 2, "--latent-dim", 3),
+            ("chunk-select", "--dataset", dataset, "--video-id", "mv00001", "--chunks", 3, "--top-k", 1),
+            ("query", "-h"),
+            ("train", "--dataset", dataset, "--method", "nope", "--out", tmp_path / "m.model"),
+        ]
+
+        def answers():
+            got = []
+            for argv in argvs:
+                code = run(*argv)
+                got.append((code, *capsys.readouterr()))
+            return got
+
+        cached = answers()
+        assert [code for code, _, _ in cached] == [1, 0, 0, 0, 1]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert answers() == cached
 
 
 class TestFeatureDims:

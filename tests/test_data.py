@@ -1,9 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avembed import blockio
+from avembed import blockio, data
 from avembed.data import (
     AUDIO_DIM,
     VISUAL_DIM,
@@ -119,6 +122,38 @@ class TestLoadIntoBuffer:
             loaded.append(got.frames)
         # 9 frames outgrow the first load's memory; 3 fit in what 9 took
         assert not np.shares_memory(loaded[0], loaded[1]) and np.shares_memory(loaded[1], loaded[2])
+
+
+class TestPathStrings:
+    """load_sequence names a file as str(Path(path)) would and takes its video id from Path's stem,
+    without building a Path for a str already in that form."""
+
+    # every kind of part pathlib drops or keeps: empty, '.', '..', dotted names, a root
+    _TEXT = st.text(alphabet="a./", max_size=12)
+
+    @given(_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_path_str_is_pathlib_form(self, text):
+        assert data._path_str(text) == str(Path(text)) == data._path_str(Path(text))
+
+    @given(_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_stem_is_pathlib_stem(self, text):
+        path = str(Path(text))
+        assume(path != ".")  # a directory, which load_sequence never gets to name
+        assert data._stem(path) == Path(path).stem
+
+    def test_messages_and_video_id_as_pathlib_gives_them(self, tmp_path):
+        (tmp_path / "audio").mkdir()
+        path = tmp_path / "audio" / "v.0.fvsq"
+        write_sequence(_seq(4, 2, vid="v.0"), path)
+        for spelled in (f"{tmp_path}/./audio//v.0.fvsq", f"{tmp_path}//audio/./v.0.fvsq", path):
+            assert load_sequence(spelled).video_id == "v.0"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: truncated payload$"):
+            load_sequence(f"{tmp_path}/./audio//v.0.fvsq")
+        with pytest.raises(FileNotFoundError, match=re.escape(f"'{tmp_path}/audio/none.fvsq'")):
+            load_sequence(f"{tmp_path}/audio/./none.fvsq")
 
 
 class TestManifest:

@@ -2,7 +2,6 @@
 
 from .attention import (
     AttentionParams,
-    ChunkSelection,
     LstmParams,
     attention_distribution,
     bilstm_states,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,66 +84,31 @@ class AttentionParams:
             raise ValueError("w_out and bias must be vectors of the attention dim")
         if self.forward_lstm.input_dim != self.backward_lstm.input_dim:
             raise ValueError("forward and backward LSTMs read different input dims")
-
-    @cached_property
-    def _joint(self) -> "_JointBiLstm":
-        """Stacked weights of the joint recurrence, built on first use: do not
-        mutate the parameters of an object that has scored."""
-        return _JointBiLstm.from_params(self)
-
-
-@dataclass(frozen=True)
-class _JointBiLstm:
-    """Both LSTM directions stacked into one recurrence over S = [h | c].
-
-    With n = h_forward + h_backward joint units, pre-activations are laid out
-    as one block of n rows per gate in _GATES order, each block holding the
-    forward direction's units, then the backward direction's:
-      w_x: direction -> (4 h_dir, input_dim) input weights, gates in _GATES order;
-      b: direction -> (4 h_dir,) biases;
-      w_s: (4n, 2n) block-diagonal recurrent weights on [h_{t-1} | c_{t-1}]
-           (the c columns hold the input/forget peepholes, zero elsewhere);
-      w_co: (n, n) block-diagonal output peephole on c_t;
-      w_head: (m, n) = [w_forward | w_backward].
-    Gate rows of the sigmoid gates are pre-scaled by 1/2.
-    """
-
-    w_x: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, np.ndarray]
-    w_s: np.ndarray
-    w_co: np.ndarray
-    w_head: np.ndarray
-
-    @classmethod
-    def from_params(cls, p: AttentionParams) -> "_JointBiLstm":
-        dirs = (p.forward_lstm, p.backward_lstm)
+        # Both directions stacked into one recurrence over S = [h | c], built here once, so the
+        # arrays above must not be mutated afterwards. With n = h_forward + h_backward joint
+        # units, pre-activations are one block of n rows per gate in _GATES order, each block
+        # holding the forward direction's units, then the backward direction's:
+        #   _w_x: per direction, (4 h_dir, input_dim) input weights; _b: per direction, (4 h_dir,);
+        #   _w_s: (4n, 2n) block-diagonal recurrent weights on [h_{t-1} | c_{t-1}]
+        #         (the c columns hold the input/forget peepholes, zero elsewhere);
+        #   _w_co: (n, n) block-diagonal output peephole on c_t;
+        #   _w_head: (m, n) = [w_forward | w_backward].
+        # Gate rows of the sigmoid gates are pre-scaled by 1/2.
+        dirs = (self.forward_lstm, self.backward_lstm)
         n = sum(d.hidden_dim for d in dirs)
         w_s = np.zeros((4, n, 2, n))  # gate, unit, [h | c], unit: the (4n, 2n) layout
-        w_co = np.zeros((n, n))
+        self._w_co = np.zeros((n, n))
         off = 0
         for d in dirs:
             units = slice(off, off + d.hidden_dim)
             w_s[:, units, 0, units] = _GATE_SCALE[:, None, None] * d.w_h
             w_s[:2, units, 1, units] = _GATE_SCALE[:2, None, None] * d.w_c[:2]
-            w_co[units, units] = _GATE_SCALE[3] * d.w_c[2]
+            self._w_co[units, units] = _GATE_SCALE[3] * d.w_c[2]
             off += d.hidden_dim
-        return cls(
-            w_x=tuple((_GATE_SCALE[:, None, None] * d.w_x).reshape(-1, d.input_dim) for d in dirs),
-            b=tuple((_GATE_SCALE[:, None] * d.b).ravel() for d in dirs),
-            w_s=w_s.reshape(4 * n, 2 * n),
-            w_co=w_co,
-            w_head=np.hstack([p.w_forward, p.w_backward]),
-        )
-
-
-@dataclass
-class ChunkSelection:
-    """Result of macro-chunk scoring: which of the c macro-chunks represent the audio."""
-
-    chunk_count: int
-    selected_indices: list[int]
-    scores: np.ndarray
-    distribution: np.ndarray
+        self._w_x = tuple((_GATE_SCALE[:, None, None] * d.w_x).reshape(-1, d.input_dim) for d in dirs)
+        self._b = tuple((_GATE_SCALE[:, None] * d.b).ravel() for d in dirs)
+        self._w_s = w_s.reshape(4 * n, 2 * n)
+        self._w_head = np.hstack([self.w_forward, self.w_backward])
 
 
 def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
@@ -158,25 +122,24 @@ def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
         raise ValueError(f"features of shape {x.shape} do not match LSTM input dim {p.forward_lstm.input_dim}")
     if x.shape[0] == 0:
         raise ValidationError("empty chunk sequence")
-    joint = p._joint
     steps = x.shape[0]
     # one GEMM per direction; the backward direction reads the reversed sequence
     z_in = np.concatenate(
         [
             (seq @ w.T + b).reshape(steps, 4, -1)
-            for seq, w, b in zip((x, x[::-1]), joint.w_x, joint.b)
+            for seq, w, b in zip((x, x[::-1]), p._w_x, p._b)
         ],
         axis=2,
     ).reshape(steps, -1)
-    n = joint.w_co.shape[0]
+    n = p._w_co.shape[0]
     state = np.zeros(2 * n)
     h, c = state[:n], state[n:]
     out = np.empty((steps, n))
     for t in range(steps):
-        z = z_in[t] + joint.w_s @ state
+        z = z_in[t] + p._w_s @ state
         gates = np.tanh(z[: 3 * n])
         c[:] = (0.5 * gates[n : 2 * n] + 0.5) * c + (0.5 * gates[:n] + 0.5) * gates[2 * n :]
-        h[:] = (0.5 * np.tanh(z[3 * n :] + joint.w_co @ c) + 0.5) * np.tanh(c)
+        h[:] = (0.5 * np.tanh(z[3 * n :] + p._w_co @ c) + 0.5) * np.tanh(c)
         out[t] = h
     h_fwd = p.forward_lstm.hidden_dim
     out[:, h_fwd:] = out[::-1, h_fwd:].copy()
@@ -185,7 +148,7 @@ def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
 
 def score_states(states: np.ndarray, p: AttentionParams) -> np.ndarray:
     """Attention scores u_t = w_out . tanh(W_f h_tf + W_b h_tb + beta) for all t at once."""
-    return np.tanh(states @ p._joint.w_head.T + p.bias) @ p.w_out
+    return np.tanh(states @ p._w_head.T + p.bias) @ p.w_out
 
 
 def attention_distribution(u: np.ndarray) -> np.ndarray:
@@ -198,11 +161,11 @@ def attention_distribution(u: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def select_top_k(theta: np.ndarray, c: int, k: int) -> ChunkSelection:
+def select_top_k(theta: np.ndarray, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Pool base-chunk attention mass into c macro-chunks by max and pick the top k.
 
-    Ties break toward the lower macro-chunk index; selected indices are
-    reported in temporal order.
+    Returns (selected, macro_scores): the (k,) int64 kept macro-chunks in temporal
+    (ascending) order, ties broken toward the lower index, and the (c,) macro-chunk scores.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if c < 1 or theta.shape[0] % c != 0:
@@ -210,9 +173,7 @@ def select_top_k(theta: np.ndarray, c: int, k: int) -> ChunkSelection:
     if not 1 <= k <= c:
         raise ValueError(f"k must be in [1, {c}], got {k}")
     macro_scores = theta.reshape(c, -1).max(axis=1)
-    order = np.argsort(-macro_scores, kind="stable")
-    selected = sorted(int(i) for i in order[:k])
-    return ChunkSelection(chunk_count=c, selected_indices=selected, scores=macro_scores, distribution=theta)
+    return np.sort(np.argsort(-macro_scores, kind="stable")[:k]), macro_scores
 
 
 def _lstm_to_json(p: LstmParams) -> dict:

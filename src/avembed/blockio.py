@@ -195,6 +195,8 @@ def _json_object(path: str | Path, line_no: int, what: str, raw: bytes) -> dict:
         raise FormatError(f"{path}:{line_no}: invalid {what}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{line_no + exc.lineno - 1}: invalid {what}: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the parser recurses
+        raise FormatError(f"{path}:{line_no}: invalid {what}: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}:{line_no}: {what} is a JSON {type(obj).__name__}, not an object")
     return obj
@@ -253,7 +255,9 @@ def _float_array(value) -> np.ndarray | None:
         return None
     try:
         array = np.array(value, dtype=object)
-        finite = all(type(v) in (int, float) and math.isfinite(v) for v in array.flat)
+        # reshape, not .flat: numpy's flat iterator raises RuntimeError beyond 32 dims, and a list
+        # may nest up to numpy's 64
+        finite = all(type(v) in (int, float) and math.isfinite(v) for v in array.reshape(-1))
     except (ValueError, OverflowError):  # a ragged nesting numpy cannot hold; an int beyond float64's range
         return None
     return array.astype(np.float64) if finite else None

@@ -29,7 +29,7 @@ from .clustering import (
     save_seed_sets,
 )
 from .data import SynthConfig, filter_manifest, load_manifest, write_dataset, write_manifest
-from .errors import DataError, NumericalError, ResourceLimitError, ValidationError
+from .errors import DataError, NumericalError, ValidationError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -379,7 +379,7 @@ def cmd_eval(cfg: dict) -> int:
                     pr_stride=cfg["pr_stride"],
                     config=cell_cfg,
                 )
-            except (DataError, NumericalError, ResourceLimitError, ValueError) as exc:
+            except (DataError, NumericalError, ValueError) as exc:
                 print(f"eval cell {method}/{head} failed: {exc}", file=sys.stderr)
                 failures.append((method, head))
                 row.append("error")
@@ -470,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(_resolve(args))
-    except (DataError, ResourceLimitError, FileNotFoundError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"avembed: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except NumericalError as exc:

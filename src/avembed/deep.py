@@ -294,9 +294,7 @@ def _train_on_pairs(
             fv, cache_v = branch_forward(visual, y[v_idx[sel]], cfg.dropout, rng)
             obj, d_fa, d_fv = _objective_and_grad(fa, fv, cfg.r, cfg.reg)
             if not np.isfinite(obj):
-                raise DivergenceError(
-                    f"non-finite objective at epoch {epoch}, batch {b}", epoch=epoch, batch=b
-                )
+                raise DivergenceError(f"non-finite objective at epoch {epoch}, batch {b}")
             dw_a, db_a = branch_backward(audio, cache_a, d_fa)
             dw_v, db_v = branch_backward(visual, cache_v, d_fv)
             del fa, fv, cache_a, cache_v, d_fa, d_fv  # the caches hold the batches
@@ -391,6 +389,10 @@ def load_deep_model(path: str | Path) -> DeepModel:
     where = f"{path}: dcca model header"
     get = partial(blockio.field, header, where=where)
     n_a, n_v = get("n_audio_layers", int), get("n_visual_layers", int)
+    # two blocks per layer: a count the file cannot hold is rejected before any name is built
+    for key, n in (("n_audio_layers", n_a), ("n_visual_layers", n_v)):
+        if not 0 <= n <= len(blocks) // 2:
+            raise FormatError(f"{where} key {key!r} is {n}, but the file holds {len(blocks)} blocks")
     blockio.expect(path, blocks, _block_names(n_a, n_v))
     history = get("objective_history", blockio.NUMBERS, nullable=True)
     branches = []

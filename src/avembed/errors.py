@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Argument misuse (wrong shapes, out-of-range parameters) raises plain
-ValueError; the classes here cover data, numerical, and resource failures
-that the CLI maps to distinct exit codes.
+ValueError; the classes here cover data and numerical failures, which the CLI
+maps to distinct exit codes by their base class: DataError exits 2,
+NumericalError 3.
 """
 
 
@@ -33,15 +34,10 @@ class SingularityError(NumericalError):
 class DivergenceError(NumericalError):
     """Training produced a non-finite objective or gradient."""
 
-    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-
 
 class UndefinedSimilarityError(NumericalError):
     """Cosine similarity requested against a vector whose norm is zero or not finite."""
 
 
-class ResourceLimitError(Exception):
-    """Input exceeds a configured desk-scale cap (e.g. the KCCA O(n^3) solve)."""
+class ResourceLimitError(DataError):
+    """Input exceeds a configured desk-scale cap (e.g. the KCCA O(n^3) solve); a data error."""

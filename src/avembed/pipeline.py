@@ -203,9 +203,8 @@ def _prepare_from_pairs(
         if queries:
             chunk_means, chunk_maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
             for (c, k), q in queries.items():
-                sel = chunk_selection_for(chunk_maxes, params, c, k)
-                q.vectors[i] = representation_from_selection(chunk_means, sel)
-                q.selected[i], q.scores[i] = sel.selected_indices, sel.scores
+                q.selected[i], q.scores[i] = chunk_selection_for(chunk_maxes, params, c, k)
+                q.vectors[i] = representation_from_selection(chunk_means, q.selected[i], c)
     return PreparedDataset(
         ids=ids,
         audio_mean=np.stack(means),
@@ -223,8 +222,9 @@ def check_chunk_config(c: int, k: int) -> None:
 
 def chunk_selection_for(
     chunk_maxes: np.ndarray, params: att.AttentionParams, c: int, k: int
-) -> att.ChunkSelection:
-    """Score base chunks and pick top-k of the c macro-chunks for one audio.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score base chunks and pick top-k of the c macro-chunks for one audio: the
+    (selected, macro_scores) pair of attention.select_top_k.
 
     Base chunks beyond the largest multiple of c are dropped before scoring so
     the macro partition is exact (extends the remainder-drop rule).
@@ -239,15 +239,16 @@ def chunk_selection_for(
     return att.select_top_k(theta, c, k)
 
 
-def representation_from_selection(chunk_means: np.ndarray, selection: att.ChunkSelection) -> np.ndarray:
-    """Mean audio feature over the frames of the selected macro-chunks.
+def representation_from_selection(chunk_means: np.ndarray, selected: np.ndarray, c: int) -> np.ndarray:
+    """Mean audio feature over the frames of the selected of the c macro-chunks.
 
-    Base chunks all hold BASE_CHUNK_SEC frames, so the mean of the selected
-    base-chunk means equals the mean over their frames.
+    The macro-chunks partition the first (n // c) * c base chunks, as in
+    chunk_selection_for. Base chunks all hold BASE_CHUNK_SEC frames, so the mean
+    of the selected base-chunk means equals the mean over their frames.
     """
-    n_base, c, d = selection.distribution.shape[0], selection.chunk_count, chunk_means.shape[1]
-    macros = chunk_means[:n_base].reshape(c, n_base // c, d)
-    return macros[selection.selected_indices].reshape(-1, d).mean(axis=0)
+    usable, d = (len(chunk_means) // c) * c, chunk_means.shape[1]
+    macros = chunk_means[:usable].reshape(c, usable // c, d)
+    return macros[selected].reshape(-1, d).mean(axis=0)
 
 
 def query_matrix(prepared: PreparedDataset, mode: tuple[int, int] | str) -> np.ndarray:

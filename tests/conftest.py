@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,13 @@ def planted_attention() -> AttentionParams:
         w_out=np.ones(1),
         bias=np.zeros(1),
     )
+
+
+def edit_header(raw: bytes, edit) -> bytes:
+    """A model or index file's bytes with its JSON header bytes replaced by edit(header bytes)."""
+    (length,) = struct.unpack("<I", raw[5:9])
+    new = edit(raw[9 : 9 + length])
+    return raw[:5] + struct.pack("<I", len(new)) + new + raw[9 + length :]
 
 
 def random_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:

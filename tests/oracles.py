@@ -1,5 +1,7 @@
 """Reference implementations that the library's array paths are tested against."""
 
+import itertools
+
 import numpy as np
 
 from avembed.attention import LstmParams
@@ -29,11 +31,44 @@ def lstm_step(
     return h_t, c_t
 
 
+def chained_steps(feats: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """Per-direction lstm_step chains and the per-step score head: the reference
+    for the joint recurrence. Returns ((T, h_f + h_b) states, (T,) scores)."""
+
+    def run(seq, lstm):
+        h = np.zeros(lstm.hidden_dim)
+        c = np.zeros(lstm.hidden_dim)
+        out = []
+        for x in seq:
+            h, c = lstm_step(x, h, c, lstm)
+            out.append(h)
+        return np.array(out)
+
+    h_f = run(feats, p.forward_lstm)
+    h_b = run(feats[::-1], p.backward_lstm)[::-1]
+    scores = np.array(
+        [p.w_out @ np.tanh(p.w_forward @ a + p.w_backward @ b + p.bias) for a, b in zip(h_f, h_b)]
+    )
+    return np.hstack([h_f, h_b]), scores
+
+
+def top_k(theta: np.ndarray, c: int, k: int) -> list[int]:
+    """The k of theta's c max-pooled macro-chunks with the largest summed score, ascending, by
+    exhaustive subset enumeration; the first best subset wins."""
+    macro = theta.reshape(c, -1).max(axis=1)
+    best, best_score = None, -np.inf
+    for subset in itertools.combinations(range(c), k):
+        score = sum(macro[i] for i in subset)
+        if score > best_score:
+            best, best_score = subset, score
+    return list(best)
+
+
 def chunk_query(frames: np.ndarray, params, c: int, k: int):
-    """(query vector, selection) of one video's audio frames, from its own pool_chunks."""
+    """(query vector, selected, macro-chunk scores) of one video's audio frames, from its own pool_chunks."""
     means, maxes = pool_chunks(frames, 3)
-    sel = chunk_selection_for(maxes, params, c, k)
-    return representation_from_selection(means, sel), sel
+    selected, scores = chunk_selection_for(maxes, params, c, k)
+    return representation_from_selection(means, selected, c), selected, scores
 
 
 def ranked_from_pattern(rel_pattern):

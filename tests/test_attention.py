@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -23,7 +22,7 @@ from avembed.deep import _sigmoid
 from avembed.errors import FormatError, ValidationError
 from avembed.pipeline import representation_from_selection
 from conftest import planted_lstm, random_attention, random_lstm
-from oracles import lstm_step
+from oracles import chained_steps, lstm_step, top_k
 
 
 def _zero_lstm(input_dim=3, hidden_dim=4):
@@ -142,27 +141,6 @@ class TestLstmStep:
             LstmParams(w_x=p.w_x[:3], w_h=p.w_h[:3], w_c=p.w_c, b=p.b[:3])
 
 
-def _chained_steps(feats, p):
-    """Per-direction lstm_step chains and the per-step score head: the reference
-    for the joint recurrence. Returns ((T, h_f + h_b) states, (T,) scores)."""
-
-    def run(seq, lstm):
-        h = np.zeros(lstm.hidden_dim)
-        c = np.zeros(lstm.hidden_dim)
-        out = []
-        for x in seq:
-            h, c = lstm_step(x, h, c, lstm)
-            out.append(h)
-        return np.array(out)
-
-    h_f = run(feats, p.forward_lstm)
-    h_b = run(feats[::-1], p.backward_lstm)[::-1]
-    scores = np.array(
-        [p.w_out @ np.tanh(p.w_forward @ a + p.w_backward @ b + p.bias) for a, b in zip(h_f, h_b)]
-    )
-    return np.hstack([h_f, h_b]), scores
-
-
 def _planted_attention(input_dim, hidden_f, hidden_b, rng):
     return AttentionParams(
         forward_lstm=planted_lstm(input_dim, hidden_f),
@@ -188,7 +166,7 @@ class TestJointRecurrence:
         rng = np.random.default_rng(100 * length + 10 * hidden[0] + hidden[1])
         p = make(6, *hidden, rng)
         feats = rng.uniform(-2, 2, size=(length, 6))
-        ref_states, ref_scores = _chained_steps(feats, p)
+        ref_states, ref_scores = chained_steps(feats, p)
         states = bilstm_states(feats, p)
         np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(score_states(states, p), ref_scores, rtol=0, atol=1e-12)
@@ -237,12 +215,7 @@ class TestBilstm:
         rng = np.random.default_rng(3)
         p = random_attention(3, 5, 2, rng)
         seq = rng.normal(size=(5, 3))
-        states = bilstm_states(seq, p)
-        h = np.zeros(5)
-        c = np.zeros(5)
-        for t in range(5):
-            h, c = lstm_step(seq[t], h, c, p.forward_lstm)
-            np.testing.assert_allclose(states[t, :5], h, atol=1e-12)
+        np.testing.assert_allclose(bilstm_states(seq, p)[:, :5], chained_steps(seq, p)[0][:, :5], atol=1e-12)
 
 
 class TestChunkFeature:
@@ -317,48 +290,37 @@ class TestAttentionDistribution:
         assert abs(theta.sum() - 1.0) <= 1e-9
 
 
-def _oracle_top_k(theta, c, k):
-    """Exhaustive subset enumeration by summed macro score; first best wins."""
-    macro = theta.reshape(c, -1).max(axis=1)
-    best, best_score = None, -np.inf
-    for subset in itertools.combinations(range(c), k):
-        score = sum(macro[i] for i in subset)
-        if score > best_score:
-            best, best_score = subset, score
-    return list(best)
-
-
 class TestSelectTopK:
     def test_mass_in_last_third_selects_third_chunk(self):
         theta = np.full(72, 0.1 / 71)
         theta[60] = 0.9
-        sel = select_top_k(theta / theta.sum(), c=3, k=1)
-        assert sel.selected_indices == [2]
+        selected, _ = select_top_k(theta / theta.sum(), c=3, k=1)
+        assert selected.tolist() == [2]
 
     def test_select_all(self):
         theta = np.random.default_rng(9).dirichlet(np.ones(72))
-        sel = select_top_k(theta, c=6, k=6)
-        assert sel.selected_indices == list(range(6))
+        selected, _ = select_top_k(theta, c=6, k=6)
+        assert selected.tolist() == list(range(6))
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             theta = rng.dirichlet(np.ones(72))
-            sel = select_top_k(theta, c=9, k=3)
-            assert sel.selected_indices == sorted(_oracle_top_k(theta, 9, 3))
+            selected, _ = select_top_k(theta, c=9, k=3)
+            assert selected.tolist() == top_k(theta, 9, 3)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(11)
         theta = rng.dirichlet(np.ones(36))
-        base = select_top_k(theta, 6, 2).selected_indices
+        base, _ = select_top_k(theta, 6, 2)
         # argmax sets survive any strictly monotone transform of the scores
         squashed = np.exp(2.5 * theta)
         squashed = squashed / squashed.sum()
-        assert select_top_k(squashed, 6, 2).selected_indices == base
+        assert np.array_equal(select_top_k(squashed, 6, 2)[0], base)
 
     def test_tie_break_lower_index(self):
         theta = np.full(6, 1 / 6)
-        assert select_top_k(theta, 3, 2).selected_indices == [0, 1]
+        assert select_top_k(theta, 3, 2)[0].tolist() == [0, 1]
 
     def test_bad_args(self):
         theta = np.full(72, 1 / 72)
@@ -377,31 +339,31 @@ class TestQueryRepresentation:
         return FeatureSequence("v", "audio", rng.normal(size=(n, d)).astype(np.float32))
 
     @staticmethod
-    def _rep(seq, sel):
+    def _rep(seq, selected, c):
         means, _ = pool_chunks(seq.frames, 3)
-        return representation_from_selection(means, sel)
+        return representation_from_selection(means, selected, c)
 
     def test_full_selection_equals_mean_mode(self):
         seq = self._audio()
         theta = np.full(72, 1 / 72)
-        sel = select_top_k(theta, 3, 3)
-        np.testing.assert_allclose(self._rep(seq, sel), video_level_audio(seq), atol=1e-12)
+        selected, _ = select_top_k(theta, 3, 3)
+        np.testing.assert_allclose(self._rep(seq, selected, 3), video_level_audio(seq), atol=1e-12)
 
     def test_single_macro_of_identical_frames(self):
         v = np.linspace(0, 1, 8, dtype=np.float32)
         seq = FeatureSequence("v", "audio", np.tile(v, (216, 1)))
         theta = np.zeros(72)
         theta[0] = 1.0
-        sel = select_top_k(theta, 3, 1)
-        np.testing.assert_allclose(self._rep(seq, sel), v, atol=1e-6)
+        selected, _ = select_top_k(theta, 3, 1)
+        np.testing.assert_allclose(self._rep(seq, selected, 3), v, atol=1e-6)
 
     def test_c9_k3_covers_72_frames(self):
         seq = self._audio(seed=3)
         theta = np.random.default_rng(12).dirichlet(np.ones(72))
-        sel = select_top_k(theta, 9, 3)
-        got = self._rep(seq, sel)
+        selected, _ = select_top_k(theta, 9, 3)
+        got = self._rep(seq, selected, 9)
         rows = []
-        for i in sel.selected_indices:
+        for i in selected:
             rows.extend(range(i * 24, (i + 1) * 24))
         assert len(rows) == 72
         np.testing.assert_allclose(got, seq.frames[rows].astype(np.float64).mean(axis=0), atol=1e-12)

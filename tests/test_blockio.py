@@ -19,8 +19,9 @@ from avembed.data import (
     FeatureSequence, Manifest, ManifestEntry, load_manifest, load_sequence, write_manifest, write_sequence,
 )
 from avembed.deep import DeepModel, init_branch, load_deep_model, save_deep_model
-from avembed.errors import CorruptFileError, DataError, ValidationError
+from avembed.errors import CorruptFileError, DataError, FormatError, ValidationError
 from avembed.retrieval import build_index, load_index, save_index
+from conftest import edit_header
 
 
 _SYNTH_ARGS = vars(cli.build_parser().parse_args(["synth", "--out", "x"]))
@@ -119,25 +120,59 @@ def _block(name: bytes, code: int, shape: tuple[int, ...], payload: bytes = b"")
 _HEADER = b'{"type": "linear-cca"}'
 
 
-@pytest.mark.parametrize("loader, raw", [
+def _dcca(n_audio_layers: int) -> bytes:
+    """A deep model file of one layer per branch whose header claims n_audio_layers audio layers."""
+    header = f'{{"type": "dcca", "n_audio_layers": {n_audio_layers}, "n_visual_layers": 1}}'.encode()
+    blocks = [_block(f"{side}.{kind}0".encode(), 1, (1,), bytes(8)) for side in ("audio", "visual") for kind in "wb"]
+    return b"AVDM" + struct.pack("<BI", 1, len(header)) + header + b"".join(blocks)
+
+
+@pytest.mark.parametrize("loader, raw, error", [
     # n_frames * dim * 4 does not fit in a C ssize_t
-    (load_sequence, b"FVSQ" + struct.pack("<BBII", 1, 0, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(16)),
+    (load_sequence, b"FVSQ" + struct.pack("<BBII", 1, 0, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(16), CorruptFileError),
     # np.prod of this shape wraps to 0 in int64
     (load_cca_model, b"AVCM" + struct.pack("<BI", 1, len(_HEADER)) + _HEADER
-     + _block(b"wx", 1, (2**31, 2**31, 4), bytes(16))),
-    (load_cca_model, b"AVCM" + struct.pack("<BI", 1, 0xFFFFFFFF) + _HEADER),
+     + _block(b"wx", 1, (2**31, 2**31, 4), bytes(16)), CorruptFileError),
+    (load_cca_model, b"AVCM" + struct.pack("<BI", 1, 0xFFFFFFFF) + _HEADER, CorruptFileError),
     # no bytes to read, but numpy cannot index a 0 x 2^32-1 x 2^32-1 x 2^32-1 array
     (load_cca_model, b"AVCM" + struct.pack("<BI", 1, len(_HEADER)) + _HEADER
-     + _block(b"wx", 1, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1))),
+     + _block(b"wx", 1, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)), CorruptFileError),
     (load_cca_model, b"AVCM" + struct.pack("<BI", 1, len(_HEADER)) + _HEADER
-     + _block(b"wx", 1, (1,) * 65, bytes(8))),
+     + _block(b"wx", 1, (1,) * 65, bytes(8)), CorruptFileError),
+    # a layer count is two blocks per layer, more than the file holds
+    (load_deep_model, _dcca(10**6), FormatError),
+    (load_deep_model, _dcca(2**62), FormatError),
 ], ids=["fvsq-frames-times-dim", "block-shape-wraps-int64", "header-length", "zero-size-shape-too-large",
-        "ndim-above-numpy-limit"])
-def test_oversized_length_field_is_corrupt_and_allocates_nothing_large(tmp_path, loader, raw):
+        "ndim-above-numpy-limit", "dcca-layer-count-million", "dcca-layer-count-2-62"])
+def test_oversized_length_field_is_corrupt_and_allocates_nothing_large(tmp_path, loader, raw, error):
     path = tmp_path / "crafted"
     path.write_bytes(raw)
-    with pytest.raises(CorruptFileError):
+    with pytest.raises(error):
         _load_small(loader, path)
+
+
+_NESTED = b"[" * 100_000
+
+
+@pytest.mark.parametrize("kind, edit, line", [
+    ("manifest", lambda raw: raw.splitlines(keepends=True)[0] + _NESTED, 2),
+    ("assignments", lambda raw: raw.splitlines(keepends=True)[0] + _NESTED, 2),
+    ("seeds", lambda raw: _NESTED, 1),
+    ("weights", lambda raw: _NESTED, 1),
+    ("config", lambda raw: _NESTED, 1),
+    ("cca", lambda raw: edit_header(raw, lambda header: _NESTED), 1),
+    ("dcca", lambda raw: edit_header(raw, lambda header: _NESTED), 1),
+    ("index", lambda raw: edit_header(raw, lambda header: _NESTED), 1),
+    ("index", lambda raw: raw + _NESTED + b"\n", 5),  # the id table's four lines, then this one
+], ids=["manifest", "assignments", "seeds", "weights", "config", "cca-header", "dcca-header", "index-header",
+        "index-id-table"])
+def test_deeply_nested_json_is_a_format_error(valid, tmp_path, kind, edit, line):
+    """100 000 nested arrays in any JSON artifact, header or id table raise FormatError naming the line,
+    not the parser's RecursionError."""
+    path = tmp_path / kind
+    path.write_bytes(edit(valid[kind].read_bytes()))
+    with pytest.raises(FormatError, match=f":{line}: invalid .*: nested too deeply"):
+        _LOADERS[kind](path)
 
 
 @pytest.mark.parametrize("edit", [

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avembed import blockio, cli, data, pipeline
+from avembed import blockio, cli, data, deep, pipeline
 from avembed.attention import random_attention_params, save_attention_params
 from avembed.cca import load_cca_model
 from avembed.cli import _DEFAULTS, build_parser, main
@@ -16,6 +16,7 @@ from avembed.data import load_manifest, filter_manifest
 from avembed.deep import load_deep_model
 from avembed.pipeline import embedders, load_model
 from avembed.retrieval import load_index, rank, save_index
+from conftest import edit_header
 from oracles import chunk_query
 
 
@@ -24,7 +25,7 @@ def run(*argv):
 
 
 # the start of the error line main prints for each failing exit code
-_ERROR_LINE = {1: "avembed: invalid arguments: ", 2: "avembed: data error: "}
+_ERROR_LINE = {1: "avembed: invalid arguments: ", 2: "avembed: data error: ", 3: "avembed: numerical error: "}
 
 
 def fails(capsys, code, *argv) -> str:
@@ -118,6 +119,10 @@ class TestIngest:
                    "--out-manifest", out_manifest) == 0
         assert out_manifest.exists()
 
+    def test_span_that_keeps_no_video_exits_2(self, dataset, capsys):
+        err = fails(capsys, 2, "ingest", "--dataset", dataset, "--span-min", 100, "--span-max", 200)
+        assert "no entries with length in [100, 200]" in err
+
     def test_corrupt_sequence_is_data_error(self, tmp_path):
         root = tmp_path / "bad"
         assert run("synth", "--out", root, "--videos", 4, "--clusters", 2,
@@ -139,6 +144,16 @@ class TestChunkSelect:
     def test_top_k_exceeds_chunks(self, dataset):
         assert run("chunk-select", "--dataset", dataset, "--video-id", "mv00000",
                    "--chunks", 3, "--top-k", 5) == 2
+
+    def test_out_file_holds_the_printed_lines(self, dataset, tmp_path, capsys):
+        out = tmp_path / "selected.jsonl"
+        assert run("chunk-select", "--dataset", dataset, "--chunks", 6, "--top-k", 2, "--out", out) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed and len(printed.splitlines()) == 36
+
+    def test_more_chunks_than_base_chunks_exits_2(self, dataset, capsys):
+        err = fails(capsys, 2, "chunk-select", "--dataset", dataset, "--video-id", "mv00000", "--chunks", 1000)
+        assert "base chunks; cannot form 1000 macro-chunks" in err
 
     @pytest.fixture
     def reads(self, spy):
@@ -185,10 +200,10 @@ class TestChunkSelect:
         params = random_attention_params(128, 16, 16, seed=0)
         want = {}
         for e in load_manifest(dataset / "manifest.jsonl").entries:
-            _, sel = chunk_query(data.load_sequence(dataset / e.audio_path).frames, params, 6, 2)
+            _, selected, scores = chunk_query(data.load_sequence(dataset / e.audio_path).frames, params, 6, 2)
             want[e.video_id] = json.dumps({"video_id": e.video_id, "chunks": 6, "top_k": 2,
-                                           "selected": sel.selected_indices,
-                                           "scores": [float(v) for v in sel.scores]}) + "\n"
+                                           "selected": selected.tolist(),
+                                           "scores": [float(v) for v in scores]}) + "\n"
         argv = ("chunk-select", "--dataset", dataset, "--chunks", 6, "--top-k", 2)
         assert run(*argv) == 0
         assert capsys.readouterr().out == "".join(want.values())
@@ -239,6 +254,13 @@ class TestCluster:
             err = fails(capsys, 2, *argv, "--k", k)
             assert f"--k {k}" in err and "4 seed sets" in err
             assert not out.exists()
+
+    def test_no_seeds_file_on_an_unlabelled_manifest_exits_2(self, dataset, tmp_path, capsys):
+        manifest = _manifest_dir(dataset, tmp_path, lambda e: None) / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(json.dumps({**json.loads(line), "label": None}) + "\n" for line in lines))
+        err = fails(capsys, 2, "cluster", "--dataset", tmp_path, "--out", tmp_path / "labels.jsonl")
+        assert "no seed sets given and the manifest carries no labels to derive them from" in err
 
     def test_max_iter_below_one_is_usage_error(self, dataset, tmp_path, capsys):
         # with no iteration every label would stay -1
@@ -329,7 +351,7 @@ class TestTrainIndexQuery:
         # the oracle: its own pool_chunks and the default stand-in scorer (--attention-seed 0,
         # --attention-hidden 16)
         frames = data.load_sequence(dataset / "audio" / f"{vid}.fvsq").frames
-        query, _ = chunk_query(frames, random_attention_params(128, 16, 16, seed=0), 3, 1)
+        query, _, _ = chunk_query(frames, random_attention_params(128, 16, 16, seed=0), 3, 1)
         assert not np.allclose(query, frames.mean(axis=0, dtype=np.float64))  # the mean-mode query would not pass
         embed_audio, _ = embedders(load_model(artifacts["model"]))
         want = rank(load_index(artifacts["index"]), embed_audio(query[None])[0], n=5, query_id=vid)
@@ -432,6 +454,28 @@ class TestTrainIndexQuery:
         data.write_manifest(data.Manifest(entries), tmp_path / "manifest.jsonl")
         assert run("train", "--dataset", tmp_path, "--method", "cca", "--r", 2, "--out", tmp_path / "m.model") == 0
         assert capsys.readouterr().err == err
+
+    def test_index_labels_lacking_a_video_exit_2(self, artifacts, dataset, tmp_path, capsys):
+        labels, out = tmp_path / "labels.jsonl", tmp_path / "videos.index"
+        labels.write_text("".join(artifacts["assignments"].read_text().splitlines(keepends=True)[1:]))
+        err = fails(capsys, 2, "index", "--dataset", dataset, "--model", artifacts["model"], "--labels", labels,
+                    "--out", out)
+        assert "assignments file lacks labels for ['mv00000'] ..." in err
+        assert not out.exists()
+
+    def test_singular_covariance_exits_3(self, dataset, tmp_path, capsys):
+        # 36 rows of 128-d audio and no ridge
+        err = fails(capsys, 3, "train", "--dataset", dataset, "--method", "cca", "--r", 4, "--reg", 0,
+                    "--out", tmp_path / "m.model")
+        assert "covariance of 128 dimensions from 36 rows is rank deficient; pass reg > 0" in err
+        assert not (tmp_path / "m.model").exists()
+
+    def test_diverged_deep_training_exits_3(self, dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(deep, "_objective_and_grad", lambda fa, fv, r, reg: (np.nan, fa, fv))
+        err = fails(capsys, 3, "train", "--dataset", dataset, "--method", "dcca", "--r", 4, "--batch-size", 18,
+                    "--epochs", 1, "--audio-layers", "16,8", "--visual-layers", "16,8", "--out", tmp_path / "m.model")
+        assert "non-finite objective at epoch 0, batch 0" in err
+        assert not (tmp_path / "m.model").exists()
 
     def test_kcca_cap_guard_advice(self):
         big = np.zeros((3000, 2))
@@ -704,10 +748,7 @@ class TestQueryModeCheckedFirst:
 
 def _edit_header(src: Path, dst: Path, edit) -> Path:
     """Copy a model/index file with its JSON header bytes replaced by edit(header bytes)."""
-    raw = src.read_bytes()
-    (length,) = struct.unpack("<I", raw[5:9])
-    new = edit(raw[9 : 9 + length])
-    dst.write_bytes(raw[:5] + struct.pack("<I", len(new)) + new + raw[9 + length :])
+    dst.write_bytes(edit_header(src.read_bytes(), edit))
     return dst
 
 
@@ -823,6 +864,13 @@ class TestCorruptArtifacts:
         model = tmp_path / "bad.model"
         model.write_bytes(bytes(raw))
         self._query_fails_cleanly(dataset, capsys, artifacts["index"], model)
+
+    def test_deep_layer_count_beyond_the_blocks(self, deep_artifacts, dataset, tmp_path, capsys):
+        # rejected by the file's block count before a block name is built for each layer
+        model = _edit_header(deep_artifacts["model"], tmp_path / "bad.model",
+                             _edit_json(lambda obj: obj.update(n_audio_layers=2**62)))
+        err = fails(capsys, 2, "index", "--dataset", dataset, "--model", model, "--out", tmp_path / "i.index")
+        assert f"dcca model header key 'n_audio_layers' is {2**62}, but the file holds 12 blocks" in err
 
     def test_index_header_without_count(self, artifacts, dataset, tmp_path, capsys):
         index = _edit_header(artifacts["index"], tmp_path / "bad.index", _edit_json(lambda obj: obj.pop("count")))
@@ -979,7 +1027,13 @@ class TestJsonTypesAndFileSlots:
         (lambda obj: obj.update(bias=[v > 0 for v in obj["bias"]]), "key 'bias' must be an array of numbers"),
         (lambda obj: obj.update(version=1.0), "key 'version' must be int, got 1.0"),
         (lambda obj: obj.update(w_out=[[v, -v] for v in obj["w_out"]]), "w_out and bias must be vectors"),
-    ], ids=["w-out-strings", "bias-bools", "version-float", "w-out-matrix"])
+        (lambda obj: obj.update(version=2), "key 'version' is 2; only version 1 is supported"),
+        (lambda obj: obj.update(bias=json.loads("[" * 40 + json.dumps(obj["bias"]) + "]" * 40)),
+         "w_out and bias must be vectors"),
+        (lambda obj: obj.update(bias=json.loads("[" * 100 + json.dumps(obj["bias"]) + "]" * 100)),
+         "key 'bias' must be an array of numbers"),
+    ], ids=["w-out-strings", "bias-bools", "version-float", "w-out-matrix", "version-2", "bias-nested-40-deep",
+            "bias-nested-100-deep"])
     def test_attention_weights_typed_and_shaped(self, dataset, tmp_path, capsys, change, message):
         weights = tmp_path / "weights.json"
         save_attention_params(random_attention_params(128, 16, 16, seed=0), weights)
@@ -1153,8 +1207,9 @@ class TestConfigFile:
         (b'{"seed": null}', "config key 'seed' must be int, got null"),
         (b'{"epochs": "many"}', "config key 'epochs' must be int, got \"many\""),
         (b'{"method": 3}', "config key 'method' must be one of"),
+        (b"[" * 100_000, "run.json:1: invalid JSON config: nested too deeply"),
     ], ids=["not-object", "not-utf8", "unknown-key", "int-given-float", "int-given-bool",
-            "null-without-null-default", "int-given-string", "choice-given-number"])
+            "null-without-null-default", "int-given-string", "choice-given-number", "nested-100000-deep"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(content)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from avembed import blockio
-from avembed.attention import attention_distribution, random_attention_params, select_top_k
+from avembed.attention import attention_distribution, bilstm_states, random_attention_params, score_states, select_top_k
 from avembed.data import (
     Manifest,
     ManifestEntry,
@@ -31,7 +31,7 @@ from avembed.pipeline import (
     seed_sets_from_labels,
     train_method,
 )
-from oracles import chunk_query, lstm_step
+from oracles import chained_steps, chunk_query
 
 CFG = SynthConfig(n_videos=40, n_clusters=4, latent_dim=6, noise_std=0.1, seed=0)
 # the eval sweep's chunk modes
@@ -123,11 +123,11 @@ class TestChunkPools:
         assert len(videos) == len(scored)
         for i, (_, audio, _, _) in enumerate(videos):
             for c, k in CHUNK_MODES:
-                vector, sel = chunk_query(audio.frames, params, c, k)
+                vector, selected, scores = chunk_query(audio.frames, params, c, k)
                 rows = scored.chunk_queries[c, k]
                 assert np.array_equal(rows.vectors[i], vector)
-                assert rows.selected[i].tolist() == sel.selected_indices
-                assert np.array_equal(rows.scores[i], sel.scores)
+                assert np.array_equal(rows.selected[i], selected)
+                assert np.array_equal(rows.scores[i], scores)
 
     def test_working_set_is_bounded_by_one_video(self, tmp_path):
         # 60 clips of 30 s and one 10-minute video: chunk pools padded to the longest video's
@@ -152,9 +152,9 @@ class TestChunkPools:
         assert peak < n * t_max * d * 12
         # and the long video's rows are the ones its own pools give
         for c, k in CHUNK_MODES:
-            vector, sel = chunk_query(audio.frames, random_attention_params(128, seed=0), c, k)
+            vector, selected, _ = chunk_query(audio.frames, random_attention_params(128, seed=0), c, k)
             assert np.array_equal(got.chunk_queries[c, k].vectors[-1], vector)
-            assert got.chunk_queries[c, k].selected[-1].tolist() == sel.selected_indices
+            assert np.array_equal(got.chunk_queries[c, k].selected[-1], selected)
 
     def test_video_longer_than_its_manifest_line_is_rejected(self, on_disk, tmp_path):
         # every line says 3 s: each video's files contradict it
@@ -216,8 +216,10 @@ class TestQueryMatrix:
         params = random_attention_params(128, seed=2)
         cfg = SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3)
         _, audio, _, _ = next(iter_synth_videos(cfg))
-        rep, sel = chunk_query(audio.frames, params, 3, 2)
-        assert sel.distribution.shape == (69,)
+        rep, selected, scores = chunk_query(audio.frames, params, 3, 2)
+        # the same as the first 69 chunks' 207 frames give
+        truncated = chunk_query(audio.frames[:207], params, 3, 2)
+        assert all(np.array_equal(a, b) for a, b in zip((rep, selected, scores), truncated))
         assert rep.shape == (128,)
         got = prepare_synthetic(cfg, modes=[(3, 2)], scorer=lambda dim: params)
         assert np.array_equal(query_matrix(got, (3, 2))[0], rep)
@@ -229,30 +231,17 @@ class TestQueryMatrix:
         params = random_attention_params(128, seed=0)
         corpus = prepare_synthetic(cfg, modes=CHUNK_MODES, scorer=lambda dim: params)
 
-        def per_step(feats, c, k):
-            def run(seq, lstm):
-                h, cell, out = np.zeros(lstm.hidden_dim), np.zeros(lstm.hidden_dim), []
-                for x in seq:
-                    h, cell = lstm_step(x, h, cell, lstm)
-                    out.append(h)
-                return out
-
-            fwd = run(feats, params.forward_lstm)
-            bwd = run(feats[::-1], params.backward_lstm)[::-1]
-            u = [
-                params.w_out @ np.tanh(params.w_forward @ a + params.w_backward @ b + params.bias)
-                for a, b in zip(fwd, bwd)
-            ]
-            return select_top_k(attention_distribution(np.array(u)), c, k)
-
         for i, (_, audio, _, _) in enumerate(iter_synth_videos(cfg)):
             _, maxes = pool_chunks(audio.frames, 3)
             for c, k in CHUNK_MODES:
-                got = chunk_selection_for(maxes, params, c, k)
-                ref = per_step(maxes[: (maxes.shape[0] // c) * c], c, k)
-                assert got.selected_indices == ref.selected_indices
-                assert corpus.chunk_queries[c, k].selected[i].tolist() == ref.selected_indices
-                np.testing.assert_allclose(got.distribution, ref.distribution, rtol=0, atol=1e-12)
+                feats = maxes[: (maxes.shape[0] // c) * c]
+                theta = attention_distribution(score_states(bilstm_states(feats, params), params))
+                ref_theta = attention_distribution(chained_steps(feats, params)[1])
+                ref, _ = select_top_k(ref_theta, c, k)
+                got, _ = chunk_selection_for(maxes, params, c, k)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(corpus.chunk_queries[c, k].selected[i], ref)
+                np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c, k", [(0, 0), (3, 0), (3, 4)])
     def test_top_k_outside_one_to_c_rejected(self, c, k):

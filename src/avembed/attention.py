@@ -51,7 +51,7 @@ class LstmParams:
                             "w_c": (self.w_c, "phh"), "b": (self.b, "gh")})
         if (len(self.w_x), len(self.w_c)) != (len(_GATES), len(_PEEPHOLE_GATES)):
             raise ValueError(f"an LSTM direction has 4 gates and 3 peepholes, got {len(self.w_x)} and {len(self.w_c)}")
-        if not all(np.all(np.isfinite(a)) for a in (self.w_x, self.w_h, self.w_c, self.b)):
+        if not all(blockio.all_finite(a) for a in (self.w_x, self.w_h, self.w_c, self.b)):
             raise ValidationError("non-finite LSTM parameter")
 
     @property
@@ -154,7 +154,7 @@ def score_states(states: np.ndarray, p: AttentionParams) -> np.ndarray:
 def attention_distribution(u: np.ndarray) -> np.ndarray:
     """Softmax with max-subtraction for stability."""
     u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
+    if not blockio.all_finite(u):
         raise ValidationError("non-finite attention scores")
     shifted = u - u.max()
     e = np.exp(shifted)

@@ -17,8 +17,9 @@ once.
 dtype codes: 0 = float32, 1 = float64, 2 = int64. Payloads are row-major, and a
 float payload holding NaN or Inf is corrupt.
 
-all_finite is the one finite check of a float payload, here and of FVSQ frames
-(data.FeatureSequence). It takes the BLAS dot of the payload with itself: every
+all_finite is the one finite check of a float array: of a payload here, of FVSQ
+frames (data.FeatureSequence), of the views a CCA fit takes and of attention
+weights and scores. It takes the BLAS dot of the payload with itself: every
 square is >= 0, so a NaN or an infinity makes the dot NaN or +inf, and a finite
 dot proves every value finite at about the cost of one read of the memory. Only
 a dot that is not finite, which finite values whose squares overflow also give,

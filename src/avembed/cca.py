@@ -118,7 +118,7 @@ def _paired_views(x: np.ndarray, y: np.ndarray, r: int | None = None) -> tuple[n
     for name, a in (("x", x), ("y", y)):
         if a.ndim != 2:
             raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not blockio.all_finite(a):
             raise ValueError(f"{name} contains non-finite values")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"views must pair rows: {x.shape[0]} vs {y.shape[0]}")

@@ -312,7 +312,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_index(cfg: dict) -> int:
     prepared = pl.prepare_dataset(cfg["dataset"])
-    _, embed_visual = pl.embedders(pl.load_model(cfg["model"]))
+    _, embed_visual = pl.embedders(pl.load_model(cfg["model"]), f"model {cfg['model']}")
     labels = _labels_for(prepared, cfg)
     index = rt.build_index(embed_visual(prepared.visual), labels, prepared.ids)
     rt.save_index(index, cfg["out"])
@@ -331,7 +331,7 @@ def cmd_query(cfg: dict) -> int:
         raise ValidationError(
             f"model {cfg['model']} embeds in {model.r} dimensions, index {cfg['index']} holds {index.r}"
         )
-    embed_audio, _ = pl.embedders(model)
+    embed_audio, _ = pl.embedders(model, f"model {cfg['model']}")
     query_vec = embed_audio(pl.query_matrix(prepared, mode))[0]
     ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:

@@ -88,48 +88,44 @@ def seeded_kmeans(
         centroids[i] = arr.mean(axis=0)
 
     labels = np.full(x.shape[0], -1, dtype=np.int64)
-    inertia = np.inf
+    rows = np.arange(x.shape[0])
     history: list[float] = []
-    iterations = 0
     for _ in range(max_iter):
         dists = _sq_distances(x, centroids)
         new_labels = np.argmin(dists, axis=1)  # argmin takes the first minimum: lower index wins ties
-        new_inertia = float(dists[np.arange(x.shape[0]), new_labels].sum())
-        iterations += 1
-        history.append(new_inertia)
-        converged_labels = bool(np.array_equal(new_labels, labels))
-        improved = inertia - new_inertia
+        history.append(float(dists[rows, new_labels].sum()))
+        converged = np.array_equal(new_labels, labels) or (len(history) > 1 and history[-2] - history[-1] < tol)
         labels = new_labels
-        inertia = new_inertia
-        if converged_labels or improved < tol:
+        if converged:
             break
-        taken: list[int] = []
-        for i in range(k):
-            members = x[labels == i]
-            if members.shape[0] > 0:
-                centroids[i] = members.mean(axis=0)
-            else:
-                far = np.einsum("ij,ij->i", x - centroids[i], x - centroids[i])
-                far[taken] = -np.inf
-                j = int(np.argmax(far))
-                taken.append(j)
-                centroids[i] = x[j]
+        _recentre(x, labels, centroids, reseed=True)
 
     # final centroids are the means of the final assignment
-    for i in range(k):
-        members = x[labels == i]
-        if members.shape[0] > 0:
-            centroids[i] = members.mean(axis=0)
+    _recentre(x, labels, centroids, reseed=False)
     dists = _sq_distances(x, centroids)
-    inertia = float(dists[np.arange(x.shape[0]), labels].sum())
     return ClusterModel(
         k=k,
         centroids=centroids,
         labels=labels,
-        inertia=inertia,
-        iterations_run=iterations,
+        inertia=float(dists[rows, labels].sum()),
+        iterations_run=len(history),
         inertia_history=history,
     )
+
+
+def _recentre(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray, reseed: bool) -> None:
+    """Each centroid, in place, to the mean of its points; an empty cluster's stays, or if reseed
+    moves to the point farthest from it that no cluster emptied before it in this call took."""
+    taken: list[int] = []
+    for i in range(centroids.shape[0]):
+        members = x[labels == i]
+        if members.shape[0] > 0:
+            centroids[i] = members.mean(axis=0)
+        elif reseed:
+            far = np.einsum("ij,ij->i", x - centroids[i], x - centroids[i])
+            far[taken] = -np.inf
+            taken.append(int(np.argmax(far)))
+            centroids[i] = x[taken[-1]]
 
 
 def expand_pairs(

@@ -10,11 +10,12 @@ are read into one buffer per modality that the pass owns and reuses. Working
 memory is therefore O(n·d) for the corpus plus one video's frames and pools,
 whatever the spread of lengths.
 
-load_video is the one check of a video against its manifest line: both files
-hold the named modality, as many frames as each other and as `length_sec`
-says. Every command reads its videos through it, so each one rejects what
-`ingest` rejects. A pass may read and check videos that it does not pool:
-`query` checks the whole corpus and pools only the queried video.
+load_video is the one check of a video against its manifest line and the
+corpus: both files hold the named modality, as many frames as each other and
+as `length_sec` says, and features of the first video's dims. Every command
+reads its videos through it, so each one rejects what `ingest` rejects. A
+pass may read and check videos that it does not pool: `query` checks the
+whole corpus and pools only the queried video.
 """
 
 from __future__ import annotations
@@ -80,14 +81,16 @@ class PreparedDataset:
 
 
 def load_video(
-    root: str, entry: ManifestEntry, into: tuple[blockio.Buffer, blockio.Buffer]
+    root: str, entry: ManifestEntry, into: tuple[blockio.Buffer, blockio.Buffer], dims: tuple[int, int] | None = None
 ) -> tuple[FeatureSequence, FeatureSequence]:
     """The entry's (audio, visual) sequences, read from its paths under root into the (audio,
     visual) buffers of into; ValidationError if a file holds the other modality, the two hold
-    different frame counts or not the entry's length_sec."""
+    different frame counts or not the entry's length_sec, or, given dims, those of the corpus's
+    first video, if the video's (audio, visual) feature dims differ from them."""
     audio = load_sequence(os.path.join(root, entry.audio_path), into=into[0])
     visual = load_sequence(os.path.join(root, entry.visual_path), into=into[1])
-    for seq, side in ((audio, "audio"), (visual, "visual")):
+    sides = (("audio", audio), ("visual", visual))
+    for side, seq in sides:
         if seq.modality != side:
             raise ValidationError(f"{entry.video_id!r}: its {side}_path holds a {seq.modality} sequence")
     if audio.n_frames != visual.n_frames:
@@ -99,20 +102,13 @@ def load_video(
         raise ValidationError(
             f"{entry.video_id!r}: manifest says {entry.length_sec}s but file holds {audio.n_frames} frames"
         )
-    return audio, visual
-
-
-def _check_feature_dims(
-    dims: tuple[int, int], video_id: str, audio: FeatureSequence, visual: FeatureSequence
-) -> None:
-    """ValidationError naming the video, the modality and both dims unless the video's
-    (audio, visual) feature dims equal dims, those of the corpus's first video."""
-    for side, seq, want in (("audio", audio, dims[0]), ("visual", visual, dims[1])):
+    for (side, seq), want in zip(sides, dims or ()):
         if seq.dim != want:
             raise ValidationError(
-                f"{video_id!r}: {side} features are {seq.dim}-d but the first video's are "
+                f"{entry.video_id!r}: {side} features are {seq.dim}-d but the first video's are "
                 f"{want}-d; every video must share the feature dims"
             )
+    return audio, visual
 
 
 def prepare_dataset(
@@ -150,17 +146,16 @@ def prepare_dataset(
 
 def _read_videos(root: str, entries: Sequence[ManifestEntry], wanted: set[str] | None):
     """(entry, audio, visual, label) for each of the entries in wanted (None: all), in order,
-    after every entry is read through load_video and checked for the first one's feature dims.
+    after every entry is read and checked through load_video, given the first one's feature dims.
 
     Frames are read into one buffer per modality that this pass owns, so a video's frames hold
     only until the next video is read, and no payload gets memory of its own.
     """
     into = blockio.Buffer(), blockio.Buffer()
-    for i, entry in enumerate(entries):
-        audio, visual = load_video(root, entry, into)
-        if i == 0:
-            dims = audio.dim, visual.dim
-        _check_feature_dims(dims, entry.video_id, audio, visual)
+    dims = None
+    for entry in entries:
+        audio, visual = load_video(root, entry, into, dims)
+        dims = audio.dim, visual.dim  # the first video's: every later one was checked against them
         if wanted is None or entry.video_id in wanted:
             yield entry, audio, visual, entry.label
 
@@ -339,28 +334,35 @@ def train_method(
     return model
 
 
-# model class -> (its module, embed function, save function); the functions are looked up
-# through the module on every call, so a function rebound there later is the one that runs
+# model class -> (its module, embed function, save function, (audio, visual) input widths); the
+# functions are looked up through the module on every call, so one rebound there later is the one that runs
 _MODEL_KINDS = {
-    deep_mod.DeepModel: (deep_mod, "embed", "save_deep_model"),
-    cca_mod.KernelModel: (cca_mod, "kernel_project", "save_cca_model"),
-    cca_mod.LinearProjection: (cca_mod, "project", "save_cca_model"),
+    deep_mod.DeepModel: (deep_mod, "embed", "save_deep_model", lambda m: (
+        m.audio_branch.weights[0].shape[0], m.visual_branch.weights[0].shape[0])),
+    cca_mod.KernelModel: (cca_mod, "kernel_project", "save_cca_model", lambda m: (
+        m.train_x.shape[1], m.train_y.shape[1])),
+    cca_mod.LinearProjection: (cca_mod, "project", "save_cca_model", lambda m: (m.wx.shape[0], m.wy.shape[0])),
 }
 
 
-def embedders(model) -> tuple[EmbedFn, EmbedFn]:
-    """(audio embedder, visual embedder) of a fitted or loaded model of any method."""
-    module, embed_name, _ = _MODEL_KINDS[type(model)]
+def embedders(model, name: str = "the model") -> tuple[EmbedFn, EmbedFn]:
+    """(audio embedder, visual embedder) of a fitted or loaded model of any method; features of
+    another width than the model's side takes are a ValidationError naming the model as name."""
+    module, embed_name, _, widths = _MODEL_KINDS[type(model)]
 
-    def embed(m: np.ndarray, side: str) -> np.ndarray:
-        return getattr(module, embed_name)(model, np.atleast_2d(m), side)
+    def embed(m: np.ndarray, side: str, width: int) -> np.ndarray:
+        m = np.atleast_2d(m)
+        if m.shape[1] != width:
+            raise ValidationError(f"{name} takes {width}-d {side} features, the dataset's are {m.shape[1]}-d")
+        return getattr(module, embed_name)(model, m, side)
 
-    return (lambda m: embed(m, "audio")), (lambda m: embed(m, "visual"))
+    audio_width, visual_width = widths(model)
+    return (lambda m: embed(m, "audio", audio_width)), (lambda m: embed(m, "visual", visual_width))
 
 
 def save_model(model, path: str | Path, extra: dict | None = None) -> None:
     """Write a fitted model of any method; extra is echoed in its header."""
-    module, _, save_name = _MODEL_KINDS[type(model)]
+    module, _, save_name, _ = _MODEL_KINDS[type(model)]
     getattr(module, save_name)(model, path, extra=extra)
 
 

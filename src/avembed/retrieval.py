@@ -44,12 +44,9 @@ class RankedList:
 
 
 def build_index(embeddings: np.ndarray, labels: np.ndarray, ids: list[str]) -> EmbeddingIndex:
-    """Index sorted by video_id with cached norms."""
+    """Index sorted by video_id with cached norms; ValidationError on a repeated id or a zero or non-finite norm."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    if len(ids) == 0:
-        return EmbeddingIndex(ids=[], embeddings=embeddings.reshape(0, embeddings.shape[-1]),
-                              labels=labels.reshape(0), norms=np.empty(0))
     if embeddings.shape[0] != len(ids) or labels.shape[0] != len(ids):
         raise ValueError("embeddings, labels, and ids must align")
     if len(set(ids)) != len(ids):
@@ -76,8 +73,6 @@ def rank(index: EmbeddingIndex, query: np.ndarray, n: int, query_id: str = "") -
     """Top-n entries by cosine similarity; n beyond the index size returns all."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if len(index) == 0:
-        return RankedList(query_id=query_id, items=[])
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.r,):
         raise ValueError(f"query width {query.shape} does not match index width {index.r}")
@@ -102,6 +97,7 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
+    """The index saved at path, built by build_index; a CorruptFileError if it fails a check there."""
     with blockio.Reader(path) as reader:
         header = blockio.read_header(reader, _INDEX_MAGIC)
         name, embeddings = blockio.read_array_block(reader)
@@ -113,8 +109,7 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     ids, labels = list(table), np.fromiter(table.values(), np.int64, len(table))
     if len(ids) != count or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
-    norms = _norm(embeddings, axis=1)
-    if not np.isfinite(norms).all():
-        named = [ids[i] for i in np.flatnonzero(~np.isfinite(norms))[:5]]
-        raise CorruptFileError(f"{path}: the embeddings of {named} have a norm beyond float64's range")
-    return EmbeddingIndex(ids=ids, embeddings=embeddings, labels=labels, norms=norms)
+    try:
+        return build_index(embeddings, labels, ids)
+    except ValidationError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from exc

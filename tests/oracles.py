@@ -1,10 +1,12 @@
 """Reference implementations that the library's array paths are tested against."""
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
 from avembed.attention import LstmParams
+from avembed.clustering import ClusterModel, _sq_distances
 from avembed.data import pool_chunks
 from avembed.deep import _sigmoid
 from avembed.errors import UndefinedSimilarityError
@@ -136,3 +138,79 @@ def cross_validate_folds(audio, visual, labels, ids, fit, fold_indices, pr_strid
 
     pr_points = [(s, p / count, r / count) for s, (p, r, count) in sorted(pr_sums.items())]
     return per_query_ap, per_fold_map, pr_points, mean_ap(per_fold_map)
+
+
+# seeded_kmeans as it was written with one centroid-update loop inside the iterations and
+# another after them, kept verbatim as the reference of the one that recentres in one place
+def seeded_kmeans(
+    features: np.ndarray,
+    seeds: Sequence[np.ndarray],
+    max_iter: int = 100,
+    tol: float = 1e-8,
+) -> ClusterModel:
+    """Lloyd iterations from seeded centroids (centroid i = mean of seed set i).
+
+    Assignment ties go to the lower centroid index. An emptied cluster is
+    re-seeded to the point farthest from its former centroid rather than
+    dropped, so k stays fixed.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-d matrix")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    k = len(seeds)
+    if k < 1:
+        raise ValueError("need at least one seed set")
+    if x.shape[0] < k:
+        raise ValueError(f"need at least k={k} points, got {x.shape[0]}")
+    centroids = np.empty((k, x.shape[1]))
+    for i, seed_set in enumerate(seeds):
+        arr = np.atleast_2d(np.asarray(seed_set, dtype=np.float64))
+        if arr.shape[0] < 1 or arr.shape[1] != x.shape[1]:
+            raise ValueError(f"seed set {i} must hold >= 1 vector of dim {x.shape[1]}")
+        centroids[i] = arr.mean(axis=0)
+
+    labels = np.full(x.shape[0], -1, dtype=np.int64)
+    inertia = np.inf
+    history: list[float] = []
+    iterations = 0
+    for _ in range(max_iter):
+        dists = _sq_distances(x, centroids)
+        new_labels = np.argmin(dists, axis=1)  # argmin takes the first minimum: lower index wins ties
+        new_inertia = float(dists[np.arange(x.shape[0]), new_labels].sum())
+        iterations += 1
+        history.append(new_inertia)
+        converged_labels = bool(np.array_equal(new_labels, labels))
+        improved = inertia - new_inertia
+        labels = new_labels
+        inertia = new_inertia
+        if converged_labels or improved < tol:
+            break
+        taken: list[int] = []
+        for i in range(k):
+            members = x[labels == i]
+            if members.shape[0] > 0:
+                centroids[i] = members.mean(axis=0)
+            else:
+                far = np.einsum("ij,ij->i", x - centroids[i], x - centroids[i])
+                far[taken] = -np.inf
+                j = int(np.argmax(far))
+                taken.append(j)
+                centroids[i] = x[j]
+
+    # final centroids are the means of the final assignment
+    for i in range(k):
+        members = x[labels == i]
+        if members.shape[0] > 0:
+            centroids[i] = members.mean(axis=0)
+    dists = _sq_distances(x, centroids)
+    inertia = float(dists[np.arange(x.shape[0]), labels].sum())
+    return ClusterModel(
+        k=k,
+        centroids=centroids,
+        labels=labels,
+        inertia=inertia,
+        iterations_run=iterations,
+        inertia_history=history,
+    )

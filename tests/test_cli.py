@@ -15,7 +15,7 @@ from avembed.cli import _DEFAULTS, build_parser, main
 from avembed.data import load_manifest, filter_manifest
 from avembed.deep import load_deep_model
 from avembed.pipeline import embedders, load_model
-from avembed.retrieval import load_index, rank, save_index
+from avembed.retrieval import EmbeddingIndex, load_index, rank, save_index
 from conftest import edit_header
 from oracles import chunk_query
 
@@ -333,6 +333,19 @@ class TestTrainIndexQuery:
                    "--model", artifacts["model"], "--video-id", "mv00007", "-n", 3) == 0
         top = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert top["video_id"] == "mv00007"
+
+    def test_index_written_with_descending_ids_lists_a_tie_by_ascending_id(self, artifacts, dataset, tmp_path,
+                                                                             capsys):
+        index = load_index(artifacts["index"])
+        index.embeddings[5] = index.embeddings[2]  # mv00002 and mv00005 tie for every query
+        path = tmp_path / "descending.index"
+        save_index(EmbeddingIndex(index.ids[::-1], index.embeddings[::-1], index.labels[::-1], index.norms[::-1]),
+                   path)
+        assert path.read_bytes().index(b'"mv00005"') < path.read_bytes().index(b'"mv00002"')
+        assert run("query", "--dataset", dataset, "--index", path, "--model", artifacts["model"],
+                   "--video-id", "mv00003", "-n", 36) == 0
+        ids = [json.loads(line)["video_id"] for line in capsys.readouterr().out.splitlines()]
+        assert ids.index("mv00005") == ids.index("mv00002") + 1
 
     def test_model_and_index_of_different_widths_rejected(self, artifacts, deep_artifacts, dataset, capsys):
         # an r=4 model against the r=8 index
@@ -658,18 +671,20 @@ class TestFeatureDims:
     def corpus(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("dims") / "data"
         assert run("synth", "--out", root, "--videos", 12, "--clusters", 3, "--latent-dim", 4, "--seed", 3) == 0
-        model = root.parent / "cca.model"
+        model, index = root.parent / "cca.model", root.parent / "videos.index"
         assert run("train", "--dataset", root, "--method", "cca", "--r", 4, "--out", model) == 0
-        return root, model
+        assert run("index", "--dataset", root, "--model", model, "--out", index) == 0
+        return root, model, index
 
     @staticmethod
-    def _cut(corpus, tmp_path, side, dim) -> Path:
-        """A copy of the corpus whose mv00004 has only the first dim columns on the given side."""
+    def _cut(corpus, tmp_path, side, dim, videos="mv00004") -> Path:
+        """A copy of the corpus whose videos matching the glob videos have only the first dim
+        columns on the given side."""
         root = tmp_path / "data"
         shutil.copytree(corpus, root)
-        path = root / side / "mv00004.fvsq"
-        seq = data.load_sequence(path)
-        data.write_sequence(data.FeatureSequence(seq.video_id, side, seq.frames[:, :dim]), path)
+        for path in (root / side).glob(f"{videos}.fvsq"):
+            seq = data.load_sequence(path)
+            data.write_sequence(data.FeatureSequence(seq.video_id, side, seq.frames[:, :dim]), path)
         return root
 
     @pytest.mark.parametrize("side, dim, argv", [
@@ -686,6 +701,18 @@ class TestFeatureDims:
         err = fails(capsys, 2, command, "--dataset", root, *rest)
         full = 128 if side == "audio" else 1024
         assert f"'mv00004': {side} features are {dim}-d but the first video's are {full}-d" in err
+
+    @pytest.mark.parametrize("side, dim, argv", [
+        ("audio", 64, "query --index {index} --model {model} --video-id mv00003 -n 3"),
+        ("visual", 512, "index --model {model} --out {out}/videos.index"),
+    ], ids=["query", "index"])
+    def test_model_of_another_width_than_the_dataset_exits_2(self, corpus, tmp_path, capsys, side, dim, argv):
+        # every video cut alike: the corpus agrees with itself, and not with the model trained on it
+        root = self._cut(corpus[0], tmp_path, side, dim, videos="*")
+        command, *rest = argv.format(out=tmp_path, model=corpus[1], index=corpus[2]).split()
+        err = fails(capsys, 2, command, "--dataset", root, *rest)
+        full = 128 if side == "audio" else 1024
+        assert f"model {corpus[1]} takes {full}-d {side} features, the dataset's are {dim}-d" in err
 
 
 class TestManifestLengthContract:
@@ -849,12 +876,19 @@ class TestCorruptArtifacts:
         err = self._query_fails_cleanly(dataset, capsys, tmp_path / "bad.index", artifacts["model"])
         assert "block 'embeddings' holds NaN or Inf" in err
 
+    def test_index_embedding_of_zero_norm(self, artifacts, dataset, tmp_path, capsys):
+        index = load_index(artifacts["index"])
+        index.embeddings[3] = 0.0
+        save_index(index, tmp_path / "bad.index")
+        err = self._query_fails_cleanly(dataset, capsys, tmp_path / "bad.index", artifacts["model"])
+        assert f"{tmp_path / 'bad.index'}: zero-norm embeddings cannot be indexed: ['{index.ids[3]}']" in err
+
     def test_index_embedding_norm_overflows(self, artifacts, dataset, tmp_path, capsys):
         index = load_index(artifacts["index"])
         index.embeddings[5, 0] = 1e300
         save_index(index, tmp_path / "bad.index")
         err = self._query_fails_cleanly(dataset, capsys, tmp_path / "bad.index", artifacts["model"])
-        assert f"{tmp_path / 'bad.index'}: the embeddings of ['{index.ids[5]}'] have a norm beyond" in err
+        assert f"{tmp_path / 'bad.index'}: non-finite-norm embeddings cannot be indexed: ['{index.ids[5]}']" in err
         assert "Warning" not in err
 
     def test_model_block_name_not_utf8(self, artifacts, dataset, tmp_path, capsys):

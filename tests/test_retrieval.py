@@ -91,7 +91,8 @@ class TestBuildIndex:
         index.embeddings[4, 0] = 1e300
         path = tmp_path / "index.avix"
         save_index(index, path)
-        with pytest.raises(CorruptFileError, match=f"{path}: the embeddings of \\['{index.ids[4]}'\\]"):
+        with pytest.raises(CorruptFileError,
+                           match=f"{path}: non-finite-norm embeddings cannot be indexed: \\['{index.ids[4]}'\\]"):
             load_index(path)
 
 

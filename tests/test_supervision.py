@@ -10,6 +10,7 @@ from avembed.clustering import (
     seeded_kmeans,
 )
 from avembed.errors import ValidationError
+import oracles
 
 
 def make_blobs(k=10, per_cluster=100, dim=16, noise_std=0.1, sep_factor=14.0, seed=0):
@@ -23,6 +24,36 @@ def make_blobs(k=10, per_cluster=100, dim=16, noise_std=0.1, sep_factor=14.0, se
     labels = np.repeat(np.arange(k), per_cluster)
     points = centroids[labels] + noise_std * rng.normal(size=(k * per_cluster, dim))
     return points, labels, centroids
+
+
+def _two_blobs(*far):
+    """Six points around the origin and six around (4, 4, 4), seeded by two of each and, between
+    them, by one point at each value of far."""
+    rng = np.random.default_rng(1)
+    x = np.vstack([c + 0.3 * rng.normal(size=(6, 3)) for c in (np.zeros(3), np.full(3, 4.0))])
+    return x, [x[:2], *(np.full((1, 3), v) for v in far), x[6:8]], {}
+
+
+def _gaussian(**options):
+    x = np.random.default_rng(3).normal(size=(40, 4))
+    return x, [x[i::10][:2] for i in range(4)], options
+
+
+# name -> (features, seed sets, options) of seeded_kmeans; each case ends its iterations in its own
+# way, and the first two reach the reseed of an emptied cluster, which no program run is known to reach
+_KMEANS_CASES = {
+    # the seed at 50 takes no point in the first step and is reseeded; then the labels repeat
+    "one-emptied": lambda: _two_blobs(50.0),
+    # the seeds at 50 and 60 both empty in the first step and share their farthest point, which
+    # the first takes, so the second is reseeded to the next farthest
+    "two-emptied-at-once": lambda: _two_blobs(50.0, 60.0),
+    # no improvement is below a tol of -inf: the labels repeating stops the run, after 5 steps
+    "labels-converge": lambda: _gaussian(tol=-np.inf),
+    # an improvement below 5.0 stops the run at step 4, while the labels still change
+    "tol-converges": lambda: _gaussian(tol=5.0),
+    # two steps run out before either test stops the run
+    "max-iter-reached": lambda: _gaussian(max_iter=2),
+}
 
 
 class TestSeededKmeans:
@@ -79,6 +110,15 @@ class TestSeededKmeans:
         model = seeded_kmeans(x, seeds)
         assert model.k == 3
         assert len(np.unique(model.labels)) >= 2
+
+    @pytest.mark.parametrize("case", list(_KMEANS_CASES))
+    def test_equals_the_two_loop_reference_to_the_bit(self, case):
+        x, seeds, options = _KMEANS_CASES[case]()
+        got, want = seeded_kmeans(x, seeds, **options), oracles.seeded_kmeans(x, seeds, **options)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert (got.k, got.inertia, got.inertia_history, got.iterations_run) == (
+            want.k, want.inertia, want.inertia_history, want.iterations_run)
 
     def test_argument_errors(self):
         x = np.random.default_rng(5).normal(size=(3, 2))

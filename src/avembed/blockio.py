@@ -247,35 +247,43 @@ def label_field(obj: dict, where: str, nullable: bool = False) -> int | None:
 NUMBERS = "an array of numbers"
 
 
-def _float_array(value) -> np.ndarray | None:
-    """A JSON list of finite numbers, nested to any regular shape, as a float64 array; None for anything else.
+def _finite_number(value) -> bool:
+    """Whether a JSON value is a finite number that float64 holds: RFC 8259 has no NaN or Infinity,
+    but json.loads reads them as floats, and an int may lie beyond float64's range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
-    RFC 8259 has no NaN or Infinity, but json.loads reads them as floats.
-    """
+
+def _float_array(value) -> np.ndarray | None:
+    """A JSON list of finite numbers, nested to any regular shape, as a float64 array; None for anything else."""
     if type(value) is not list:
         return None
     try:
         array = np.array(value, dtype=object)
-        # reshape, not .flat: numpy's flat iterator raises RuntimeError beyond 32 dims, and a list
-        # may nest up to numpy's 64
-        finite = all(type(v) in (int, float) and math.isfinite(v) for v in array.reshape(-1))
-    except (ValueError, OverflowError):  # a ragged nesting numpy cannot hold; an int beyond float64's range
+    except ValueError:  # a ragged nesting numpy cannot hold
         return None
-    return array.astype(np.float64) if finite else None
+    # reshape, not .flat: numpy's flat iterator raises RuntimeError beyond 32 dims, and a list
+    # may nest up to numpy's 64
+    return array.astype(np.float64) if all(_finite_number(v) for v in array.reshape(-1)) else None
 
 
 def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
     """obj[key] as kind (int, float, str, dict, NUMBERS, or a tuple of allowed values), else FormatError.
 
-    Types are exact, so bool is never an int; a float field also takes an int.
-    A NUMBERS field reads as a float64 array. A nullable field may also be null
-    or absent, and then reads as None.
+    Types are exact, so bool is never an int; a float field takes a finite int or float, as
+    each element of a NUMBERS field does, which reads as a float64 array. A nullable field may
+    also be null or absent, and then reads as None.
     """
     value = obj.get(key)
-    if type(value) is kind or (value is None and nullable):
+    if value is None and nullable:
         return value
-    if kind is float and type(value) is int:
-        return float(value)
+    if kind is float:
+        if _finite_number(value):
+            return float(value)
+    elif type(value) is kind:
+        return value
     if isinstance(kind, tuple) and value in kind:
         return value
     if kind is NUMBERS and (array := _float_array(value)) is not None:
@@ -283,6 +291,8 @@ def field(obj: dict, key: str, kind, where: str, nullable: bool = False):
     if key not in obj:
         raise FormatError(f"{where} lacks key {key!r}")
     expected = f"one of {list(kind)}" if isinstance(kind, tuple) else getattr(kind, "__name__", kind)
+    if kind is float:
+        expected += " (a finite number)"
     if nullable:
         expected += " or null"
     shown = json.dumps(value)

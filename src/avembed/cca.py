@@ -98,6 +98,7 @@ class KernelModel:
 
     def __post_init__(self) -> None:
         blockio.check_dims({name: (getattr(self, name), axes) for name, axes in self.AXES.items()})
+        _check_kernel(self.beta, self.kappa)
 
     @property
     def r(self) -> int:
@@ -108,6 +109,13 @@ def _check_ridge(name: str, reg: float) -> None:
     """ValueError unless reg is a finite number >= 0."""
     if not 0 <= reg < np.inf:
         raise ValueError(f"{name} must be a finite number >= 0, got {reg}")
+
+
+def _check_kernel(beta: float, kappa: float) -> None:
+    """ValueError unless the kernel width beta and the ridge kappa are finite numbers > 0."""
+    for name, value in (("beta", beta), ("kappa", kappa)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
 def _paired_views(x: np.ndarray, y: np.ndarray, r: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -384,8 +392,7 @@ def fit_kcca(
             f"KCCA solve is O(n^3); n={n} exceeds the cap of {KCCA_N_CAP}. "
             "Subsample the training pairs."
         )
-    if beta <= 0 or kappa <= 0:
-        raise ValueError("beta and kappa must be > 0")
+    _check_kernel(beta, kappa)
     kx = _kernel(x, x, kernel, beta)
     ky = _kernel(y, y, kernel, beta)
     col_means_x = kx.mean(axis=0)

@@ -150,7 +150,7 @@ def _attention_params(cfg: dict, input_dim: int) -> att.AttentionParams:
 
 
 def _prepare(
-    cfg: dict, modes: list[tuple[int, int]], ids: list[str] | None = None, check_all: bool = False
+    cfg: dict, modes: list[pl.Mode], ids: list[str] | None = None, check_all: bool = False
 ) -> pl.PreparedDataset:
     """The dataset (or its videos named by ids), each chunk mode of modes scored by the
     --attention-* scorer; see pipeline.prepare_dataset for check_all."""
@@ -275,7 +275,7 @@ def cmd_cluster(cfg: dict) -> int:
     return 0
 
 
-def _query_mode(cfg: dict) -> tuple[int, int] | str:
+def _query_mode(cfg: dict) -> pl.Mode:
     """--query-mode as 'mean' or a checked (c, k) chunk config; ValidationError if it is neither."""
     mode = cfg["query_mode"]
     if mode == "mean":
@@ -289,7 +289,7 @@ def _query_mode(cfg: dict) -> tuple[int, int] | str:
 
 def cmd_train(cfg: dict) -> int:
     mode = _query_mode(cfg)
-    prepared = _prepare(cfg, [] if mode == "mean" else [mode])
+    prepared = _prepare(cfg, [mode])
     method = cfg["method"]
     audio = pl.query_matrix(prepared, mode)
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
@@ -324,7 +324,7 @@ def cmd_query(cfg: dict) -> int:
     mode = _query_mode(cfg)
     vid = cfg["video_id"]
     # every video is read and checked, and only the queried one pooled and scored
-    prepared = _prepare(cfg, [] if mode == "mean" else [mode], [vid], check_all=True)
+    prepared = _prepare(cfg, [mode], [vid], check_all=True)
     index = rt.load_index(cfg["index"])
     model = pl.load_model(cfg["model"])
     if model.r != index.r:
@@ -354,8 +354,7 @@ def cmd_eval(cfg: dict) -> int:
         raise ValueError("pr_stride must be >= 1")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    chunk_modes = [mode for _, _, mode in pl.SWEEP_CONFIGS if mode != "mean"]
-    prepared = _prepare(cfg, chunk_modes)
+    prepared = _prepare(cfg, [mode for _, _, mode in pl.SWEEP_CONFIGS])
     labels = _labels_for(prepared, cfg)
     fit_kwargs = _fit_kwargs(cfg)
 

@@ -189,8 +189,6 @@ def video_level_visual(seq: FeatureSequence) -> np.ndarray:
     """Video-level visual feature: elementwise max over frames."""
     if seq.modality != "visual":
         raise ValueError(f"video_level_visual expects a visual sequence, got {seq.modality!r}")
-    if seq.n_frames == 0:
-        raise ValidationError("empty sequence")
     return seq.frames.max(axis=0).astype(np.float64)
 
 
@@ -226,8 +224,8 @@ class SynthConfig:
             raise ValueError(f"invalid length_range [{lo}, {hi}]")
 
 
-def iter_synth_videos(cfg: SynthConfig) -> Iterator[tuple[ManifestEntry, FeatureSequence, FeatureSequence, int]]:
-    """Yield (entry, audio, visual, true_label) one video at a time.
+def iter_synth_videos(cfg: SynthConfig) -> Iterator[tuple[ManifestEntry, FeatureSequence, FeatureSequence]]:
+    """Yield (entry, audio, visual) one video at a time; entry.label is the video's true cluster.
 
     One latent vector per video feeds both modalities, so a cross-modal
     correlation exists by construction. Deterministic for a given seed.
@@ -272,7 +270,6 @@ def iter_synth_videos(cfg: SynthConfig) -> Iterator[tuple[ManifestEntry, Feature
             entry,
             FeatureSequence(video_id, "audio", audio.astype(np.float32)),
             FeatureSequence(video_id, "visual", visual.astype(np.float32)),
-            c,
         )
 
 
@@ -282,7 +279,7 @@ def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "visual").mkdir(parents=True, exist_ok=True)
     entries = []
-    for entry, audio, visual, _ in iter_synth_videos(cfg):
+    for entry, audio, visual in iter_synth_videos(cfg):
         write_sequence(audio, out / entry.audio_path)
         write_sequence(visual, out / entry.visual_path)
         entries.append(entry)

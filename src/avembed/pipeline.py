@@ -1,9 +1,11 @@
 """Wiring between the dataset, chunk scorer, clustering, models, and eval.
 
 Per-video representations are built in one streaming pass that keeps no frame
-matrix: full-frame audio means for mean-mode queries and max-pooled
-video-level visual features, always; for each (c, k) chunk mode asked for, the
-video's query vector, kept macro-chunks and macro-chunk scores. A video's
+matrix. It takes one (entry, audio, visual) record per video, read from a
+manifest or drawn by the synthetic generator, and the query modes asked for,
+each 'mean' or a (c, k) chunk mode. It pools full-frame audio means for the
+'mean' mode and max-pooled video-level visual features, always; for each chunk
+mode, the video's query vector, kept macro-chunks and macro-chunk scores. A video's
 base-chunk pools exist only while its frames are in hand: they are scored in
 every mode and dropped before the next video is read. The frames themselves
 are read into one buffer per modality that the pass owns and reuses. Working
@@ -56,6 +58,8 @@ METHODS = ("cca", "kcca", "ccca", "dcca", "sdcca")
 SUPERVISED = ("ccca", "sdcca")
 # the scorer of the chunk modes, built from the corpus's audio feature dim
 Scorer = Callable[[int], att.AttentionParams]
+# a query mode: "mean", the track mean, or a (c, k) chunk mode, the top k of c macro-chunks
+Mode = tuple[int, int] | str
 
 
 @dataclass
@@ -114,15 +118,15 @@ def load_video(
 def prepare_dataset(
     dataset_dir: str | Path,
     ids: Sequence[str] | None = None,
-    modes: Sequence[tuple[int, int]] = (),
+    modes: Sequence[Mode] = (),
     scorer: Scorer | None = None,
     check_all: bool = False,
 ) -> PreparedDataset:
     """The videos of the dataset's manifest named by ids (default: all), pooled in manifest
-    order, with the rows of each (c, k) chunk mode in modes scored by scorer(audio dim).
-    An id the manifest lacks raises ValidationError before any video is read. Only the named
-    videos are read, unless check_all: then every video of the manifest is read and checked in
-    the same pass, and only the named ones are pooled."""
+    order, with the rows of each (c, k) chunk mode in modes scored by scorer(audio dim); a
+    'mean' in modes scores nothing. An id the manifest lacks raises ValidationError before any
+    video is read. Only the named videos are read, unless check_all: then every video of the
+    manifest is read and checked in the same pass, and only the named ones are pooled."""
     # str paths, as Path(dataset_dir) / name would print them: os.path.join("", name) is name
     root = str(Path(dataset_dir))
     root = "" if root == "." else root
@@ -135,18 +139,12 @@ def prepare_dataset(
                 raise ValidationError(f"video {vid!r} not in the dataset")
         wanted = set(ids)
     chosen = entries if wanted is None else [e for e in entries if e.video_id in wanted]
-    return _prepare_from_pairs(
-        _read_videos(root, entries if check_all else chosen, wanted),
-        n=len(chosen),
-        has_labels=all(e.label is not None for e in chosen),
-        modes=modes,
-        scorer=scorer,
-    )
+    return _prepare(_read_videos(root, entries if check_all else chosen, wanted), len(chosen), modes, scorer)
 
 
 def _read_videos(root: str, entries: Sequence[ManifestEntry], wanted: set[str] | None):
-    """(entry, audio, visual, label) for each of the entries in wanted (None: all), in order,
-    after every entry is read and checked through load_video, given the first one's feature dims.
+    """(entry, audio, visual) for each of the entries in wanted (None: all), in order, after
+    every entry is read and checked through load_video, given the first one's feature dims.
 
     Frames are read into one buffer per modality that this pass owns, so a video's frames hold
     only until the next video is read, and no payload gets memory of its own.
@@ -157,44 +155,45 @@ def _read_videos(root: str, entries: Sequence[ManifestEntry], wanted: set[str] |
         audio, visual = load_video(root, entry, into, dims)
         dims = audio.dim, visual.dim  # the first video's: every later one was checked against them
         if wanted is None or entry.video_id in wanted:
-            yield entry, audio, visual, entry.label
+            yield entry, audio, visual
 
 
-def prepare_synthetic(
-    cfg: SynthConfig, modes: Sequence[tuple[int, int]] = (), scorer: Scorer | None = None
-) -> PreparedDataset:
+def prepare_synthetic(cfg: SynthConfig, modes: Sequence[Mode] = (), scorer: Scorer | None = None) -> PreparedDataset:
     """The generator's videos, pooled and scored as prepare_dataset pools and scores them."""
-    return _prepare_from_pairs(iter_synth_videos(cfg), n=cfg.n_videos, has_labels=True, modes=modes, scorer=scorer)
+    return _prepare(iter_synth_videos(cfg), cfg.n_videos, modes, scorer)
 
 
-def _prepare_from_pairs(
-    pairs, n: int, has_labels: bool, modes: Sequence[tuple[int, int]], scorer: Scorer | None
-) -> PreparedDataset:
-    """Pool the n videos of pairs in one pass, scoring each chunk mode of modes while the
-    video's frames are in hand; the scorer is built at the first video, before any scoring.
+def _prepare(videos, n: int, modes: Sequence[Mode], scorer: Scorer | None) -> PreparedDataset:
+    """Pool the n (entry, audio, visual) records of videos in one pass, scoring each chunk mode
+    of modes while the video's frames are in hand; the scorer is built at the first video,
+    before any scoring. 'mean' in modes scores nothing: every video's track mean is pooled.
+    manifest_labels holds the entries' labels, or is None if any of them has none.
 
-    The chunk-mode rows are filled in place as the videos stream by; the small video-level
-    features are stacked at the end instead: preallocating them as well measured about
-    5000 more minor page faults and 10 % more time per 150-video mean-mode prepare.
+    The chunk-mode rows are filled in place as the videos stream by: stacking each video's rows
+    at the end instead measured 0.5-1.8 MB more eval-sweep peak RSS in each of 10 alternating
+    pairs (2-vCPU Xeon). The small video-level features are stacked at the end: preallocating
+    them as well measured about 5000 more minor page faults and 10 % more time per 150-video
+    mean-mode prepare.
     """
-    for c, k in modes:
+    chunk_modes = [mode for mode in modes if mode != "mean"]
+    for c, k in chunk_modes:
         check_chunk_config(c, k)
-    if modes and scorer is None:
+    if chunk_modes and scorer is None:
         raise ValueError("chunk-selection modes need an attention scorer")
     ids, means, visuals, labels = [], [], [], []
     queries: dict[tuple[int, int], ChunkQueries] = {}
-    for i, (entry, audio_seq, visual_seq, label) in enumerate(pairs):
-        if i == 0 and modes:
+    for i, (entry, audio_seq, visual_seq) in enumerate(videos):
+        if i == 0 and chunk_modes:
             d = audio_seq.dim
             params = scorer(d)
             queries = {
                 (c, k): ChunkQueries(np.empty((n, d)), np.empty((n, k), dtype=np.int64), np.empty((n, c)))
-                for c, k in modes
+                for c, k in chunk_modes
             }
         ids.append(entry.video_id)
         means.append(video_level_audio(audio_seq))
         visuals.append(video_level_visual(visual_seq))
-        labels.append(label)
+        labels.append(entry.label)
         if queries:
             chunk_means, chunk_maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
             for (c, k), q in queries.items():
@@ -204,7 +203,7 @@ def _prepare_from_pairs(
         ids=ids,
         audio_mean=np.stack(means),
         visual=np.stack(visuals),
-        manifest_labels=np.asarray(labels) if has_labels else None,
+        manifest_labels=None if None in labels else np.asarray(labels),
         chunk_queries=queries,
     )
 
@@ -246,7 +245,7 @@ def representation_from_selection(chunk_means: np.ndarray, selected: np.ndarray,
     return macros[selected].reshape(-1, d).mean(axis=0)
 
 
-def query_matrix(prepared: PreparedDataset, mode: tuple[int, int] | str) -> np.ndarray:
+def query_matrix(prepared: PreparedDataset, mode: Mode) -> np.ndarray:
     """Audio query vectors, one per video: 'mean', or a (c, k) chunk mode the dataset was
     prepared with."""
     if mode == "mean":

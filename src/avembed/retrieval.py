@@ -97,18 +97,23 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    """The index saved at path, built by build_index; a CorruptFileError if it fails a check there."""
+    """The index saved at path, built by build_index; a CorruptFileError if it fails a check there
+    or its header's count or r contradicts its blocks."""
     with blockio.Reader(path) as reader:
         header = blockio.read_header(reader, _INDEX_MAGIC)
         name, embeddings = blockio.read_array_block(reader)
         if name != "embeddings":
             raise CorruptFileError(f"{path}: unexpected block {name!r}")
         table = reader.take(reader.left, "id table")
-    count = blockio.field(header, "count", int, f"{path}: index header")
+    count, r = (blockio.field(header, key, int, f"{path}: index header") for key in ("count", "r"))
     table = blockio.read_id_table(f"{path} id table", "id line", table)
     ids, labels = list(table), np.fromiter(table.values(), np.int64, len(table))
     if len(ids) != count or embeddings.ndim != 2 or embeddings.shape[0] != len(ids):
         raise CorruptFileError(f"{path}: id table does not match declared count")
+    if embeddings.shape[1] != r:
+        raise CorruptFileError(
+            f"{path}: index header key 'r' is {r}, but block 'embeddings' is {embeddings.shape[1]} wide"
+        )
     try:
         return build_index(embeddings, labels, ids)
     except ValidationError as exc:

@@ -248,6 +248,20 @@ class TestKcca:
         with pytest.raises(ResourceLimitError, match="exceeds the cap of 2000. Subsample the training pairs"):
             fit_kcca(x, x, 1)
 
+    @pytest.mark.parametrize("beta, kappa, message", [
+        (np.nan, 1e-3, "beta must be a finite number > 0, got nan"),
+        (0.0, 1e-3, "beta must be a finite number > 0, got 0.0"),
+        (0.4, np.inf, "kappa must be a finite number > 0, got inf"),
+    ], ids=["beta-nan", "beta-zero", "kappa-infinite"])
+    def test_kernel_settings_must_be_finite_and_positive(self, beta, kappa, message):
+        x = np.random.default_rng(16).normal(size=(20, 3))
+        with pytest.raises(ValueError, match=message):
+            fit_kcca(x, x, 1, beta=beta, kappa=kappa)
+        # the class checks them as well, as a loaded model builds one
+        fields = {name: getattr(fit_kcca(x, x, 1), name) for name in KernelModel.__dataclass_fields__}
+        with pytest.raises(ValueError, match=message):
+            KernelModel(**{**fields, "beta": beta, "kappa": kappa})
+
     def test_non_psd_kernel_rejected(self):
         broken = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericalError):

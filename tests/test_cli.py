@@ -811,11 +811,22 @@ class TestCorruptArtifacts:
         ("kcca", _edit_json(lambda obj: obj.update(kernel=5)), "key 'kernel' must be one of"),
         ("kcca", _edit_json(lambda obj: obj.update(kernel="polynomial")), "key 'kernel' must be one of"),
         ("cca", _edit_json(lambda obj: obj.update(reg_x=-3.0)), "reg_x must be a finite number >= 0"),
-        ("cca", _edit_json(lambda obj: obj.update(reg_y=float("nan"))), "reg_y must be a finite number >= 0"),
-        ("cca", _edit_json(lambda obj: obj.update(reg_x=float("inf"))), "reg_x must be a finite number >= 0"),
+        # a NaN or an infinity is no float the file's fields take, before any rule of the model's own
+        ("cca", _edit_json(lambda obj: obj.update(reg_y=float("nan"))),
+         "key 'reg_y' must be float (a finite number), got NaN"),
+        ("cca", _edit_json(lambda obj: obj.update(reg_x=float("inf"))),
+         "key 'reg_x' must be float (a finite number), got Infinity"),
+        ("kcca", _edit_json(lambda obj: obj.update(beta=0)), "invalid kcca model: beta must be a finite number > 0"),
+        ("kcca", _edit_json(lambda obj: obj.update(beta=-1)), "invalid kcca model: beta must be a finite number > 0"),
+        ("kcca", _edit_json(lambda obj: obj.update(beta=float("nan"))),
+         "key 'beta' must be float (a finite number), got NaN"),
+        ("kcca", _edit_json(lambda obj: obj.update(kappa=0)), "invalid kcca model: kappa must be a finite number > 0"),
+        ("kcca", _edit_json(lambda obj: obj.update(grand_mean_x=float("nan"))),
+         "key 'grand_mean_x' must be float (a finite number), got NaN"),
     ], ids=["not-utf8", "not-json", "not-object", "no-type", "unknown-type", "no-field", "field-not-number",
             "reg-numeric-string", "reg-bool", "correlations-strings", "kcca-beta-string", "kcca-kernel-int",
-            "kcca-kernel-unknown", "reg-negative", "reg-nan", "reg-infinite"])
+            "kcca-kernel-unknown", "reg-negative", "reg-nan", "reg-infinite", "kcca-beta-zero",
+            "kcca-beta-negative", "kcca-beta-nan", "kcca-kappa-zero", "kcca-grand-mean-nan"])
     def test_model_header(self, artifacts, kcca_artifacts, dataset, tmp_path, capsys, method, edit, message):
         src = kcca_artifacts if method == "kcca" else artifacts
         model = _edit_header(src["model"], tmp_path / "bad.model", edit)
@@ -909,6 +920,12 @@ class TestCorruptArtifacts:
     def test_index_header_without_count(self, artifacts, dataset, tmp_path, capsys):
         index = _edit_header(artifacts["index"], tmp_path / "bad.index", _edit_json(lambda obj: obj.pop("count")))
         self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+
+    def test_index_header_r_contradicts_the_block(self, artifacts, dataset, tmp_path, capsys):
+        width = load_index(artifacts["index"]).r
+        index = _edit_header(artifacts["index"], tmp_path / "bad.index", _edit_json(lambda obj: obj.update(r=9)))
+        err = self._query_fails_cleanly(dataset, capsys, index, artifacts["model"])
+        assert f"{index}: index header key 'r' is 9, but block 'embeddings' is {width} wide" in err
 
     @pytest.mark.parametrize("line", [
         b"not json\n",
@@ -1242,8 +1259,13 @@ class TestConfigFile:
         (b'{"epochs": "many"}', "config key 'epochs' must be int, got \"many\""),
         (b'{"method": 3}', "config key 'method' must be one of"),
         (b"[" * 100_000, "run.json:1: invalid JSON config: nested too deeply"),
+        (b'{"noise_std": NaN}', "run.json: config key 'noise_std' must be float (a finite number), got NaN"),
+        (b'{"noise_std": Infinity}', "config key 'noise_std' must be float (a finite number), got Infinity"),
+        (b'{"tol": -Infinity}', "config key 'tol' must be float (a finite number), got -Infinity"),
+        (b'{"reg": NaN}', "config key 'reg' must be float (a finite number) or null, got NaN"),
     ], ids=["not-object", "not-utf8", "unknown-key", "int-given-float", "int-given-bool",
-            "null-without-null-default", "int-given-string", "choice-given-number", "nested-100000-deep"])
+            "null-without-null-default", "int-given-string", "choice-given-number", "nested-100000-deep",
+            "float-given-nan", "float-given-infinity", "float-given-minus-infinity", "nullable-float-given-nan"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(content)

@@ -88,7 +88,7 @@ class TestSequenceRoundTrip:
     def test_generator_output_roundtrips(self, tmp_path):
         cfg = SynthConfig(n_videos=50, n_clusters=5, latent_dim=6, noise_std=0.1, seed=3)
         count = 0
-        for entry, audio, visual, _ in iter_synth_videos(cfg):
+        for entry, audio, visual in iter_synth_videos(cfg):
             for seq in (audio, visual):
                 path = tmp_path / f"{entry.video_id}.{seq.modality}.fvsq"
                 write_sequence(seq, path)
@@ -171,7 +171,7 @@ class TestManifest:
 
     def test_superset_span_keeps_all(self):
         cfg = SynthConfig(n_videos=40, n_clusters=4, latent_dim=4, seed=1)
-        manifest = Manifest(entries=[entry for entry, _, _, _ in iter_synth_videos(cfg)])
+        manifest = Manifest(entries=[entry for entry, _, _ in iter_synth_videos(cfg)])
         assert len(filter_manifest(manifest, (204, 228))) == 40
 
     def test_nested_spans_nest(self):
@@ -300,8 +300,8 @@ class TestSynthDataset:
     def test_same_seed_identical(self):
         cfg = SynthConfig(n_videos=20, n_clusters=4, latent_dim=5, noise_std=0.2, seed=11)
         count = 0
-        for (e1, a1, v1, l1), (e2, a2, v2, l2) in zip(iter_synth_videos(cfg), iter_synth_videos(cfg), strict=True):
-            assert l1 == l2 and e1 == e2
+        for (e1, a1, v1), (e2, a2, v2) in zip(iter_synth_videos(cfg), iter_synth_videos(cfg), strict=True):
+            assert e1.label == e2.label and e1 == e2
             assert np.array_equal(a1.frames, a2.frames)
             assert np.array_equal(v1.frames, v2.frames)
             count += 1
@@ -310,10 +310,10 @@ class TestSynthDataset:
     def test_zero_noise_degenerate(self):
         cfg = SynthConfig(n_videos=12, n_clusters=3, latent_dim=4, noise_std=0.0, seed=2)
         by_label: dict[int, list[np.ndarray]] = {}
-        for _, audio, _, label in iter_synth_videos(cfg):
+        for entry, audio, _ in iter_synth_videos(cfg):
             frames = audio.frames
             assert np.all(frames == frames[0])  # every frame identical
-            by_label.setdefault(label, []).append(frames[0])
+            by_label.setdefault(entry.label, []).append(frames[0])
         for rows in by_label.values():  # cluster-pure: one point per cluster
             for row in rows[1:]:
                 assert np.array_equal(row, rows[0])
@@ -323,7 +323,7 @@ class TestSynthDataset:
         from avembed.clustering import seeded_kmeans
 
         cfg = SynthConfig(n_videos=100, n_clusters=10, latent_dim=12, noise_std=0.02, seed=5)
-        videos = [(video_level_audio(audio), label) for _, audio, _, label in iter_synth_videos(cfg)]
+        videos = [(video_level_audio(audio), entry.label) for entry, audio, _ in iter_synth_videos(cfg)]
         feats = np.stack([f for f, _ in videos])
         labels = np.array([label for _, label in videos])
         centroid_means = np.stack([feats[labels == c].mean(axis=0) for c in range(10)])
@@ -339,7 +339,7 @@ class TestSynthDataset:
 
     def test_all_lengths_in_range(self):
         cfg = SynthConfig(n_videos=30, n_clusters=3, latent_dim=4, seed=8)
-        assert all(213 <= e.length_sec <= 219 for e, _, _, _ in iter_synth_videos(cfg))
+        assert all(213 <= e.length_sec <= 219 for e, _, _ in iter_synth_videos(cfg))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_frames_equal_the_out_of_place_expression(self, seed):
@@ -355,10 +355,10 @@ class TestSynthDataset:
         lengths = rng.integers(4, 10, size=8)
         videos = list(iter_synth_videos(cfg))
         assert len(videos) == 8
-        for v, (entry, audio, visual, label) in enumerate(videos):
+        for v, (entry, audio, visual) in enumerate(videos):
             z = centroids[clusters[v]] + 0.3 * rng.normal(size=5)
             want_audio = audio_map @ z + 0.3 * rng.normal(size=(lengths[v], AUDIO_DIM))
             want_visual = visual_map @ z + 0.3 * rng.normal(size=(lengths[v], VISUAL_DIM))
-            assert label == clusters[v] and entry.length_sec == lengths[v]
+            assert entry.label == clusters[v] and entry.length_sec == lengths[v]
             assert np.array_equal(audio.frames, want_audio.astype(np.float32))
             assert np.array_equal(visual.frames, want_visual.astype(np.float32))

@@ -121,7 +121,7 @@ class TestChunkPools:
         params = random_attention_params(128, seed=1)
         videos = list(iter_synth_videos(CFG))
         assert len(videos) == len(scored)
-        for i, (_, audio, _, _) in enumerate(videos):
+        for i, (_, audio, _) in enumerate(videos):
             for c, k in CHUNK_MODES:
                 vector, selected, scores = chunk_query(audio.frames, params, c, k)
                 rows = scored.chunk_queries[c, k]
@@ -136,7 +136,7 @@ class TestChunkPools:
         clips = write_dataset(SynthConfig(n_videos=60, n_clusters=3, latent_dim=4, length_range=(30, 30),
                                           seed=6), root)
         long_cfg = SynthConfig(n_videos=1, n_clusters=1, latent_dim=4, length_range=(600, 600), seed=7)
-        _, audio, visual, _ = next(iter_synth_videos(long_cfg))
+        _, audio, visual = next(iter_synth_videos(long_cfg))
         entry = ManifestEntry("long", 600, "audio/long.fvsq", "visual/long.fvsq", label=0)
         write_sequence(audio, root / entry.audio_path)
         write_sequence(visual, root / entry.visual_path)
@@ -190,6 +190,27 @@ class TestChunkPools:
         with pytest.raises(ValidationError, match="'mv00005': manifest says 3s"):
             prepare_dataset(tmp_path, ids=["mv00001"], check_all=True)
 
+    def test_labels_are_none_when_a_pooled_video_has_none(self, on_disk, tmp_path):
+        # line 5 has no label: only a pass that pools it loses the labels
+        lines = [json.loads(line) for line in (on_disk / "manifest.jsonl").read_text().splitlines()]
+        for i, e in enumerate(lines):
+            e.update(audio_path=str(on_disk / e["audio_path"]), visual_path=str(on_disk / e["visual_path"]))
+            if i == 5:
+                del e["label"]
+        (tmp_path / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in lines))
+        assert prepare_dataset(tmp_path).manifest_labels is None
+        for check_all in (False, True):
+            got = prepare_dataset(tmp_path, ids=["mv00001"], check_all=check_all)
+            assert got.manifest_labels.tolist() == [lines[1]["label"]]
+
+    def test_mean_mode_scores_nothing(self, prepared, scored):
+        # "mean" in modes needs no scorer and adds no chunk rows
+        assert prepare_synthetic(CFG, modes=["mean"]).chunk_queries == {}
+        both = prepare_synthetic(CFG, modes=["mean", (6, 2)], scorer=stand_in(1))
+        assert list(both.chunk_queries) == [(6, 2)]
+        assert np.array_equal(both.chunk_queries[6, 2].vectors, scored.chunk_queries[6, 2].vectors)
+        assert np.array_equal(query_matrix(both, "mean"), prepared.audio_mean)
+
     def test_pool_less_arrays_hold_only_video_level_features(self):
         bare = prepare_synthetic(CFG)
         arrays = [v for v in vars(bare).values() if isinstance(v, np.ndarray)]
@@ -215,7 +236,7 @@ class TestQueryMatrix:
         # 213 s -> 71 base chunks; c=3 keeps the first 69
         params = random_attention_params(128, seed=2)
         cfg = SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(213, 213), seed=3)
-        _, audio, _, _ = next(iter_synth_videos(cfg))
+        _, audio, _ = next(iter_synth_videos(cfg))
         rep, selected, scores = chunk_query(audio.frames, params, 3, 2)
         # the same as the first 69 chunks' 207 frames give
         truncated = chunk_query(audio.frames[:207], params, 3, 2)
@@ -231,7 +252,7 @@ class TestQueryMatrix:
         params = random_attention_params(128, seed=0)
         corpus = prepare_synthetic(cfg, modes=CHUNK_MODES, scorer=lambda dim: params)
 
-        for i, (_, audio, _, _) in enumerate(iter_synth_videos(cfg)):
+        for i, (_, audio, _) in enumerate(iter_synth_videos(cfg)):
             _, maxes = pool_chunks(audio.frames, 3)
             for c, k in CHUNK_MODES:
                 feats = maxes[: (maxes.shape[0] // c) * c]
@@ -246,7 +267,7 @@ class TestQueryMatrix:
     @pytest.mark.parametrize("c, k", [(0, 0), (3, 0), (3, 4)])
     def test_top_k_outside_one_to_c_rejected(self, c, k):
         params = random_attention_params(128, seed=0)
-        _, audio, _, _ = next(iter_synth_videos(CFG))
+        _, audio, _ = next(iter_synth_videos(CFG))
         with pytest.raises(ValidationError, match="top-k"):
             chunk_selection_for(pool_chunks(audio.frames, 3)[1], params, c, k)
         # the pass rejects the mode before it reads a video or builds the scorer

@@ -20,7 +20,7 @@ from . import attention as att
 from . import evaluation as ev
 from . import pipeline as pl
 from . import retrieval as rt
-from .blockio import field, read_json_object
+from .blockio import _finite_number, field, read_json_object
 from .clustering import (
     EMOTION_CATEGORIES,
     load_assignments,
@@ -80,7 +80,8 @@ _OPTIONS: dict[str, tuple] = {
     "f": (float, 0.0, "cluster expansion fraction"),
     "target_pairs": (int, None, "cap on expanded pairs"),
     "r": (int, 30, "CCA components"),
-    "reg": (float, None, "covariance ridge (default: scaled to the data)"),
+    "reg": (float, None, "covariance ridge (default: 1e-4 * trace / dim per view for cca and ccca, 1e-4 for "
+                         "dcca and sdcca)"),
     "batch_size": (int, 512, "deep minibatch size"),
     "epochs": (int, 50, "deep training epochs"),
     "learning_rate": (float, 0.001, "RMSProp learning rate"),
@@ -124,6 +125,17 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg.update((k, v) for k, v in typed.items() if k in cfg)
     cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
     return cfg
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a finite number, as a --config file's float must be."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not _finite_number(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _int_tuple(text: str, option: str) -> tuple[int, ...]:
@@ -239,10 +251,9 @@ def cmd_chunk_select(cfg: dict) -> int:
     ids = [cfg["video_id"]] if cfg.get("video_id") else None
     c, k = cfg["chunks"], cfg["top_k"]
     prepared = _prepare(cfg, [(c, k)], ids)
-    rows = prepared.chunk_queries[c, k]
     results = [
         {"video_id": vid, "chunks": c, "top_k": k, "selected": selected.tolist(), "scores": scores.tolist()}
-        for vid, selected, scores in zip(prepared.ids, rows.selected, rows.scores)
+        for vid, selected, scores in zip(prepared.ids, *prepared.selections[c, k])
     ]
     text = "\n".join(json.dumps(r) for r in results)
     if cfg.get("out"):
@@ -291,7 +302,7 @@ def cmd_train(cfg: dict) -> int:
     mode = _query_mode(cfg)
     prepared = _prepare(cfg, [mode])
     method = cfg["method"]
-    audio = pl.query_matrix(prepared, mode)
+    audio = prepared.queries[mode]
     labels = _labels_for(prepared, cfg) if method in pl.SUPERVISED else None
     model = pl.train_method(method, audio, prepared.visual, labels, **_fit_kwargs(cfg))
     pl.save_model(model, cfg["out"], extra=_config_echo(cfg, command="train"))
@@ -332,7 +343,7 @@ def cmd_query(cfg: dict) -> int:
             f"model {cfg['model']} embeds in {model.r} dimensions, index {cfg['index']} holds {index.r}"
         )
     embed_audio, _ = pl.embedders(model, f"model {cfg['model']}")
-    query_vec = embed_audio(pl.query_matrix(prepared, mode))[0]
+    query_vec = embed_audio(prepared.queries[mode])[0]
     ranked = rt.rank(index, query_vec, n=cfg["n"], query_id=vid)
     for video_id, sim in ranked.items:
         print(json.dumps({"video_id": video_id, "similarity": sim}))
@@ -358,17 +369,15 @@ def cmd_eval(cfg: dict) -> int:
     labels = _labels_for(prepared, cfg)
     fit_kwargs = _fit_kwargs(cfg)
 
-    queries = {name: pl.query_matrix(prepared, mode) for _, name, mode in pl.SWEEP_CONFIGS}
-
     matrix_rows = []
     failures = []
     for method in methods:
         row = [method]
-        for head, name, _ in pl.SWEEP_CONFIGS:
+        for head, name, mode in pl.SWEEP_CONFIGS:
             cell_cfg = _config_echo(cfg, method=method, query_config=head, command="eval", folds=folds)
             try:
                 report = ev.cross_validate(
-                    queries[name],
+                    prepared.queries[mode],
                     prepared.visual,
                     labels,
                     prepared.ids,
@@ -452,7 +461,7 @@ def build_parser() -> _Parser:
             p.add_argument(
                 "-n" if name == "n" else "--" + name.replace("_", "-"),
                 dest=name,
-                type=None if choices else kind,
+                type=None if choices else _finite_float if kind is float else kind,
                 choices=choices,
                 required=name in required,
                 help=text if default is None else f"{text} (default {default})",

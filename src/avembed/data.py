@@ -217,8 +217,8 @@ class SynthConfig:
             raise ValueError("n_videos must be >= 1")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
         lo, hi = self.length_range
         if lo < 1 or lo > hi:
             raise ValueError(f"invalid length_range [{lo}, {hi}]")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import blockio
 from .cca import LinearProjection, _covariances, _labelled_views, _paired_views
-from .cca import _side, _whiten, block_names, decode, encode, fit_cca, project
+from .cca import _check_ridge, _side, _whiten, block_names, decode, encode, fit_cca, project
 from .clustering import expand_pairs
 from .errors import DivergenceError, FormatError
 
@@ -83,14 +83,13 @@ class TrainConfig:
                 "for a well-posed batch covariance"
             )
         for name in ("batch_size", "epochs", "learning_rate", "epsilon", "r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
-        if self.reg < 0:
-            raise ValueError("reg must be >= 0")
+        _check_ridge("reg", self.reg)
 
 
 @dataclass

@@ -3,9 +3,10 @@
 Per-video representations are built in one streaming pass that keeps no frame
 matrix. It takes one (entry, audio, visual) record per video, read from a
 manifest or drawn by the synthetic generator, and the query modes asked for,
-each 'mean' or a (c, k) chunk mode. It pools full-frame audio means for the
-'mean' mode and max-pooled video-level visual features, always; for each chunk
-mode, the video's query vector, kept macro-chunks and macro-chunk scores. A video's
+each 'mean' or a (c, k) chunk mode. It pools full-frame audio means and max-pooled
+video-level visual features, always; for each chunk mode, the video's query vector,
+kept macro-chunks and macro-chunk scores. It returns one query matrix per mode (the
+track means for 'mean') and each chunk mode's (selected, scores) rows. A video's
 base-chunk pools exist only while its frames are in hand: they are scored in
 every mode and dropped before the next video is read. The frames themselves
 are read into one buffer per modality that the pass owns and reuses. Working
@@ -63,22 +64,17 @@ Mode = tuple[int, int] | str
 
 
 @dataclass
-class ChunkQueries:
-    """One (c, k) chunk mode over the corpus, row i for video i."""
-
-    vectors: np.ndarray   # (n, d) mean audio feature over the frames of the kept macro-chunks
-    selected: np.ndarray  # (n, k) the kept macro-chunks, ascending
-    scores: np.ndarray    # (n, c) the macro-chunk scores
-
-
-@dataclass
 class PreparedDataset:
     ids: list[str]
     audio_mean: np.ndarray       # (n, 128) mean over all frames
     visual: np.ndarray           # (n, 1024) max-pooled video-level features
     manifest_labels: np.ndarray | None = None
-    # (c, k) -> that chunk mode's rows, for each mode the dataset was prepared with
-    chunk_queries: dict[tuple[int, int], ChunkQueries] = field(default_factory=dict)
+    # mode -> its (n, d) audio query matrix, row i for video i, for each mode the dataset was
+    # prepared with; queries["mean"] is audio_mean
+    queries: dict[Mode, np.ndarray] = field(default_factory=dict)
+    # (c, k) -> that chunk mode's (selected (n, k), the kept macro-chunks ascending; scores (n, c),
+    # the macro-chunk scores)
+    selections: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -166,7 +162,7 @@ def prepare_synthetic(cfg: SynthConfig, modes: Sequence[Mode] = (), scorer: Scor
 def _prepare(videos, n: int, modes: Sequence[Mode], scorer: Scorer | None) -> PreparedDataset:
     """Pool the n (entry, audio, visual) records of videos in one pass, scoring each chunk mode
     of modes while the video's frames are in hand; the scorer is built at the first video,
-    before any scoring. 'mean' in modes scores nothing: every video's track mean is pooled.
+    before any scoring. 'mean' in modes scores nothing: its query matrix is audio_mean itself.
     manifest_labels holds the entries' labels, or is None if any of them has none.
 
     The chunk-mode rows are filled in place as the videos stream by: stacking each video's rows
@@ -181,30 +177,31 @@ def _prepare(videos, n: int, modes: Sequence[Mode], scorer: Scorer | None) -> Pr
     if chunk_modes and scorer is None:
         raise ValueError("chunk-selection modes need an attention scorer")
     ids, means, visuals, labels = [], [], [], []
-    queries: dict[tuple[int, int], ChunkQueries] = {}
+    vectors, selections = {}, {}
     for i, (entry, audio_seq, visual_seq) in enumerate(videos):
         if i == 0 and chunk_modes:
             d = audio_seq.dim
             params = scorer(d)
-            queries = {
-                (c, k): ChunkQueries(np.empty((n, d)), np.empty((n, k), dtype=np.int64), np.empty((n, c)))
-                for c, k in chunk_modes
-            }
+            for c, k in chunk_modes:
+                vectors[c, k] = np.empty((n, d))
+                selections[c, k] = np.empty((n, k), dtype=np.int64), np.empty((n, c))
         ids.append(entry.video_id)
         means.append(video_level_audio(audio_seq))
         visuals.append(video_level_visual(visual_seq))
         labels.append(entry.label)
-        if queries:
+        if selections:
             chunk_means, chunk_maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
-            for (c, k), q in queries.items():
-                q.selected[i], q.scores[i] = chunk_selection_for(chunk_maxes, params, c, k)
-                q.vectors[i] = representation_from_selection(chunk_means, q.selected[i], c)
+            for (c, k), (selected, scores) in selections.items():
+                selected[i], scores[i] = chunk_selection_for(chunk_maxes, params, c, k)
+                vectors[c, k][i] = representation_from_selection(chunk_means, selected[i], c)
+    audio_mean = np.stack(means)
     return PreparedDataset(
         ids=ids,
-        audio_mean=np.stack(means),
+        audio_mean=audio_mean,
         visual=np.stack(visuals),
         manifest_labels=None if None in labels else np.asarray(labels),
-        chunk_queries=queries,
+        queries={mode: audio_mean if mode == "mean" else vectors[mode] for mode in modes},
+        selections=selections,
     )
 
 
@@ -243,16 +240,6 @@ def representation_from_selection(chunk_means: np.ndarray, selected: np.ndarray,
     usable, d = (len(chunk_means) // c) * c, chunk_means.shape[1]
     macros = chunk_means[:usable].reshape(c, usable // c, d)
     return macros[selected].reshape(-1, d).mean(axis=0)
-
-
-def query_matrix(prepared: PreparedDataset, mode: Mode) -> np.ndarray:
-    """Audio query vectors, one per video: 'mean', or a (c, k) chunk mode the dataset was
-    prepared with."""
-    if mode == "mean":
-        return prepared.audio_mean
-    if mode not in prepared.chunk_queries:
-        raise ValueError(f"chunk mode {mode} was not prepared: pass it in modes")
-    return prepared.chunk_queries[mode].vectors
 
 
 def seed_sets_from_labels(

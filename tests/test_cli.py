@@ -1272,6 +1272,25 @@ class TestConfigFile:
         assert message in fails(capsys, 2, "synth", "--out", tmp_path / "ds", "--config", cfg)
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("cluster", "--seeds-file", "{ds}/seeds.json", "--out", "{out}"), "--tol", "nan"),
+        (("synth", "--out", "{out}", "--videos", 4), "--noise-std", "nan"),
+        (("synth", "--out", "{out}", "--videos", 4), "--noise-std", "inf"),
+        (("train", "--method", "dcca", "--out", "{out}"), "--learning-rate", "nan"),
+        (("train", "--out", "{out}"), "--reg", "inf"),
+    ], ids=["cluster-tol-nan", "synth-noise-std-nan", "synth-noise-std-inf", "train-learning-rate-nan",
+            "train-reg-inf"])
+    def test_non_finite_float_flag_is_usage_error(self, dataset, tmp_path, capsys, argv, flag, value):
+        # the finite rule of a --config file's floats holds for the flags too, before any file is written
+        out = tmp_path / "out"
+        argv = [str(a).format(ds=dataset, out=out) for a in argv]
+        if argv[0] != "synth":
+            argv += ["--dataset", str(dataset)]
+        assert run(*argv, flag, value) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and f"argument {flag}: must be a finite number, got {value!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_keys_of_other_commands_accepted(self, dataset, tmp_path):
         # one run.json may serve every command
         cfg = tmp_path / "run.json"

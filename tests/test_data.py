@@ -337,6 +337,14 @@ class TestSynthDataset:
         model = seeded_kmeans(feats, seeds)
         assert np.array_equal(model.labels, labels)
 
+    def test_invalid_config_rejected(self):
+        for bad in (dict(noise_std=np.nan), dict(noise_std=np.inf), dict(noise_std=-0.1), dict(n_clusters=0),
+                    dict(latent_dim=0), dict(length_range=(5, 4))):
+            with pytest.raises(ValueError):
+                SynthConfig(n_videos=4, **bad)
+        with pytest.raises(ValueError):
+            SynthConfig(n_videos=0)
+
     def test_all_lengths_in_range(self):
         cfg = SynthConfig(n_videos=30, n_clusters=3, latent_dim=4, seed=8)
         assert all(213 <= e.length_sec <= 219 for e, _, _ in iter_synth_videos(cfg))

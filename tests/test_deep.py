@@ -295,6 +295,11 @@ class TestTraining:
             TrainConfig(batch_size=16, r=30)  # batch < r + 1
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
+        # the ridge meets the linear fits' rule; the RMSProp settings are finite and > 0
+        for bad in (dict(reg=np.nan), dict(reg=np.inf), dict(reg=-1e-4), dict(learning_rate=np.inf),
+                    dict(learning_rate=np.nan), dict(learning_rate=0.0), dict(epsilon=np.nan), dict(epsilon=np.inf)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
 
 
 class TestSdcca:

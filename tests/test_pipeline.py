@@ -26,7 +26,6 @@ from avembed.pipeline import (
     load_model,
     prepare_dataset,
     prepare_synthetic,
-    query_matrix,
     save_model,
     seed_sets_from_labels,
     train_method,
@@ -59,11 +58,11 @@ class TestPrepare:
         assert prepared.audio_mean.shape == (40, 128)
         assert prepared.visual.shape == (40, 1024)
         assert prepared.manifest_labels is not None
-        assert prepared.chunk_queries == {}
+        assert prepared.queries == {} and prepared.selections == {}
         for c, k in CHUNK_MODES:
-            rows = scored.chunk_queries[c, k]
-            assert rows.vectors.shape == (40, 128) and rows.vectors.dtype == np.float64
-            assert rows.selected.shape == (40, k) and rows.scores.shape == (40, c)
+            vectors, (selected, scores) = scored.queries[c, k], scored.selections[c, k]
+            assert vectors.shape == (40, 128) and vectors.dtype == np.float64
+            assert selected.shape == (40, k) and scores.shape == (40, c)
 
     def test_matches_disk_roundtrip(self, prepared, tmp_path):
         write_dataset(CFG, tmp_path / "ds")
@@ -111,10 +110,10 @@ class TestChunkPools:
         assert bare.ids == pooled.ids
         for name in ("manifest_labels", "audio_mean", "visual"):
             assert np.array_equal(getattr(bare, name), getattr(pooled, name)), name
-        assert bare.chunk_queries == {}
-        assert list(pooled.chunk_queries) == list(CHUNK_MODES)
-        for rows in pooled.chunk_queries.values():
-            assert len(rows.vectors) == len(rows.selected) == len(rows.scores) == len(pooled)
+        assert bare.queries == {} and bare.selections == {}
+        assert list(pooled.queries) == list(pooled.selections) == list(CHUNK_MODES)
+        for mode, (selected, scores) in pooled.selections.items():
+            assert len(pooled.queries[mode]) == len(selected) == len(scores) == len(pooled)
 
     def test_pools_equal_pool_chunks_of_each_audio(self, scored):
         # every row of every mode equals the one scored from that video's own pool_chunks
@@ -124,10 +123,10 @@ class TestChunkPools:
         for i, (_, audio, _) in enumerate(videos):
             for c, k in CHUNK_MODES:
                 vector, selected, scores = chunk_query(audio.frames, params, c, k)
-                rows = scored.chunk_queries[c, k]
-                assert np.array_equal(rows.vectors[i], vector)
-                assert np.array_equal(rows.selected[i], selected)
-                assert np.array_equal(rows.scores[i], scores)
+                got_selected, got_scores = scored.selections[c, k]
+                assert np.array_equal(scored.queries[c, k][i], vector)
+                assert np.array_equal(got_selected[i], selected)
+                assert np.array_equal(got_scores[i], scores)
 
     def test_working_set_is_bounded_by_one_video(self, tmp_path):
         # 60 clips of 30 s and one 10-minute video: chunk pools padded to the longest video's
@@ -153,8 +152,8 @@ class TestChunkPools:
         # and the long video's rows are the ones its own pools give
         for c, k in CHUNK_MODES:
             vector, selected, _ = chunk_query(audio.frames, random_attention_params(128, seed=0), c, k)
-            assert np.array_equal(got.chunk_queries[c, k].vectors[-1], vector)
-            assert np.array_equal(got.chunk_queries[c, k].selected[-1], selected)
+            assert np.array_equal(got.queries[c, k][-1], vector)
+            assert np.array_equal(got.selections[c, k][0][-1], selected)
 
     def test_video_longer_than_its_manifest_line_is_rejected(self, on_disk, tmp_path):
         # every line says 3 s: each video's files contradict it
@@ -174,9 +173,10 @@ class TestChunkPools:
         rows = [2, 31]
         for name in ("manifest_labels", "audio_mean", "visual"):
             assert np.array_equal(getattr(got, name), getattr(full, name)[rows]), name
-        for mode, want in full.chunk_queries.items():
-            for name in ("vectors", "selected", "scores"):
-                assert np.array_equal(getattr(got.chunk_queries[mode], name), getattr(want, name)[rows]), name
+        for mode, want in full.queries.items():
+            assert np.array_equal(got.queries[mode], want[rows]), mode
+            for got_rows, want_rows in zip(got.selections[mode], full.selections[mode]):
+                assert np.array_equal(got_rows, want_rows[rows]), mode
 
     def test_check_all_reads_the_videos_it_does_not_pool(self, on_disk, tmp_path):
         # the manifest's line 5 says 3 s, which its files contradict
@@ -205,11 +205,12 @@ class TestChunkPools:
 
     def test_mean_mode_scores_nothing(self, prepared, scored):
         # "mean" in modes needs no scorer and adds no chunk rows
-        assert prepare_synthetic(CFG, modes=["mean"]).chunk_queries == {}
+        mean = prepare_synthetic(CFG, modes=["mean"])
+        assert list(mean.queries) == ["mean"] and mean.selections == {}
         both = prepare_synthetic(CFG, modes=["mean", (6, 2)], scorer=stand_in(1))
-        assert list(both.chunk_queries) == [(6, 2)]
-        assert np.array_equal(both.chunk_queries[6, 2].vectors, scored.chunk_queries[6, 2].vectors)
-        assert np.array_equal(query_matrix(both, "mean"), prepared.audio_mean)
+        assert list(both.queries) == ["mean", (6, 2)] and list(both.selections) == [(6, 2)]
+        assert np.array_equal(both.queries[6, 2], scored.queries[6, 2])
+        assert np.array_equal(both.queries["mean"], prepared.audio_mean)
 
     def test_pool_less_arrays_hold_only_video_level_features(self):
         bare = prepare_synthetic(CFG)
@@ -217,18 +218,19 @@ class TestChunkPools:
         assert sum(a.nbytes for a in arrays) == len(bare) * (128 + 1024) * 8 + bare.manifest_labels.nbytes
 
     def test_chunk_mode_needs_the_pools(self):
-        with pytest.raises(ValueError, match=r"chunk mode \(3, 1\) was not prepared"):
-            query_matrix(prepare_synthetic(CFG), (3, 1))
+        with pytest.raises(KeyError):
+            prepare_synthetic(CFG).queries[3, 1]
 
 
 class TestQueryMatrix:
     def test_mean_mode(self, prepared):
-        np.testing.assert_array_equal(query_matrix(prepared, "mean"), prepared.audio_mean)
+        mean = prepare_synthetic(CFG, modes=["mean"])
+        assert mean.queries["mean"] is mean.audio_mean
+        np.testing.assert_array_equal(mean.queries["mean"], prepared.audio_mean)
 
     def test_chunk_modes_shapes(self, scored):
         for c, k in CHUNK_MODES:
-            got = query_matrix(scored, (c, k))
-            assert got is scored.chunk_queries[c, k].vectors
+            got = scored.queries[c, k]
             assert got.shape == (40, 128)
             assert np.all(np.isfinite(got))
 
@@ -243,7 +245,7 @@ class TestQueryMatrix:
         assert all(np.array_equal(a, b) for a, b in zip((rep, selected, scores), truncated))
         assert rep.shape == (128,)
         got = prepare_synthetic(cfg, modes=[(3, 2)], scorer=lambda dim: params)
-        assert np.array_equal(query_matrix(got, (3, 2))[0], rep)
+        assert np.array_equal(got.queries[3, 2][0], rep)
 
     def test_selections_match_per_step_oracle(self):
         # the eval-sweep corpus and stand-in scorer: every selection of the
@@ -261,7 +263,7 @@ class TestQueryMatrix:
                 ref, _ = select_top_k(ref_theta, c, k)
                 got, _ = chunk_selection_for(maxes, params, c, k)
                 assert np.array_equal(got, ref)
-                assert np.array_equal(corpus.chunk_queries[c, k].selected[i], ref)
+                assert np.array_equal(corpus.selections[c, k][0][i], ref)
                 np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c, k", [(0, 0), (3, 0), (3, 4)])

@@ -28,6 +28,8 @@ _PEEPHOLE_GATES = ("input", "forget", "output")
 _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
 # each array of a direction: its name, the gates on its leading axis, the axes of one gate's slice
 _LAYOUT = (("w_x", _GATES, "hd"), ("w_h", _GATES, "hh"), ("w_c", _PEEPHOLE_GATES, "hh"), ("b", _GATES, "h"))
+_WEIGHTS_VERSION = 1
+DEFAULT_DIM = 16  # the hidden and the attention dims of the stand-in scorer
 
 
 @dataclass
@@ -197,7 +199,7 @@ def _lstm_from_json(obj: dict, key: str, where: str) -> LstmParams:
 
 def save_attention_params(p: AttentionParams, path: str | Path) -> None:
     obj = {
-        "version": 1,
+        "version": _WEIGHTS_VERSION,
         "forward_lstm": _lstm_to_json(p.forward_lstm),
         "backward_lstm": _lstm_to_json(p.backward_lstm),
         "w_forward": p.w_forward.tolist(),
@@ -212,8 +214,8 @@ def load_attention_params(path: str | Path) -> AttentionParams:
     obj = blockio.read_json_object(path, "attention weights")
     where = f"{path}: attention weights"
     version = blockio.field(obj, "version", int, where)
-    if version != 1:
-        raise FormatError(f"{where} key 'version' is {version}; only version 1 is supported")
+    if version != _WEIGHTS_VERSION:
+        raise FormatError(f"{where} key 'version' is {version}; only version {_WEIGHTS_VERSION} is supported")
     try:
         return AttentionParams(
             forward_lstm=_lstm_from_json(obj, "forward_lstm", where),
@@ -231,7 +233,7 @@ def random_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator
 
 
 def random_attention_params(
-    input_dim: int, hidden_dim: int = 16, attention_dim: int = 16, seed: int = 0, scale: float = 0.2
+    input_dim: int, hidden_dim: int = DEFAULT_DIM, attention_dim: int = DEFAULT_DIM, seed: int = 0, scale: float = 0.2
 ) -> AttentionParams:
     """Seeded stand-in scorer for pipelines that have no trained weights file."""
     rng = np.random.default_rng(seed)

@@ -43,7 +43,8 @@ import numpy as np
 from .errors import CorruptFileError, FormatError, ValidationError
 
 _DTYPE_CODES = {0: "<f4", 1: "<f8", 2: "<i8"}
-_CODE_FOR_KIND = {"<f4": 0, "<f8": 1, "<i8": 2}
+_CODE_FOR_KIND = {kind: code for code, kind in _DTYPE_CODES.items()}
+_HEADER_VERSION = 1
 
 
 class Reader:
@@ -147,7 +148,7 @@ def write_header(fh: BinaryIO, magic: bytes, header: dict) -> None:
     if len(magic) != 4:
         raise ValueError("magic must be 4 bytes")
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    fh.write(magic + struct.pack("<BI", 1, len(raw)) + raw)
+    fh.write(magic + struct.pack("<BI", _HEADER_VERSION, len(raw)) + raw)
 
 
 def read_header(reader: Reader, magic: bytes) -> dict:
@@ -155,7 +156,7 @@ def read_header(reader: Reader, magic: bytes) -> dict:
     if got != magic:
         raise FormatError(f"{reader.path}: bad magic: expected {magic!r}, got {got!r}")
     version, length = reader.unpack("<BI", "file header")
-    if version != 1:
+    if version != _HEADER_VERSION:
         raise FormatError(f"{reader.path}: unsupported version {version}")
     return read_json_object(reader.path, "header", reader.take(length, "header JSON"))
 

@@ -34,6 +34,8 @@ from .errors import FormatError, NumericalError, ResourceLimitError, Singularity
 EIG_FLOOR = 1e-12
 DEFAULT_REG_SCALE = 1e-4
 KCCA_N_CAP = 2000
+DEFAULT_KCCA_BETA = 0.4  # fit_kcca's Gaussian kernel width
+DEFAULT_KCCA_KAPPA = 1e-3  # and its ridge
 
 MODEL_MAGIC = b"AVCM"
 _SIDES = {"audio": "x", "x": "x", "visual": "y", "y": "y"}
@@ -375,8 +377,8 @@ def fit_kcca(
     x: np.ndarray,
     y: np.ndarray,
     r: int,
-    beta: float = 0.4,
-    kappa: float = 1e-3,
+    beta: float = DEFAULT_KCCA_BETA,
+    kappa: float = DEFAULT_KCCA_KAPPA,
     kernel: str = "gaussian",
 ) -> KernelModel:
     """Kernel CCA with ridge kappa per view; k(a, b) = exp(-beta * ||a - b||^2).
@@ -449,11 +451,11 @@ def fit_cluster_cca(
     r: int,
     reg: float | None = None,
     seed: int = 0,
-    target_count: int | None = None,
+    target_pairs: int | None = None,
 ) -> LinearProjection:
     """CCA over cluster-expanded pairs; f = 0 reduces to the identity pairing."""
     x, y, labels = _labelled_views(x, y, labels)
-    pairs = expand_pairs(labels, f=f, seed=seed, target_count=target_count)
+    pairs = expand_pairs(labels, f=f, seed=seed, target_pairs=target_pairs)
     return fit_cca(x, y, r, reg, pairs=(pairs.audio_indices, pairs.visual_indices))
 
 

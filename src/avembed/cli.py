@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attention as att
+from . import cca, clustering, deep
 from . import evaluation as ev
 from . import pipeline as pl
 from . import retrieval as rt
@@ -45,10 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-# One row per setting: name -> (type, default, help). The flag is --name-with-dashes
-# (-n for n); a tuple type lists the allowed values; help None marks a key that only
-# a --config file can set; null is a valid value where the default is None. Flags
-# default to None so that --config values survive.
+# One row per setting: name -> (type, default, help), a default the library declares read
+# from there. The flag is --name-with-dashes (-n for n); a tuple type lists the allowed
+# values; help None marks a key that only a --config file can set; null is a valid value
+# where the default is None. Flags default to None so that --config values survive.
 _OPTIONS: dict[str, tuple] = {
     "seed": (int, 0, "root seed"),
     "config": (str, None, "JSON config file; flags override its values"),
@@ -57,11 +58,11 @@ _OPTIONS: dict[str, tuple] = {
     "out_dir": (str, None, "output directory"),
     "out_manifest": (str, None, "write the filtered manifest here"),
     "videos": (int, 100, "number of videos"),
-    "clusters": (int, 10, "number of latent clusters"),
-    "latent_dim": (int, 16, "latent dimension of the generator"),
-    "noise_std": (float, 0.1, "generator noise"),
-    "length_min": (int, 213, "shortest video, seconds"),
-    "length_max": (int, 219, "longest video, seconds"),
+    "clusters": (int, SynthConfig.n_clusters, "number of latent clusters"),
+    "latent_dim": (int, SynthConfig.latent_dim, "latent dimension of the generator"),
+    "noise_std": (float, SynthConfig.noise_std, "generator noise"),
+    "length_min": (int, SynthConfig.length_range[0], "shortest video, seconds"),
+    "length_max": (int, SynthConfig.length_range[1], "longest video, seconds"),
     "span_min": (int, None, "keep videos at least this long"),
     "span_max": (int, None, "keep videos at most this long"),
     "video_id": (str, None, "video to select chunks for or to query (chunk-select: all videos)"),
@@ -69,35 +70,35 @@ _OPTIONS: dict[str, tuple] = {
     "top_k": (int, 1, "macro-chunks kept"),
     "attention_weights": (str, None, "attention BiLSTM weights JSON"),
     "attention_seed": (int, 0, "seed of the stand-in attention weights"),
-    "attention_hidden": (int, 16, "hidden width of the stand-in attention weights"),
+    "attention_hidden": (int, att.DEFAULT_DIM, "hidden width of the stand-in attention weights"),
     "seeds_file": (str, None, "seed-set JSON of exemplar videos per category"),
     "k": (int, None, "clusters; must equal the number of seed sets (default: one per set)"),
-    "max_iter": (int, 100, "k-means iteration cap"),
-    "tol": (float, 1e-8, "k-means tolerance"),
+    "max_iter": (int, clustering.DEFAULT_MAX_ITER, "k-means iteration cap"),
+    "tol": (float, clustering.DEFAULT_TOL, "k-means tolerance"),
     "method": (pl.METHODS, "cca", "embedding method"),
-    "methods": (str, "cca,kcca,ccca,dcca,sdcca", "comma list among cca,kcca,ccca,dcca,sdcca"),
+    "methods": (str, ",".join(pl.METHODS), "comma list among " + ",".join(pl.METHODS)),
     "labels": (str, None, "assignments JSONL from `cluster`"),
     "f": (float, 0.0, "cluster expansion fraction"),
     "target_pairs": (int, None, "cap on expanded pairs"),
-    "r": (int, 30, "CCA components"),
+    "r": (int, deep.TrainConfig.r, "CCA components"),
     "reg": (float, None, "covariance ridge (default: 1e-4 * trace / dim per view for cca and ccca, 1e-4 for "
                          "dcca and sdcca)"),
-    "batch_size": (int, 512, "deep minibatch size"),
-    "epochs": (int, 50, "deep training epochs"),
-    "learning_rate": (float, 0.001, "RMSProp learning rate"),
-    "dropout": (float, 0.2, "dropout rate of the branches"),
-    "rho": (float, 0.9, None),  # RMSProp decay
-    "epsilon": (float, 1e-8, None),  # RMSProp epsilon
-    "kcca_beta": (float, 0.4, "Gaussian kernel width"),
-    "kcca_kappa": (float, 1e-3, "KCCA regularisation"),
-    "audio_layers": (str, "128,128,64,64", "audio branch widths"),
-    "visual_layers": (str, "512,512,256,256", "visual branch widths"),
+    "batch_size": (int, deep.TrainConfig.batch_size, "deep minibatch size"),
+    "epochs": (int, deep.TrainConfig.epochs, "deep training epochs"),
+    "learning_rate": (float, deep.TrainConfig.learning_rate, "RMSProp learning rate"),
+    "dropout": (float, deep.TrainConfig.dropout, "dropout rate of the branches"),
+    "rho": (float, deep.TrainConfig.rho, None),  # RMSProp decay
+    "epsilon": (float, deep.TrainConfig.epsilon, None),  # RMSProp epsilon
+    "kcca_beta": (float, cca.DEFAULT_KCCA_BETA, "Gaussian kernel width"),
+    "kcca_kappa": (float, cca.DEFAULT_KCCA_KAPPA, "KCCA regularisation"),
+    "audio_layers": (str, ",".join(map(str, deep.DEFAULT_AUDIO_LAYERS)), "audio branch widths"),
+    "visual_layers": (str, ",".join(map(str, deep.DEFAULT_VISUAL_LAYERS)), "visual branch widths"),
     "query_mode": (str, "mean", "'mean' or 'c,k'"),
     "model": (str, None, "model file from `train`"),
     "index": (str, None, "index file from `index`"),
     "n": (int, 10, "results to return"),
-    "folds": (int, 5, "cross-validation folds"),
-    "pr_stride": (int, 1, "precision-recall sampling stride"),
+    "folds": (int, ev.DEFAULT_FOLDS, "cross-validation folds"),
+    "pr_stride": (int, ev.DEFAULT_PR_STRIDE, "precision-recall sampling stride"),
 }
 _DEFAULTS = {name: default for name, (_, default, _) in _OPTIONS.items()}
 _COMMON = ("seed", "config")
@@ -262,11 +263,19 @@ def cmd_chunk_select(cfg: dict) -> int:
     return 0
 
 
+def _check_k(cfg: dict, sets: int) -> None:
+    if cfg["k"] is not None and cfg["k"] != sets:
+        raise ValidationError(f"--k {cfg['k']} does not match the {sets} seed sets")
+
+
 def cmd_cluster(cfg: dict) -> int:
+    # a seeds file's sets are counted before the corpus is read; the manifest's once it is
+    categories = load_seed_sets(cfg["seeds_file"]) if cfg.get("seeds_file") else None
+    if categories is not None:
+        _check_k(cfg, len(categories))
     prepared = pl.prepare_dataset(cfg["dataset"])
     seed_vectors = None
-    if cfg.get("seeds_file"):
-        categories = load_seed_sets(cfg["seeds_file"])
+    if categories is not None:
         rows = {v: i for i, v in enumerate(prepared.ids)}
         seed_vectors = []
         for name, vids in categories.items():
@@ -275,8 +284,7 @@ def cmd_cluster(cfg: dict) -> int:
                 raise ValidationError(f"seed category {name!r} references unknown videos {missing}")
             seed_vectors.append(prepared.audio_mean[[rows[v] for v in vids]])
     model = pl.cluster_dataset(prepared, seed_vectors, max_iter=cfg["max_iter"], tol=cfg["tol"])
-    if cfg["k"] is not None and cfg["k"] != model.k:
-        raise ValidationError(f"--k {cfg['k']} does not match the {model.k} seed sets")
+    _check_k(cfg, model.k)
     save_assignments(prepared.ids, model.labels, cfg["out"])
     sizes = np.bincount(model.labels, minlength=model.k)
     print(
@@ -333,6 +341,8 @@ def cmd_index(cfg: dict) -> int:
 
 def cmd_query(cfg: dict) -> int:
     mode = _query_mode(cfg)
+    if cfg["n"] < 1:  # as retrieval.rank would, but before the corpus is read
+        raise ValueError(f"n must be >= 1, got {cfg['n']}")
     vid = cfg["video_id"]
     # every video is read and checked, and only the queried one pooled and scored
     prepared = _prepare(cfg, [mode], [vid], check_all=True)

@@ -28,6 +28,8 @@ EMOTION_CATEGORIES = (
     "calm",
     "warm",
 )
+DEFAULT_MAX_ITER = 100  # seeded_kmeans's iteration cap
+DEFAULT_TOL = 1e-8  # and its tolerance on the drop of the inertia
 
 
 @dataclass
@@ -61,8 +63,8 @@ def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def seeded_kmeans(
     features: np.ndarray,
     seeds: Sequence[np.ndarray],
-    max_iter: int = 100,
-    tol: float = 1e-8,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
 ) -> ClusterModel:
     """Lloyd iterations from seeded centroids (centroid i = mean of seed set i).
 
@@ -132,14 +134,14 @@ def expand_pairs(
     labels: np.ndarray,
     f: float = 0.0,
     seed: int = 0,
-    target_count: int | None = None,
+    target_pairs: int | None = None,
 ) -> PairSet:
     """Identity pairs plus seeded within-cluster cross pairs.
 
     Fraction mode: each audio item is paired with round(f * cluster_size)
     visual items of its cluster (its own video always included), sampled
-    uniformly without replacement. target_count overrides f: the result holds
-    exactly target_count pairs (all identities plus sampled cross pairs).
+    uniformly without replacement. target_pairs overrides f: the result holds
+    exactly target_pairs pairs (all identities plus sampled cross pairs).
     Labels are per video, so both sides of a pair share one label vector.
     """
     la = np.asarray(labels, dtype=np.int64)
@@ -153,10 +155,10 @@ def expand_pairs(
 
     members: dict[int, np.ndarray] = {int(c): np.flatnonzero(la == c) for c in np.unique(la)}
 
-    if target_count is not None:
-        if target_count < n:
-            raise ValueError(f"target_count {target_count} below the {n} identity pairs")
-        audio, visual = _sample_cross_pairs(members, target_count - n, rng)
+    if target_pairs is not None:
+        if target_pairs < n:
+            raise ValueError(f"target_pairs {target_pairs} below the {n} identity pairs")
+        audio, visual = _sample_cross_pairs(members, target_pairs - n, rng)
         return PairSet(np.concatenate([identity, audio]), np.concatenate([identity, visual]))
 
     if f == 0.0:
@@ -190,7 +192,7 @@ def _sample_cross_pairs(
     v_all = np.concatenate([v[a != v] for a, v in cells])
     if count > a_all.shape[0]:
         raise ValueError(
-            f"target_count asks for {count} cross pairs but only {a_all.shape[0]} exist"
+            f"target_pairs asks for {count} cross pairs but only {a_all.shape[0]} exist"
         )
     chosen = rng.choice(a_all.shape[0], size=count, replace=False)
     chosen.sort()

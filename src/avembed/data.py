@@ -30,6 +30,7 @@ AUDIO_DIM = 128
 VISUAL_DIM = 1024
 
 _FVSQ_MAGIC = b"FVSQ"
+_FVSQ_VERSION = 1
 _MODALITY_CODES = {"audio": 0, "visual": 1}
 _MODALITY_NAMES = {v: k for k, v in _MODALITY_CODES.items()}
 
@@ -96,7 +97,7 @@ def write_sequence(seq: FeatureSequence, path: str | Path) -> None:
     payload = np.ascontiguousarray(seq.frames, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(_FVSQ_MAGIC)
-        fh.write(struct.pack("<BB", 1, _MODALITY_CODES[seq.modality]))
+        fh.write(struct.pack("<BB", _FVSQ_VERSION, _MODALITY_CODES[seq.modality]))
         fh.write(struct.pack("<II", seq.n_frames, seq.dim))
         fh.write(memoryview(payload))
 
@@ -128,7 +129,7 @@ def load_sequence(path: str | Path, into: blockio.Buffer | None = None) -> Featu
         if magic != _FVSQ_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         version, modality_code = reader.unpack("<BB", "header")
-        if version != 1:
+        if version != _FVSQ_VERSION:
             raise FormatError(f"{path}: unsupported FVSQ version {version}")
         if modality_code not in _MODALITY_NAMES:
             raise FormatError(f"{path}: unknown modality code {modality_code}")

@@ -333,13 +333,13 @@ def train_sdcca(
     labels: np.ndarray,
     f: float,
     cfg: TrainConfig,
-    target_count: int | None = None,
+    target_pairs: int | None = None,
     audio_layers: tuple[int, ...] = DEFAULT_AUDIO_LAYERS,
     visual_layers: tuple[int, ...] = DEFAULT_VISUAL_LAYERS,
 ) -> DeepModel:
     """DCCA over cluster-expanded pairs; f = 0 reproduces the plain pairing."""
     x, y, labels = _labelled_views(x, y, labels)
-    pairs = expand_pairs(labels, f=f, seed=cfg.seed, target_count=target_count)
+    pairs = expand_pairs(labels, f=f, seed=cfg.seed, target_pairs=target_pairs)
     return _train_on_pairs(
         x, y, pairs.audio_indices, pairs.visual_indices, cfg, audio_layers, visual_layers
     )

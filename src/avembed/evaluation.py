@@ -84,6 +84,8 @@ EmbedFn = Callable[[np.ndarray], np.ndarray]
 # A fit consumes the training rows (audio, visual, labels) and returns the two embedding
 # maps (feature matrix -> embedding matrix) for the audio and visual side.
 Fit = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[EmbedFn, EmbedFn]]
+DEFAULT_FOLDS = 5  # cross_validate's fold count
+DEFAULT_PR_STRIDE = 1  # and its precision-recall sampling stride
 
 
 def score_held_out(
@@ -138,9 +140,9 @@ def cross_validate(
     labels: np.ndarray,
     ids: Sequence[str],
     fit: Fit,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    pr_stride: int = 1,
+    pr_stride: int = DEFAULT_PR_STRIDE,
     config: dict | None = None,
 ) -> EvalReport:
     """Train on folds-1, rank each held-out audio against the held-out video index.

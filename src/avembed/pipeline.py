@@ -34,7 +34,7 @@ from . import attention as att
 from . import blockio
 from . import cca as cca_mod
 from . import deep as deep_mod
-from .clustering import seeded_kmeans
+from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, seeded_kmeans
 from .data import (
     FeatureSequence,
     ManifestEntry,
@@ -253,8 +253,8 @@ def seed_sets_from_labels(
 def cluster_dataset(
     prepared: PreparedDataset,
     seed_vectors: Sequence[np.ndarray] | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
 ):
     """Seeded k-means over video-level audio features, one cluster per seed set.
 
@@ -280,8 +280,8 @@ def train_method(
     seed: int = 0,
     f: float = 0.0,
     target_pairs: int | None = None,
-    kcca_beta: float = 0.4,
-    kcca_kappa: float = 1e-3,
+    kcca_beta: float = cca_mod.DEFAULT_KCCA_BETA,
+    kcca_kappa: float = cca_mod.DEFAULT_KCCA_KAPPA,
     audio_layers: tuple[int, ...] = deep_mod.DEFAULT_AUDIO_LAYERS,
     visual_layers: tuple[int, ...] = deep_mod.DEFAULT_VISUAL_LAYERS,
     **train,
@@ -301,7 +301,7 @@ def train_method(
         model = cca_mod.fit_kcca(audio, visual, r, beta=kcca_beta, kappa=kcca_kappa)
     elif method == "ccca":
         model = cca_mod.fit_cluster_cca(
-            audio, visual, labels, f=f, r=r, reg=reg, seed=seed, target_count=target_pairs
+            audio, visual, labels, f=f, r=r, reg=reg, seed=seed, target_pairs=target_pairs
         )
     else:
         # the deep fits keep TrainConfig's fixed ridge rather than one scaled to the data
@@ -314,7 +314,7 @@ def train_method(
             )
         else:
             model = deep_mod.train_sdcca(
-                audio, visual, labels, f=f, cfg=cfg, target_count=target_pairs,
+                audio, visual, labels, f=f, cfg=cfg, target_pairs=target_pairs,
                 audio_layers=audio_layers, visual_layers=visual_layers,
             )
     return model

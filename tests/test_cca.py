@@ -361,12 +361,12 @@ class TestClusterCca:
 
         n = 40
         shapes = [(6, 8), (60, 90), (6, 90), (90, 6)]  # d <= n, d > n, and mixed sides
-        expansions = [(0.5, None), (1.0, None), (0.5, 200)]  # (f, target_count)
+        expansions = [(0.5, None), (1.0, None), (0.5, 200)]  # (f, target_pairs)
         for case, ((dx, dy), (f, target), reg) in enumerate(
             itertools.product(shapes, expansions, [None, 0.1])
         ):
             x, y, labels = views(n, dx, dy, case)
-            pairs = expand_pairs(labels, f=f, seed=case, target_count=target)
+            pairs = expand_pairs(labels, f=f, seed=case, target_pairs=target)
             a, v = pairs.audio_indices, pairs.visual_indices
             r = min(dx, dy, 5)
             got = fit_cca(x, y, r, reg, pairs=(a, v))
@@ -394,7 +394,7 @@ class TestClusterCca:
             a = v = np.arange(n)
             got = fit_cca(x, y, r, reg)
         else:
-            pairs = expand_pairs(labels, f=expansion[0], seed=3, target_count=expansion[1])
+            pairs = expand_pairs(labels, f=expansion[0], seed=3, target_pairs=expansion[1])
             a, v = pairs.audio_indices, pairs.visual_indices
             got = fit_cca(x, y, r, reg, pairs=(a, v))
         ref = fit_cca(x[a], y[v], r, reg)

@@ -262,6 +262,16 @@ class TestCluster:
         err = fails(capsys, 2, "cluster", "--dataset", tmp_path, "--out", tmp_path / "labels.jsonl")
         assert "no seed sets given and the manifest carries no labels to derive them from" in err
 
+    def test_k_against_a_seeds_file_checked_before_any_file_is_read(self, dataset, tmp_path, capsys, spy):
+        reads = spy("load_sequence", pipeline)
+        categories = json.loads((dataset / "seeds.json").read_text())["categories"]
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"categories": dict(list(categories.items())[:3])}))
+        out = tmp_path / "assignments.jsonl"
+        err = fails(capsys, 2, "cluster", "--dataset", dataset, "--seeds-file", seeds, "--k", 4, "--out", out)
+        assert err == "avembed: data error: --k 4 does not match the 3 seed sets\n"
+        assert reads == [] and not out.exists()
+
     def test_max_iter_below_one_is_usage_error(self, dataset, tmp_path, capsys):
         # with no iteration every label would stay -1
         out = tmp_path / "assignments.jsonl"
@@ -587,6 +597,14 @@ class TestQueryReadsEveryVideoPoolsOne:
         root = _manifest_dir(dataset, tmp_path, lambda e: e.update(audio_path=str(bad)), row=20)
         err = fails(capsys, 2, *self._query(root, artifacts, "mv00003", "mean"))
         assert err == "avembed: data error: sequence 'mv00020' contains non-finite values\n"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_exits_1_before_any_file_is_read(self, dataset, tmp_path, capsys, calls, n):
+        # as for an unknown id, the index and model do not exist
+        argv = self._query(dataset, {}, "mv00003", "mean", index=tmp_path / "no.index", model=tmp_path / "no.model")
+        err = fails(capsys, 1, *argv, "-n", n)
+        assert err == f"avembed: invalid arguments: n must be >= 1, got {n}\n"
+        assert calls["load_sequence"] == []
 
     @pytest.mark.parametrize("mode", ["mean", "3,1"])
     def test_unknown_video_exits_2_before_any_file_is_read(self, dataset, tmp_path, capsys, calls, mode):
@@ -1222,6 +1240,66 @@ class TestEval:
         assert not {"videos", "noise_std", "query_mode"} & set(config)
         assert config["command"] == "eval" and config["method"] == "cca"
         assert config["query_config"] == "2/6" and config["folds"] == 2
+
+
+def _unknown_seed_video(dataset: Path, tmp_path: Path) -> tuple:
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"categories": {"calm": ["mv00001", "nope"]}}))
+    return ("cluster", "--dataset", dataset, "--seeds-file", seeds, "--out", tmp_path / "l.jsonl"), (
+        "avembed: data error: seed category 'calm' references unknown videos ['nope']"
+    )
+
+
+def _unlabelled_manifest(dataset: Path, tmp_path: Path) -> tuple:
+    manifest = _manifest_dir(dataset, tmp_path, lambda e: None) / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("".join(json.dumps({**json.loads(line), "label": None}) + "\n" for line in lines))
+    return ("train", "--dataset", tmp_path, "--method", "ccca", "--out", tmp_path / "m.model"), (
+        "avembed: data error: no --labels file and the manifest carries no labels; run `cluster` first"
+    )
+
+
+def _target_pairs_beyond_the_cross_pairs(dataset: Path, tmp_path: Path) -> tuple:
+    sizes = np.bincount([e.label for e in load_manifest(dataset / "manifest.jsonl").entries])
+    return ("train", "--dataset", dataset, "--method", "ccca", "--r", 4, "--target-pairs", 100_000,
+            "--out", tmp_path / "m.model"), (
+        f"avembed: invalid arguments: target_pairs asks for {100_000 - 36} cross pairs but only "
+        f"{int(np.sum(sizes * (sizes - 1)))} exist"
+    )
+
+
+# errors a CLI user can reach: (argv, the stderr line) of each, given the 36-video dataset and a scratch directory
+_REACHABLE_ERRORS = {
+    "unknown-seed-video": (2, _unknown_seed_video),
+    "unlabelled-manifest": (2, _unlabelled_manifest),
+    "folds-above-videos": (2, lambda d, t: (
+        ("eval", "--dataset", d, "--out-dir", t / "e", "--methods", "cca", "--folds", 50),
+        "eval cell cca/1/3 failed: dataset of 36 rows cannot form 50 folds",
+    )),
+    "deep-r-above-branch-width": (1, lambda d, t: (
+        ("train", "--dataset", d, "--method", "dcca", "--r", 9, "--batch-size", 18, "--epochs", 1,
+         "--audio-layers", "16,8", "--visual-layers", "16,8", "--out", t / "m.model"),
+        "avembed: invalid arguments: r=9 exceeds the output width 8 of audio_layers",
+    )),
+    "kcca-r-above-kernel-rank": (1, lambda d, t: (
+        ("train", "--dataset", d, "--method", "kcca", "--r", 40, "--out", t / "m.model"),
+        "avembed: invalid arguments: r must be in [1, 35] for this kernel rank, got 40",
+    )),
+    "span-min-above-span-max": (1, lambda d, t: (
+        ("ingest", "--dataset", d, "--span-min", 219, "--span-max", 213),
+        "avembed: invalid arguments: invalid span [219, 213]",
+    )),
+    "target-pairs-beyond-cross-pairs": (1, _target_pairs_beyond_the_cross_pairs),
+}
+
+
+@pytest.mark.parametrize("case", list(_REACHABLE_ERRORS))
+def test_reachable_error_exit_code_and_message(dataset, tmp_path, capsys, case):
+    code, setup = _REACHABLE_ERRORS[case]
+    argv, line = setup(dataset, tmp_path)
+    got = run(*argv)
+    err = capsys.readouterr().err
+    assert got == code and line in err.splitlines() and "Traceback" not in err, err
 
 
 class TestDefaults:

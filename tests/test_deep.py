@@ -331,7 +331,7 @@ class TestSdcca:
         x, y, labels = self._clustered(n_per=32, k=2)
         cfg = small_cfg(seed=2, epochs=1, batch_size=32)
         model = train_sdcca(
-            x, y, labels, f=1.0, cfg=cfg, target_count=100,
+            x, y, labels, f=1.0, cfg=cfg, target_pairs=100,
             audio_layers=(8, 6), visual_layers=(8, 6),
         )
         assert model.cca_head.wx.shape == (6, 4)
@@ -472,7 +472,7 @@ class TestWorkingSet:
         cfg = TrainConfig(batch_size=256, epochs=1, r=5, reg=0.25, seed=0)
         tracemalloc.start()
         try:
-            train_sdcca(x, y, labels, f=1.0, cfg=cfg, target_count=4 * 256,
+            train_sdcca(x, y, labels, f=1.0, cfg=cfg, target_pairs=4 * 256,
                         audio_layers=(64, 32), visual_layers=(256, 64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

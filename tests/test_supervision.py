@@ -130,15 +130,15 @@ class TestSeededKmeans:
             seeded_kmeans(x, [np.zeros((1, 3))])  # wrong dim
 
 
-def _three_column_pairs(labels, f, seed, target_count):
+def _three_column_pairs(labels, f, seed, target_pairs):
     """(audio, visual, label) rows as an earlier expand_pairs built them: the fraction loop drew
-    partners with each row's own index added, then removed it; target_count sampled labelled cells."""
+    partners with each row's own index added, then removed it; target_pairs sampled labelled cells."""
     la = np.asarray(labels, dtype=np.int64)
     n = la.shape[0]
     rng = np.random.default_rng(seed)
     identity = np.column_stack([np.arange(n), np.arange(n), la])
     members = {int(c): np.flatnonzero(la == c) for c in np.unique(la)}
-    if target_count is not None:
+    if target_pairs is not None:
         a_all, v_all, l_all = [], [], []
         for c, idx in sorted(members.items()):
             a, v = np.repeat(idx, idx.shape[0]), np.tile(idx, idx.shape[0])
@@ -147,7 +147,7 @@ def _three_column_pairs(labels, f, seed, target_count):
             v_all.append(v[keep])
             l_all.append(np.full(keep.sum(), c, dtype=np.int64))
         a_all, v_all, l_all = (np.concatenate(x) for x in (a_all, v_all, l_all))
-        chosen = rng.choice(a_all.shape[0], size=target_count - n, replace=False)
+        chosen = rng.choice(a_all.shape[0], size=target_pairs - n, replace=False)
         chosen.sort()
         return np.vstack([identity, np.column_stack([a_all[chosen], v_all[chosen], l_all[chosen]])])
     if f == 0.0:
@@ -183,7 +183,7 @@ class TestExpandPairs:
 
     def test_target_count_exact(self):
         labels = np.repeat(np.arange(10), 800)
-        ps = expand_pairs(labels, f=0.5, seed=3, target_count=800_000)
+        ps = expand_pairs(labels, f=0.5, seed=3, target_pairs=800_000)
         assert len(ps) == 800_000
         # identities all present
         assert np.count_nonzero(ps.audio_indices == ps.visual_indices) == 8000
@@ -220,7 +220,7 @@ class TestExpandPairs:
         assert np.array_equal(p1.visual_indices, p2.visual_indices)
         assert not np.array_equal(p1.visual_indices, p3.visual_indices)
 
-    @pytest.mark.parametrize("labels, f, target_count", [
+    @pytest.mark.parametrize("labels, f, target_pairs", [
         (np.random.default_rng(13).integers(0, 5, size=90), 0.0, None),
         (np.random.default_rng(13).integers(0, 5, size=90), 0.4, None),
         (np.random.default_rng(13).integers(0, 5, size=90), 0.5, None),
@@ -229,9 +229,9 @@ class TestExpandPairs:
         (np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1]), 0.2, None),  # round(0.2 * size) is 1: no draw
         (np.random.default_rng(13).integers(0, 5, size=90), 0.5, 700),
     ], ids=["f0", "f0.4", "f0.5", "f1", "singleton", "no-draw", "target-count"])
-    def test_index_vectors_match_the_three_column_stream(self, labels, f, target_count):
-        want = _three_column_pairs(labels, f, 14, target_count)
-        got = expand_pairs(labels, f=f, seed=14, target_count=target_count)
+    def test_index_vectors_match_the_three_column_stream(self, labels, f, target_pairs):
+        want = _three_column_pairs(labels, f, 14, target_pairs)
+        got = expand_pairs(labels, f=f, seed=14, target_pairs=target_pairs)
         assert np.array_equal(got.audio_indices, want[:, 0])
         assert np.array_equal(got.visual_indices, want[:, 1])
         assert len(got) == want.shape[0]
@@ -242,7 +242,7 @@ class TestExpandPairs:
 
     def test_target_below_identities_rejected(self):
         with pytest.raises(ValueError):
-            expand_pairs(np.zeros(10, dtype=int), f=0.0, seed=0, target_count=5)
+            expand_pairs(np.zeros(10, dtype=int), f=0.0, seed=0, target_pairs=5)
 
 
 class TestSupervisionFiles:

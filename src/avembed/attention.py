@@ -134,14 +134,31 @@ def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
         axis=2,
     ).reshape(steps, -1)
     n = p._w_co.shape[0]
+    w_s, w_co = p._w_s, p._w_co
+    # the step buffers, allocated once: every step writes them in place
     state = np.zeros(2 * n)
     h, c = state[:n], state[n:]
+    z = np.empty(4 * n)
+    tanh_gates, sig_gates = z[: 3 * n], z[: 2 * n]
+    i, f, g, o = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :]
+    tmp = np.empty(n)
     out = np.empty((steps, n))
     for t in range(steps):
-        z = z_in[t] + p._w_s @ state
-        gates = np.tanh(z[: 3 * n])
-        c[:] = (0.5 * gates[n : 2 * n] + 0.5) * c + (0.5 * gates[:n] + 0.5) * gates[2 * n :]
-        h[:] = (0.5 * np.tanh(z[3 * n :] + p._w_co @ c) + 0.5) * np.tanh(c)
+        np.dot(w_s, state, out=z)
+        z += z_in[t]
+        np.tanh(tanh_gates, out=tanh_gates)
+        sig_gates *= 0.5
+        sig_gates += 0.5
+        c *= f
+        np.multiply(i, g, out=tmp)
+        c += tmp
+        np.dot(w_co, c, out=tmp)
+        tmp += o
+        np.tanh(tmp, out=tmp)
+        tmp *= 0.5
+        tmp += 0.5
+        np.tanh(c, out=h)
+        h *= tmp
         out[t] = h
     h_fwd = p.forward_lstm.hidden_dim
     out[:, h_fwd:] = out[::-1, h_fwd:].copy()

@@ -30,6 +30,7 @@ EMOTION_CATEGORIES = (
 )
 DEFAULT_MAX_ITER = 100  # seeded_kmeans's iteration cap
 DEFAULT_TOL = 1e-8  # and its tolerance on the drop of the inertia
+_SEEDS_VERSION = 1
 
 
 @dataclass
@@ -213,12 +214,18 @@ def load_assignments(path: str | Path) -> dict[str, int]:
 
 def save_seed_sets(categories: dict[str, list[str]], path: str | Path) -> None:
     """Seeds file: named categories, each holding exemplar video ids."""
-    Path(path).write_text(json.dumps({"version": 1, "categories": categories}, indent=2), encoding="utf-8")
+    obj = {"version": _SEEDS_VERSION, "categories": categories}
+    Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
 
 
 def load_seed_sets(path: str | Path) -> dict[str, list[str]]:
     where = f"{path}: seeds file"
-    cats = blockio.field(blockio.read_json_object(path, "seeds file"), "categories", dict, where)
+    obj = blockio.read_json_object(path, "seeds file")
+    # a file without a version, as a hand-written one may be, reads as version 1
+    version = blockio.field(obj, "version", int, where) if "version" in obj else 1
+    if version != _SEEDS_VERSION:
+        raise FormatError(f"{where} key 'version' is {version}; only version {_SEEDS_VERSION} is supported")
+    cats = blockio.field(obj, "categories", dict, where)
     if not cats:
         raise FormatError(f"{where} holds no categories")
     for name in cats:

@@ -7,11 +7,14 @@ each 'mean' or a (c, k) chunk mode. It pools full-frame audio means and max-pool
 video-level visual features, always; for each chunk mode, the video's query vector,
 kept macro-chunks and macro-chunk scores. It returns one query matrix per mode (the
 track means for 'mean') and each chunk mode's (selected, scores) rows. A video's
-base-chunk pools exist only while its frames are in hand: they are scored in
-every mode and dropped before the next video is read. The frames themselves
-are read into one buffer per modality that the pass owns and reuses. Working
-memory is therefore O(n·d) for the corpus plus one video's frames and pools,
-whatever the spread of lengths.
+base-chunk pools exist only while its frames are in hand: they are scored for
+every mode and dropped before the next video is read. A chunk mode scores only
+the usable prefix of floor(n_base / c) * c base chunks, so the modes of a video
+that leave the same prefix share one BiLSTM recurrence and differ only in the
+top-k pick; the recurrence allocates its step buffers once per call. The frames
+themselves are read into one buffer per modality that the pass owns and reuses.
+Working memory is therefore O(n·d) for the corpus plus one video's frames and
+pools, whatever the spread of lengths.
 
 load_video is the one check of a video against its manifest line and the
 corpus: both files hold the named modality, as many frames as each other and
@@ -191,8 +194,9 @@ def _prepare(videos, n: int, modes: Sequence[Mode], scorer: Scorer | None) -> Pr
         labels.append(entry.label)
         if selections:
             chunk_means, chunk_maxes = pool_chunks(audio_seq.frames, BASE_CHUNK_SEC)
+            scored = {}  # this video's usable prefix length -> theta, shared by its modes
             for (c, k), (selected, scores) in selections.items():
-                selected[i], scores[i] = chunk_selection_for(chunk_maxes, params, c, k)
+                selected[i], scores[i] = chunk_selection_for(chunk_maxes, params, c, k, scored=scored)
                 vectors[c, k][i] = representation_from_selection(chunk_means, selected[i], c)
     audio_mean = np.stack(means)
     return PreparedDataset(
@@ -212,22 +216,33 @@ def check_chunk_config(c: int, k: int) -> None:
 
 
 def chunk_selection_for(
-    chunk_maxes: np.ndarray, params: att.AttentionParams, c: int, k: int
+    chunk_maxes: np.ndarray,
+    params: att.AttentionParams,
+    c: int,
+    k: int,
+    scored: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score base chunks and pick top-k of the c macro-chunks for one audio: the
     (selected, macro_scores) pair of attention.select_top_k.
 
     Base chunks beyond the largest multiple of c are dropped before scoring so
-    the macro partition is exact (extends the remainder-drop rule).
+    the macro partition is exact (extends the remainder-drop rule). scored, if
+    given, maps a usable prefix length to its attention distribution theta over
+    those base chunks, and is filled as prefixes are scored: modes of one audio
+    that leave the same prefix share one recurrence (bilstm_states, whose step
+    buffers are allocated once per call), and only the top-k pick runs per mode.
+    So one dict serves one (chunk_maxes, params) pair and no other.
     """
     check_chunk_config(c, k)
     n_base = chunk_maxes.shape[0]
     usable = (n_base // c) * c
     if usable < c:
         raise ValidationError(f"audio has only {n_base} base chunks; cannot form {c} macro-chunks")
-    states = att.bilstm_states(chunk_maxes[:usable], params)
-    theta = att.attention_distribution(att.score_states(states, params))
-    return att.select_top_k(theta, c, k)
+    scored = {} if scored is None else scored
+    if usable not in scored:
+        states = att.bilstm_states(chunk_maxes[:usable], params)
+        scored[usable] = att.attention_distribution(att.score_states(states, params))
+    return att.select_top_k(scored[usable], c, k)
 
 
 def representation_from_selection(chunk_means: np.ndarray, selected: np.ndarray, c: int) -> np.ndarray:

@@ -5,11 +5,11 @@ from typing import Sequence
 
 import numpy as np
 
-from avembed.attention import LstmParams
+from avembed.attention import AttentionParams, LstmParams
 from avembed.clustering import ClusterModel, _sq_distances
 from avembed.data import pool_chunks
 from avembed.deep import _sigmoid
-from avembed.errors import UndefinedSimilarityError
+from avembed.errors import UndefinedSimilarityError, ValidationError
 from avembed.evaluation import RelevanceJudgment, average_precision, mean_ap, precision_recall
 from avembed.pipeline import chunk_selection_for, representation_from_selection
 from avembed.retrieval import RankedList, build_index, rank
@@ -52,6 +52,43 @@ def chained_steps(feats: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
         [p.w_out @ np.tanh(p.w_forward @ a + p.w_backward @ b + p.bias) for a, b in zip(h_f, h_b)]
     )
     return np.hstack([h_f, h_b]), scores
+
+
+# bilstm_states as it was written with new arrays for every gate at every step, kept verbatim as
+# the reference of the recurrence that writes its step buffers in place
+def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """Run both directions from zero state over a (T, input_dim) sequence.
+
+    Returns the (T, h_forward + h_backward) joint states in original time
+    order: columns [:h_forward] forward, the rest backward.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != p.forward_lstm.input_dim:
+        raise ValueError(f"features of shape {x.shape} do not match LSTM input dim {p.forward_lstm.input_dim}")
+    if x.shape[0] == 0:
+        raise ValidationError("empty chunk sequence")
+    steps = x.shape[0]
+    # one GEMM per direction; the backward direction reads the reversed sequence
+    z_in = np.concatenate(
+        [
+            (seq @ w.T + b).reshape(steps, 4, -1)
+            for seq, w, b in zip((x, x[::-1]), p._w_x, p._b)
+        ],
+        axis=2,
+    ).reshape(steps, -1)
+    n = p._w_co.shape[0]
+    state = np.zeros(2 * n)
+    h, c = state[:n], state[n:]
+    out = np.empty((steps, n))
+    for t in range(steps):
+        z = z_in[t] + p._w_s @ state
+        gates = np.tanh(z[: 3 * n])
+        c[:] = (0.5 * gates[n : 2 * n] + 0.5) * c + (0.5 * gates[:n] + 0.5) * gates[2 * n :]
+        h[:] = (0.5 * np.tanh(z[3 * n :] + p._w_co @ c) + 0.5) * np.tanh(c)
+        out[t] = h
+    h_fwd = p.forward_lstm.hidden_dim
+    out[:, h_fwd:] = out[::-1, h_fwd:].copy()
+    return out
 
 
 def top_k(theta: np.ndarray, c: int, k: int) -> list[int]:

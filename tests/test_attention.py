@@ -22,6 +22,7 @@ from avembed.deep import _sigmoid
 from avembed.errors import FormatError, ValidationError
 from avembed.pipeline import representation_from_selection
 from conftest import planted_lstm, random_attention, random_lstm
+import oracles
 from oracles import chained_steps, lstm_step, top_k
 
 
@@ -170,6 +171,16 @@ class TestJointRecurrence:
         states = bilstm_states(feats, p)
         np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(score_states(states, p), ref_scores, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, 2, 71])
+    @pytest.mark.parametrize("hidden", [(3, 5), (5, 3), (16, 16)])
+    def test_bits_equal_the_allocating_loop(self, hidden, length):
+        # the in-place recurrence against the one that allocated every gate at every step
+        rng = np.random.default_rng(10 * length + hidden[0])
+        p = _random_attention(128, *hidden, rng)
+        feats = rng.normal(size=(length, 128))
+        got, want = bilstm_states(feats, p), oracles.bilstm_states(feats, p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_empty_sequence_rejected(self):
         p = random_attention(3, 4, 2, np.random.default_rng(16))

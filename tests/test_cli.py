@@ -1250,6 +1250,14 @@ def _unknown_seed_video(dataset: Path, tmp_path: Path) -> tuple:
     )
 
 
+def _seeds_file_of_an_unknown_version(dataset: Path, tmp_path: Path) -> tuple:
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"version": 99, "categories": {"calm": ["mv00001"]}}))
+    return ("cluster", "--dataset", dataset, "--seeds-file", seeds, "--out", tmp_path / "l.jsonl"), (
+        f"avembed: data error: {seeds}: seeds file key 'version' is 99; only version 1 is supported"
+    )
+
+
 def _unlabelled_manifest(dataset: Path, tmp_path: Path) -> tuple:
     manifest = _manifest_dir(dataset, tmp_path, lambda e: None) / "manifest.jsonl"
     lines = manifest.read_text().splitlines()
@@ -1271,6 +1279,7 @@ def _target_pairs_beyond_the_cross_pairs(dataset: Path, tmp_path: Path) -> tuple
 # errors a CLI user can reach: (argv, the stderr line) of each, given the 36-video dataset and a scratch directory
 _REACHABLE_ERRORS = {
     "unknown-seed-video": (2, _unknown_seed_video),
+    "seeds-file-of-an-unknown-version": (2, _seeds_file_of_an_unknown_version),
     "unlabelled-manifest": (2, _unlabelled_manifest),
     "folds-above-videos": (2, lambda d, t: (
         ("eval", "--dataset", d, "--out-dir", t / "e", "--methods", "cca", "--folds", 50),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from avembed import blockio
+from avembed import attention, blockio
 from avembed.attention import attention_distribution, bilstm_states, random_attention_params, score_states, select_top_k
 from avembed.data import (
     Manifest,
@@ -265,6 +265,20 @@ class TestQueryMatrix:
                 assert np.array_equal(got, ref)
                 assert np.array_equal(corpus.selections[c, k][0][i], ref)
                 np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seconds, prefixes", [(213, [69, 66, 63]), (216, [72]), (219, [72])])
+    def test_modes_that_leave_one_prefix_share_one_recurrence(self, monkeypatch, seconds, prefixes):
+        # 71, 72 and 73 base chunks: the sweep's modes leave 3, 1 and 1 distinct usable prefixes
+        cfg = SynthConfig(n_videos=3, n_clusters=1, latent_dim=4, length_range=(seconds, seconds), seed=4)
+        params = random_attention_params(128, seed=0)
+        alone = {mode: prepare_synthetic(cfg, modes=[mode], scorer=lambda dim: params) for mode in CHUNK_MODES}
+        lengths, real = [], attention.bilstm_states
+        monkeypatch.setattr(attention, "bilstm_states", lambda feats, p: lengths.append(len(feats)) or real(feats, p))
+        swept = prepare_synthetic(cfg, modes=CHUNK_MODES, scorer=lambda dim: params)
+        assert lengths == prefixes * cfg.n_videos
+        for mode in CHUNK_MODES:
+            assert np.array_equal(swept.queries[mode], alone[mode].queries[mode])
+            assert all(np.array_equal(a, b) for a, b in zip(swept.selections[mode], alone[mode].selections[mode]))
 
     @pytest.mark.parametrize("c, k", [(0, 0), (3, 0), (3, 4)])
     def test_top_k_outside_one_to_c_rejected(self, c, k):

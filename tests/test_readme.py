@@ -43,3 +43,20 @@ def test_numeric_defaults_name_their_declarations():
     ]
     bullets = [" ".join(item.split()) for item in listed.split("\n- ")[1:]]
     assert bullets == want
+
+
+def test_quoted_defaults_equal_their_declarations():
+    # defaults that `--help` and README's walkthrough spell as literals, checked against the
+    # declarations they copy, so that neither text can drift from the code
+    from avembed import attention, cca, cli, clustering, deep
+
+    reg_help = cli._OPTIONS["reg"][2]
+    scale, deep_reg = re.search(r"default: (\S+) \* trace / dim per view for cca and ccca, (\S+) for dcca",
+                                reg_help).groups()
+    assert float(scale) == cca.DEFAULT_REG_SCALE
+    assert float(deep_reg) == deep.TrainConfig.reg
+    text = README.read_text(encoding="utf-8")
+    hidden = re.search(r"--attention-hidden H >= 1,\s+#\s+default (\d+)\)", text).group(1)
+    assert int(hidden) == attention.DEFAULT_DIM
+    max_iter = re.search(r"--max-iter \(default (\d+)\)", text).group(1)
+    assert int(max_iter) == clustering.DEFAULT_MAX_ITER

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from avembed.clustering import (
     save_seed_sets,
     seeded_kmeans,
 )
-from avembed.errors import ValidationError
+from avembed.errors import FormatError, ValidationError
 import oracles
 
 
@@ -256,6 +258,20 @@ class TestSupervisionFiles:
         cats = {"angry": ["v1", "v2", "v3"], "calm": ["v4", "v5", "v6"]}
         save_seed_sets(cats, path)
         assert load_seed_sets(path) == cats
+
+    @pytest.mark.parametrize("version, error", [
+        ({}, None), ({"version": 1}, None),
+        ({"version": 99}, "key 'version' is 99; only version 1 is supported"),
+        ({"version": "1"}, "key 'version'"), ({"version": None}, "key 'version'"),
+    ], ids=["absent", "1", "99", "str", "null"])
+    def test_seeds_version_absent_reads_as_1_and_any_other_is_rejected(self, tmp_path, version, error):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps({**version, "categories": {"calm": ["v1"]}}))
+        if error is None:
+            assert load_seed_sets(path) == {"calm": ["v1"]}
+        else:
+            with pytest.raises(FormatError, match=error):
+                load_seed_sets(path)
 
     def test_empty_category_rejected(self, tmp_path):
         path = tmp_path / "seeds.json"

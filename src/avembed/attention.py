@@ -30,6 +30,7 @@ _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
 _LAYOUT = (("w_x", _GATES, "hd"), ("w_h", _GATES, "hh"), ("w_c", _PEEPHOLE_GATES, "hh"), ("b", _GATES, "h"))
 _WEIGHTS_VERSION = 1
 DEFAULT_DIM = 16  # the hidden and the attention dims of the stand-in scorer
+_RANDOM_SCALE = 0.2  # and the standard deviation of its random weights
 
 
 @dataclass
@@ -77,15 +78,12 @@ class AttentionParams:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.w_out.shape[0]
-        if self.w_forward.shape != (m, self.forward_lstm.hidden_dim):
-            raise ValueError("w_forward shape does not match attention/hidden dims")
-        if self.w_backward.shape != (m, self.backward_lstm.hidden_dim):
-            raise ValueError("w_backward shape does not match attention/hidden dims")
-        if self.w_out.shape != (m,) or self.bias.shape != (m,):
-            raise ValueError("w_out and bias must be vectors of the attention dim")
-        if self.forward_lstm.input_dim != self.backward_lstm.input_dim:
-            raise ValueError("forward and backward LSTMs read different input dims")
+        # g gates, d inputs, f and b the hidden units of each direction, m attention units
+        blockio.check_dims({
+            "forward_lstm.w_x": (self.forward_lstm.w_x, "gfd"), "backward_lstm.w_x": (self.backward_lstm.w_x, "gbd"),
+            "w_forward": (self.w_forward, "mf"), "w_backward": (self.w_backward, "mb"),
+            "w_out": (self.w_out, "m"), "bias": (self.bias, "m"),
+        })
         # Both directions stacked into one recurrence over S = [h | c], built here once, so the
         # arrays above must not be mutated afterwards. With n = h_forward + h_backward joint
         # units, pre-activations are one block of n rows per gate in _GATES order, each block
@@ -120,8 +118,7 @@ def bilstm_states(features: np.ndarray, p: AttentionParams) -> np.ndarray:
     order: columns [:h_forward] forward, the rest backward.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.forward_lstm.input_dim:
-        raise ValueError(f"features of shape {x.shape} do not match LSTM input dim {p.forward_lstm.input_dim}")
+    blockio.check_dims({"forward_lstm.w_x": (p.forward_lstm.w_x, "ghd"), "features": (x, "td")})
     if x.shape[0] == 0:
         raise ValidationError("empty chunk sequence")
     steps = x.shape[0]
@@ -243,22 +240,22 @@ def load_attention_params(path: str | Path) -> AttentionParams:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def random_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator, scale: float = 0.2) -> LstmParams:
-    h = hidden_dim
-    return LstmParams(w_x=scale * rng.normal(size=(4, h, input_dim)), w_h=scale * rng.normal(size=(4, h, h)),
-                      w_c=scale * rng.normal(size=(3, h, h)), b=np.zeros((4, h)))
+def random_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
+    h, s = hidden_dim, _RANDOM_SCALE
+    return LstmParams(w_x=s * rng.normal(size=(4, h, input_dim)), w_h=s * rng.normal(size=(4, h, h)),
+                      w_c=s * rng.normal(size=(3, h, h)), b=np.zeros((4, h)))
 
 
 def random_attention_params(
-    input_dim: int, hidden_dim: int = DEFAULT_DIM, attention_dim: int = DEFAULT_DIM, seed: int = 0, scale: float = 0.2
+    input_dim: int, hidden_dim: int = DEFAULT_DIM, attention_dim: int = DEFAULT_DIM, seed: int = 0
 ) -> AttentionParams:
     """Seeded stand-in scorer for pipelines that have no trained weights file."""
     rng = np.random.default_rng(seed)
     return AttentionParams(
-        forward_lstm=random_lstm_params(input_dim, hidden_dim, rng, scale),
-        backward_lstm=random_lstm_params(input_dim, hidden_dim, rng, scale),
-        w_forward=scale * rng.normal(size=(attention_dim, hidden_dim)),
-        w_backward=scale * rng.normal(size=(attention_dim, hidden_dim)),
-        w_out=scale * rng.normal(size=attention_dim),
+        forward_lstm=random_lstm_params(input_dim, hidden_dim, rng),
+        backward_lstm=random_lstm_params(input_dim, hidden_dim, rng),
+        w_forward=_RANDOM_SCALE * rng.normal(size=(attention_dim, hidden_dim)),
+        w_backward=_RANDOM_SCALE * rng.normal(size=(attention_dim, hidden_dim)),
+        w_out=_RANDOM_SCALE * rng.normal(size=attention_dim),
         bias=np.zeros(attention_dim),
     )

@@ -219,8 +219,7 @@ def iter_json_lines(path: str | Path, what: str, raw: bytes | None = None) -> It
 
 def id_table(ids: Sequence[str], labels: Sequence[int]) -> bytes:
     """The JSON-lines {video_id, label} table of index and assignments files."""
-    if len(ids) != len(labels):
-        raise ValueError("video_ids and labels must align")
+    check_dims({"ids": (ids, "n"), "labels": (labels, "n")})
     return "".join(json.dumps({"video_id": v, "label": int(lab)}) + "\n" for v, lab in zip(ids, labels)).encode()
 
 

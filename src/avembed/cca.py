@@ -125,13 +125,10 @@ def _paired_views(x: np.ndarray, y: np.ndarray, r: int | None = None) -> tuple[n
     2 rows and 1 <= r <= the narrower width; ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    blockio.check_dims({"x": (x, "nd"), "y": (y, "ne")})
     for name, a in (("x", x), ("y", y)):
-        if a.ndim != 2:
-            raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
         if not blockio.all_finite(a):
             raise ValueError(f"{name} contains non-finite values")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"views must pair rows: {x.shape[0]} vs {y.shape[0]}")
     if r is not None and x.shape[0] < 2:
         raise ValueError(f"need at least 2 samples, got {x.shape[0]}")
     if r is not None and not 1 <= r <= min(x.shape[1], y.shape[1]):
@@ -143,8 +140,7 @@ def _labelled_views(x: np.ndarray, y: np.ndarray, labels: np.ndarray) -> tuple[n
     """The paired views and their labels, one per row; ValueError otherwise."""
     x, y = _paired_views(x, y)
     labels = np.asarray(labels)
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError("labels must align with the paired rows")
+    blockio.check_dims({"x": (x, "nd"), "labels": (labels, "n")})
     return x, y, labels
 
 
@@ -204,8 +200,7 @@ def _whiten(st: _Stats, full: bool) -> tuple[np.ndarray, ...]:
 
 def _pair_indices(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
     a_idx, v_idx = (np.asarray(p) for p in pairs)
-    if a_idx.ndim != 1 or a_idx.shape != v_idx.shape:
-        raise ValueError("pairs must be two index vectors of equal length")
+    blockio.check_dims({"a_idx": (a_idx, "m"), "v_idx": (v_idx, "m")})
     if not (np.issubdtype(a_idx.dtype, np.integer) and np.issubdtype(v_idx.dtype, np.integer)):
         raise ValueError("pair indices must be integers")
     if a_idx.size < 2:
@@ -348,8 +343,7 @@ def project(model: LinearProjection, features: np.ndarray, side: str) -> np.ndar
     squeeze = features.ndim == 1
     features = np.atleast_2d(features)
     w, mean = getattr(model, "w" + s), getattr(model, "mean_" + s)
-    if features.shape[1] != w.shape[0]:
-        raise ValueError(f"feature dim {features.shape[1]} does not match side dim {w.shape[0]}")
+    blockio.check_dims({"w" + s: (w, "dr"), "features": (features, "nd")})
     out = (features - mean) @ w
     return out[0] if squeeze else out
 
@@ -436,8 +430,7 @@ def kernel_project(model: KernelModel, features: np.ndarray, side: str) -> np.nd
     train, dual, col_means, grand, offset = (
         getattr(model, f"{name}_{s}") for name in ("train", "dual", "col_means", "grand_mean", "offset")
     )
-    if features.shape[1] != train.shape[1]:
-        raise ValueError(f"feature dim {features.shape[1]} does not match training dim {train.shape[1]}")
+    blockio.check_dims({"train_" + s: (train, "nd"), "features": (features, "md")})
     kt = _kernel(features, train, model.kernel, model.beta)
     kt_centered = kt - kt.mean(axis=1, keepdims=True) - col_means[None, :] + grand
     return kt_centered @ dual - offset

@@ -125,6 +125,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         typed = {k: field(from_file, k, _OPTIONS[k][0], where, _OPTIONS[k][1] is None) for k in from_file}
         cfg.update((k, v) for k, v in typed.items() if k in cfg)
     cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
+    for name in ("seed", "attention_seed"):
+        if cfg.get(name, 0) < 0:
+            raise ValueError(f"{name} must be >= 0, got {cfg[name]}")
     return cfg
 
 

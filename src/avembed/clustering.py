@@ -74,21 +74,20 @@ def seeded_kmeans(
     dropped, so k stays fixed.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-d matrix")
+    sets = [np.atleast_2d(np.asarray(seed_set, dtype=np.float64)) for seed_set in seeds]
+    # each seed set holds its own number of rows, of the features' width d
+    blockio.check_dims({"features": (x, "nd"), **{f"seeds[{i}]": (s, (i, "d")) for i, s in enumerate(sets)}})
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    k = len(seeds)
+    k = len(sets)
     if k < 1:
         raise ValueError("need at least one seed set")
     if x.shape[0] < k:
         raise ValueError(f"need at least k={k} points, got {x.shape[0]}")
-    centroids = np.empty((k, x.shape[1]))
-    for i, seed_set in enumerate(seeds):
-        arr = np.atleast_2d(np.asarray(seed_set, dtype=np.float64))
-        if arr.shape[0] < 1 or arr.shape[1] != x.shape[1]:
-            raise ValueError(f"seed set {i} must hold >= 1 vector of dim {x.shape[1]}")
-        centroids[i] = arr.mean(axis=0)
+    empty = [i for i, s in enumerate(sets) if len(s) == 0]
+    if empty:
+        raise ValueError(f"seed sets {empty} are empty")
+    centroids = np.array([s.mean(axis=0) for s in sets])
 
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     rows = np.arange(x.shape[0])

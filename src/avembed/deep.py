@@ -142,10 +142,7 @@ def branch_forward(
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout needs an rng")
     a = np.asarray(batch, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.weights[0].shape[0]:
-        raise ValueError(
-            f"batch shape {a.shape} does not match branch input dim {net.weights[0].shape[0]}"
-        )
+    blockio.check_dims({"weights[0]": (net.weights[0], "dh"), "batch": (a, "nd")})
     caches: list[dict] = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import blockio
 from .errors import ValidationError
 from .retrieval import RankedList, build_index, rank
 
@@ -97,8 +98,7 @@ def score_held_out(
     Row i's relevant set is every held-out video sharing labels[i]. Returns, per
     row in order, its AP over the full ranking and its PR points at pr_sizes.
     """
-    if not len(audio) == len(visual) == len(labels) == len(ids):
-        raise ValueError("audio, visual, labels, and ids must align")
+    blockio.check_dims({"audio": (audio, "na"), "visual": (visual, "nv"), "labels": (labels, "n"), "ids": (ids, "n")})
     labels = np.asarray(labels).tolist()
     index = build_index(embed_visual(visual), labels, ids)
     queries = embed_audio(audio)
@@ -153,9 +153,8 @@ def cross_validate(
     audio = np.asarray(audio, dtype=np.float64)
     visual = np.asarray(visual, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    blockio.check_dims({"audio": (audio, "na"), "visual": (visual, "nv"), "labels": (labels, "n"), "ids": (ids, "n")})
     n = audio.shape[0]
-    if visual.shape[0] != n or labels.shape[0] != n or len(ids) != n:
-        raise ValueError("audio, visual, labels, and ids must align")
     if pr_stride < 1:
         raise ValueError("pr_stride must be >= 1")
     fold_indices = partition_folds(n, folds, seed)

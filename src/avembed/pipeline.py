@@ -60,6 +60,7 @@ SWEEP_CONFIGS = (
 METHODS = ("cca", "kcca", "ccca", "dcca", "sdcca")
 # the methods that train on cluster labels
 SUPERVISED = ("ccca", "sdcca")
+SEEDS_PER_CLUSTER = 3  # the exemplars seed_sets_from_labels takes of each label
 # the scorer of the chunk modes, built from the corpus's audio feature dim
 Scorer = Callable[[int], att.AttentionParams]
 # a query mode: "mean", the track mean, or a (c, k) chunk mode, the top k of c macro-chunks
@@ -257,11 +258,9 @@ def representation_from_selection(chunk_means: np.ndarray, selected: np.ndarray,
     return macros[selected].reshape(-1, d).mean(axis=0)
 
 
-def seed_sets_from_labels(
-    features: np.ndarray, labels: np.ndarray, per_cluster: int = 3
-) -> tuple[list[np.ndarray], list[list[int]]]:
-    """The first per_cluster rows of features of each label, in ascending label order, and their numbers."""
-    rows = [np.flatnonzero(labels == c)[:per_cluster] for c in np.unique(labels)]
+def seed_sets_from_labels(features: np.ndarray, labels: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
+    """The first SEEDS_PER_CLUSTER rows of features of each label, in ascending label order, and their numbers."""
+    rows = [np.flatnonzero(labels == c)[:SEEDS_PER_CLUSTER] for c in np.unique(labels)]
     return [features[r] for r in rows], [r.tolist() for r in rows]
 
 

@@ -47,8 +47,7 @@ def build_index(embeddings: np.ndarray, labels: np.ndarray, ids: list[str]) -> E
     """Index sorted by video_id with cached norms; ValidationError on a repeated id or a zero or non-finite norm."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    if embeddings.shape[0] != len(ids) or labels.shape[0] != len(ids):
-        raise ValueError("embeddings, labels, and ids must align")
+    blockio.check_dims({"embeddings": (embeddings, "nr"), "labels": (labels, "n"), "ids": (ids, "n")})
     if len(set(ids)) != len(ids):
         dupes = sorted({v for v in ids if ids.count(v) > 1})
         raise ValidationError(f"duplicate video_ids in index: {dupes[:5]}")

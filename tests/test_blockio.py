@@ -5,6 +5,7 @@ import argparse
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avembed import blockio, cli
-from avembed.attention import load_attention_params, random_attention_params, save_attention_params
-from avembed.cca import fit_cca, fit_kcca, load_cca_model, save_cca_model
-from avembed.clustering import load_assignments, load_seed_sets, save_assignments, save_seed_sets
+from avembed.attention import bilstm_states, load_attention_params, random_attention_params, save_attention_params
+from avembed.cca import (
+    fit_cca, fit_cluster_cca, fit_kcca, kernel_project, load_cca_model, project, save_cca_model,
+)
+from avembed.clustering import load_assignments, load_seed_sets, save_assignments, save_seed_sets, seeded_kmeans
 from avembed.data import (
     FeatureSequence, Manifest, ManifestEntry, load_manifest, load_sequence, write_manifest, write_sequence,
 )
-from avembed.deep import DeepModel, init_branch, load_deep_model, save_deep_model
+from avembed.deep import DeepModel, branch_forward, init_branch, load_deep_model, save_deep_model
 from avembed.errors import CorruptFileError, DataError, FormatError, ValidationError
+from avembed.evaluation import cross_validate, score_held_out
 from avembed.retrieval import build_index, load_index, save_index
 from conftest import edit_header
 
@@ -240,3 +244,66 @@ class TestOneFiniteCheck:
         block = np.where(np.arange(1001) % 2, 1e200, -1e200).reshape(7, 143)
         blockio.save(tmp_path / "m", b"TEST", {}, {"w": block})
         assert np.array_equal(blockio.load(tmp_path / "m", b"TEST")[1]["w"], block)
+
+
+def _views(n=6):
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+
+
+def _attention(**arrays):
+    return replace(random_attention_params(3, 2, 2), **arrays)
+
+
+# each library entry point that takes arrays which must agree, given arrays that do not: (the call, its message)
+_DISAGREEING = {
+    "attention-w-forward-hidden": (lambda: _attention(w_forward=np.zeros((2, 3))),
+                                   "w_forward of shape (2, 3) does not fit the other arrays: "
+                                   "forward_lstm.w_x set axis f to 2"),
+    "attention-w-backward-hidden": (lambda: _attention(w_backward=np.zeros((2, 3))),
+                                    "w_backward of shape (2, 3) does not fit the other arrays: "
+                                    "backward_lstm.w_x set axis b to 2"),
+    "attention-w-out-matrix": (lambda: _attention(w_out=np.zeros((2, 2))),
+                               "w_out of shape (2, 2) does not fit the other arrays: it needs 1 axes"),
+    "attention-bias-length": (lambda: _attention(bias=np.zeros(3)),
+                              "bias of shape (3,) does not fit the other arrays: w_forward set axis m to 2"),
+    "attention-input-dims": (lambda: _attention(backward_lstm=random_attention_params(4, 2, 2).backward_lstm),
+                             "backward_lstm.w_x of shape (4, 2, 4) does not fit the other arrays: "
+                             "forward_lstm.w_x set axis d to 3"),
+    "bilstm-states": (lambda: bilstm_states(np.zeros((5, 4)), random_attention_params(3, 2, 2)),
+                      "features of shape (5, 4) does not fit the other arrays: forward_lstm.w_x set axis d to 3"),
+    "id-table": (lambda: blockio.id_table(["a", "b"], [1]),
+                 "labels of shape (1,) does not fit the other arrays: ids set axis n to 2"),
+    "paired-views-rows": (lambda: fit_cca(_views()[0], _views(5)[1], 1),
+                          "y of shape (5, 2) does not fit the other arrays: x set axis n to 6"),
+    "paired-views-vector": (lambda: fit_cca(np.zeros(6), _views()[1], 1),
+                            "x of shape (6,) does not fit the other arrays: it needs 2 axes"),
+    "labelled-views": (lambda: fit_cluster_cca(*_views(), np.zeros(5, dtype=int), 0.0, 1),
+                       "labels of shape (5,) does not fit the other arrays: x set axis n to 6"),
+    "pair-indices": (lambda: fit_cca(*_views(), 1, pairs=(np.arange(3), np.arange(2))),
+                     "v_idx of shape (2,) does not fit the other arrays: a_idx set axis m to 3"),
+    "project": (lambda: project(fit_cca(*_views(), 1), np.zeros((2, 4)), "audio"),
+                "features of shape (2, 4) does not fit the other arrays: wx set axis d to 3"),
+    "kernel-project": (lambda: kernel_project(fit_kcca(*_views(), 1), np.zeros((2, 3)), "visual"),
+                       "features of shape (2, 3) does not fit the other arrays: train_y set axis d to 2"),
+    "kmeans-features-vector": (lambda: seeded_kmeans(np.zeros(6), [np.zeros(1)]),
+                               "features of shape (6,) does not fit the other arrays: it needs 2 axes"),
+    "kmeans-seed-width": (lambda: seeded_kmeans(_views()[0], [np.zeros(3), np.zeros((2, 4))]),
+                          "seeds[1] of shape (2, 4) does not fit the other arrays: features set axis d to 3"),
+    "branch-forward": (lambda: branch_forward(init_branch([4, 3], np.random.default_rng(0)), np.zeros((2, 5))),
+                       "batch of shape (2, 5) does not fit the other arrays: weights[0] set axis d to 4"),
+    "score-held-out": (lambda: score_held_out(None, None, *_views(4), [0, 0, 1], ["a", "b", "c", "d"]),
+                       "labels of shape (3,) does not fit the other arrays: audio set axis n to 4"),
+    "cross-validate": (lambda: cross_validate(*_views(4), [0, 0, 1, 1], ["a", "b", "c"], None),
+                       "ids of shape (3,) does not fit the other arrays: audio set axis n to 4"),
+    "build-index": (lambda: build_index(np.ones((3, 2)), np.zeros(3, dtype=int), ["a", "b"]),
+                    "ids of shape (2,) does not fit the other arrays: embeddings set axis n to 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DISAGREEING))
+def test_disagreeing_arrays_are_named_with_their_shape(case):
+    call, message = _DISAGREEING[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -1095,10 +1095,11 @@ class TestJsonTypesAndFileSlots:
         (lambda obj: obj.update(w_out=[str(v) for v in obj["w_out"]]), "key 'w_out' must be an array of numbers"),
         (lambda obj: obj.update(bias=[v > 0 for v in obj["bias"]]), "key 'bias' must be an array of numbers"),
         (lambda obj: obj.update(version=1.0), "key 'version' must be int, got 1.0"),
-        (lambda obj: obj.update(w_out=[[v, -v] for v in obj["w_out"]]), "w_out and bias must be vectors"),
+        (lambda obj: obj.update(w_out=[[v, -v] for v in obj["w_out"]]),
+         "w_out of shape (16, 2) does not fit the other arrays: it needs 1 axes"),
         (lambda obj: obj.update(version=2), "key 'version' is 2; only version 1 is supported"),
         (lambda obj: obj.update(bias=json.loads("[" * 40 + json.dumps(obj["bias"]) + "]" * 40)),
-         "w_out and bias must be vectors"),
+         "bias of shape (" + "1, " * 40 + "16) does not fit the other arrays: it needs 1 axes"),
         (lambda obj: obj.update(bias=json.loads("[" * 100 + json.dumps(obj["bias"]) + "]" * 100)),
          "key 'bias' must be an array of numbers"),
     ], ids=["w-out-strings", "bias-bools", "version-float", "w-out-matrix", "version-2", "bias-nested-40-deep",
@@ -1276,6 +1277,12 @@ def _target_pairs_beyond_the_cross_pairs(dataset: Path, tmp_path: Path) -> tuple
     )
 
 
+def _config_file(tmp_path: Path, **settings) -> Path:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(settings))
+    return path
+
+
 # errors a CLI user can reach: (argv, the stderr line) of each, given the 36-video dataset and a scratch directory
 _REACHABLE_ERRORS = {
     "unknown-seed-video": (2, _unknown_seed_video),
@@ -1299,6 +1306,34 @@ _REACHABLE_ERRORS = {
         "avembed: invalid arguments: invalid span [219, 213]",
     )),
     "target-pairs-beyond-cross-pairs": (1, _target_pairs_beyond_the_cross_pairs),
+    "negative-seed-synth": (1, lambda d, t: (
+        ("synth", "--out", t / "ds", "--videos", 4, "--seed", -1),
+        "avembed: invalid arguments: seed must be >= 0, got -1",
+    )),
+    "negative-seed-train-cca": (1, lambda d, t: (
+        ("train", "--dataset", d, "--method", "cca", "--seed", -1, "--out", t / "m.model"),
+        "avembed: invalid arguments: seed must be >= 0, got -1",
+    )),
+    "negative-seed-train-ccca": (1, lambda d, t: (
+        ("train", "--dataset", d, "--method", "ccca", "--seed", -1, "--out", t / "m.model"),
+        "avembed: invalid arguments: seed must be >= 0, got -1",
+    )),
+    "negative-seed-eval": (1, lambda d, t: (
+        ("eval", "--dataset", d, "--out-dir", t / "e", "--methods", "cca", "--seed", -1),
+        "avembed: invalid arguments: seed must be >= 0, got -1",
+    )),
+    "negative-attention-seed-chunk-select": (1, lambda d, t: (
+        ("chunk-select", "--dataset", d, "--attention-seed", -2, "--out", t / "sel.jsonl"),
+        "avembed: invalid arguments: attention_seed must be >= 0, got -2",
+    )),
+    "negative-seed-from-config": (1, lambda d, t: (
+        ("train", "--dataset", d, "--method", "cca", "--config", _config_file(t, seed=-1), "--out", t / "m.model"),
+        "avembed: invalid arguments: seed must be >= 0, got -1",
+    )),
+    "negative-attention-seed-from-config": (1, lambda d, t: (
+        ("chunk-select", "--dataset", d, "--config", _config_file(t, attention_seed=-2), "--out", t / "sel.jsonl"),
+        "avembed: invalid arguments: attention_seed must be >= 0, got -2",
+    )),
 }
 
 
@@ -1309,6 +1344,15 @@ def test_reachable_error_exit_code_and_message(dataset, tmp_path, capsys, case):
     got = run(*argv)
     err = capsys.readouterr().err
     assert got == code and line in err.splitlines() and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("case", [case for case in _REACHABLE_ERRORS if case.startswith("negative-")])
+def test_negative_seed_refused_before_any_file_is_read_or_written(dataset, tmp_path, spy, case):
+    argv, _ = _REACHABLE_ERRORS[case][1](dataset, tmp_path)
+    files = sorted(tmp_path.rglob("*"))
+    reads = spy("prepare_dataset", pipeline)
+    assert run(*argv) == 1
+    assert reads == [] and sorted(tmp_path.rglob("*")) == files
 
 
 class TestDefaults:
@@ -1359,15 +1403,19 @@ class TestConfigFile:
         assert message in fails(capsys, 2, "synth", "--out", tmp_path / "ds", "--config", cfg)
         assert not (tmp_path / "ds").exists()
 
-    @pytest.mark.parametrize("argv, flag, value", [
-        (("cluster", "--seeds-file", "{ds}/seeds.json", "--out", "{out}"), "--tol", "nan"),
-        (("synth", "--out", "{out}", "--videos", 4), "--noise-std", "nan"),
-        (("synth", "--out", "{out}", "--videos", 4), "--noise-std", "inf"),
-        (("train", "--method", "dcca", "--out", "{out}"), "--learning-rate", "nan"),
-        (("train", "--out", "{out}"), "--reg", "inf"),
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        (("cluster", "--seeds-file", "{ds}/seeds.json", "--out", "{out}"), "--tol", "nan",
+         "must be a finite number, got 'nan'"),
+        (("synth", "--out", "{out}", "--videos", 4), "--noise-std", "nan", "must be a finite number, got 'nan'"),
+        (("synth", "--out", "{out}", "--videos", 4), "--noise-std", "inf", "must be a finite number, got 'inf'"),
+        (("train", "--method", "dcca", "--out", "{out}"), "--learning-rate", "nan",
+         "must be a finite number, got 'nan'"),
+        (("train", "--out", "{out}"), "--reg", "inf", "must be a finite number, got 'inf'"),
+        (("cluster", "--seeds-file", "{ds}/seeds.json", "--out", "{out}"), "--tol", "abc",
+         "invalid float value: 'abc'"),
     ], ids=["cluster-tol-nan", "synth-noise-std-nan", "synth-noise-std-inf", "train-learning-rate-nan",
-            "train-reg-inf"])
-    def test_non_finite_float_flag_is_usage_error(self, dataset, tmp_path, capsys, argv, flag, value):
+            "train-reg-inf", "cluster-tol-not-a-number"])
+    def test_non_finite_float_flag_is_usage_error(self, dataset, tmp_path, capsys, argv, flag, value, message):
         # the finite rule of a --config file's floats holds for the flags too, before any file is written
         out = tmp_path / "out"
         argv = [str(a).format(ds=dataset, out=out) for a in argv]
@@ -1375,7 +1423,7 @@ class TestConfigFile:
             argv += ["--dataset", str(dataset)]
         assert run(*argv, flag, value) == 1
         out_text, err = capsys.readouterr()
-        assert out_text == "" and f"argument {flag}: must be a finite number, got {value!r}" in err
+        assert out_text == "" and f"argument {flag}: {message}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_keys_of_other_commands_accepted(self, dataset, tmp_path):

@@ -98,6 +98,11 @@ class TestAveragePrecision:
             r = sum(pattern)
             assert (ap == 1.0) == (sum(pattern[:r]) == r)
 
+    @pytest.mark.parametrize("pattern, n", [([1, 0], 0), ([0, 0, 1], 2)], ids=["n-0", "no-relevant-in-top-n"])
+    def test_zero_when_the_top_n_holds_no_relevant_item(self, pattern, n):
+        ranked, judgment = ranked_from_pattern(pattern)
+        assert average_precision(ranked, judgment, n=n) == 0.0
+
     def test_empty_relevant_is_error(self):
         ranked, _ = ranked_from_pattern([0])
         with pytest.raises(ValidationError):

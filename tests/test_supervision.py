@@ -131,6 +131,11 @@ class TestSeededKmeans:
         with pytest.raises(ValueError):
             seeded_kmeans(x, [np.zeros((1, 3))])  # wrong dim
 
+    def test_empty_seed_set_rejected(self):
+        x = np.random.default_rng(5).normal(size=(3, 2))
+        with pytest.raises(ValueError, match=r"^seed sets \[1\] are empty$"):
+            seeded_kmeans(x, [x[:1], x[:0]])
+
 
 def _three_column_pairs(labels, f, seed, target_pairs):
     """(audio, visual, label) rows as an earlier expand_pairs built them: the fraction loop drew
